@@ -15,7 +15,7 @@
 
 from conftest import once, save_result, lower_program
 
-from repro.core import CompilerOptions, compile_program
+from repro.core import Compiler, CompilerOptions
 from repro.ir import build_call_graph, find_loops
 from repro.profit import (
     compute_profiles, correlation, estimate_ispbo, match_feedback,
@@ -42,8 +42,8 @@ def sweep_ts(session):
     out = {}
     for ts in (2.0, 7.5, 30.0, 70.0):
         params = HeuristicParams(ts_static=ts)
-        res = compile_program(MCF.program("ref"),
-                              CompilerOptions(params=params))
+        res = Compiler(CompilerOptions(params=params)).compile(
+            MCF.program("ref"))
         d = res.decision_for("node")
         out[ts] = (len(d.cold_fields), gain_of(res))
     return out
@@ -123,13 +123,11 @@ def _moldyn_large():
 def sweep_peel_modes(session):
     out = {}
     for mode in ("auto", "per-field", "hot-cold", "affinity"):
-        res = compile_program(
-            ART.program("ref"),
+        compiler = Compiler(
             CompilerOptions(params=HeuristicParams(peel_mode=mode)))
+        res = compiler.compile(ART.program("ref"))
         out[("179.art", mode)] = gain_of(res)
-        res = compile_program(
-            _moldyn_large(),
-            CompilerOptions(params=HeuristicParams(peel_mode=mode)))
+        res = compiler.compile(_moldyn_large())
         out[("moldyn-large", mode)] = gain_of(res)
     return out
 

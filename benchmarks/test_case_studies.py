@@ -15,7 +15,7 @@ and applying its suggestion yields a gain of the right shape.
 
 from conftest import once, save_result
 
-from repro.core import CompilerOptions, compile_program
+from repro.core import Compiler, CompilerOptions
 from repro.frontend import Program
 from repro.runtime import run_program
 from repro.advisor import affinity_clusters
@@ -82,7 +82,7 @@ int main() {
 
 def run_case1():
     program = Program.from_source(CASE1)
-    res = compile_program(program, CompilerOptions(transform=False))
+    res = Compiler(CompilerOptions(transform=False)).compile(program)
     prof = res.profiles["big"]
     # the advisor's affinity clustering identifies the 4 hot fields
     clusters = affinity_clusters(prof, 0.3)
@@ -99,7 +99,7 @@ def run_case1():
 
 def run_case2():
     program = Program.from_source(CASE2)
-    res = compile_program(program)   # the framework peels by itself
+    res = Compiler().compile(program)   # the framework peels by itself
     d = res.decision_for("pairrec")
     before = run_program(res.program)
     after = run_program(res.transformed)

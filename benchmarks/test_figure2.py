@@ -10,15 +10,15 @@ affinity edges.  VCG graph output is produced alongside.
 from conftest import once, save_result, lower_program
 
 from repro.advisor import advisor_report, program_vcg
-from repro.core import CompilerOptions, compile_program
+from repro.core import Compiler, CompilerOptions
 from repro.workloads import MCF
 
 
 def build_report(session):
     fb = session.feedback(MCF, "train", pmu_period=16)
     program = MCF.program("train")
-    res = compile_program(program, CompilerOptions(
-        scheme="PBO", feedback=fb, transform=False))
+    res = Compiler(CompilerOptions(
+        scheme="PBO", feedback=fb, transform=False)).compile(program)
     text = advisor_report(res, feedback=fb)
     vcg = program_vcg(res.profiles)
     return res, text, vcg

@@ -9,7 +9,7 @@ Run:  python examples/peel_art.py
 """
 
 from repro import run_program
-from repro.core import compile_program
+from repro.core import Compiler
 from repro.workloads import ART
 
 
@@ -18,7 +18,7 @@ def main() -> None:
     print("original type:")
     print(program.record("f1_neuron").definition())
 
-    result = compile_program(program)
+    result = Compiler().compile(program)
     decision = result.decision_for("f1_neuron")
     print(f"\nheuristics decision: {decision.action} via global "
           f"pointer {decision.pointer!r}")

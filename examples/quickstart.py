@@ -8,7 +8,7 @@ machine and reports the speedup.
 Run:  python examples/quickstart.py
 """
 
-from repro import compile_source, run_program
+from repro import Session, run_program
 
 SOURCE = """
 struct record {
@@ -56,7 +56,7 @@ int main() {
 def main() -> None:
     # one call runs legality analysis, affinity/hotness estimation,
     # the heuristics, and the transformations
-    result = compile_source(SOURCE)
+    result = Session().compile_source(SOURCE)
 
     print("== analysis ==")
     types, legal, relaxed = result.table1_row()

@@ -10,7 +10,7 @@ Run:  python examples/split_mcf.py
 """
 
 from repro import run_program
-from repro.core import compile_program
+from repro.core import Compiler
 from repro.transform import SplitSpec, split_structure
 from repro.workloads import MCF
 
@@ -24,7 +24,7 @@ def measure(program, transformed, label, baseline_cycles):
 
 def main() -> None:
     program = MCF.program("train")
-    result = compile_program(program)
+    result = Compiler().compile(program)
     decision = result.decision_for("node")
 
     print("node_t relative hotness (ISPBO):")

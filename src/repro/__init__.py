@@ -16,16 +16,13 @@ Quickstart::
     after = run_program(result.transformed)
     print(before.cycles / after.cycles)
 
-The legacy module-level ``compile_program`` / ``compile_source``
-helpers still work but are deprecated in favour of
-:class:`repro.api.Session` (see the migration table in DESIGN.md).
+:class:`repro.api.Session` (or :class:`Compiler` directly) is the
+in-process entry point; the CLI, ``repro client`` and the service all
+lower one :class:`CompileOptions` onto :class:`CompilerOptions`.
 """
 
 from .frontend import Program
-from .core import (
-    Compiler, CompilerOptions, CompilationResult, compile_program,
-    compile_source, SCHEMES,
-)
+from .core import Compiler, CompilerOptions, CompilationResult, SCHEMES
 from .api import (
     CompileOptions, CompileReply, CompileRequest, Session,
 )
@@ -36,8 +33,8 @@ __version__ = "1.1.0"
 
 __all__ = [
     "Program", "Compiler", "CompilerOptions", "CompilationResult",
-    "compile_program", "compile_source", "SCHEMES",
-    "Session", "CompileOptions", "CompileRequest", "CompileReply",
+    "SCHEMES", "Session", "CompileOptions", "CompileRequest",
+    "CompileReply",
     "run_program", "RunResult", "Machine", "CompiledProgram",
     "advisor_report", "classify_report", "__version__",
 ]

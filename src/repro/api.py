@@ -1,15 +1,11 @@
 """The typed public facade: one schema for every way in.
 
-Historically the toolchain had three separate entry paths — the
-module-level ``compile_program`` / ``compile_source`` /
-``compile_sources`` helpers, the CLI subcommands, and the service's
-hand-rolled wire validation — each with its own slightly different
-notion of "options".  This module unifies them:
-
 - :class:`CompileOptions` is the one options schema.  The CLI builds
-  it from flags, the service validates wire dicts against it, and
+  it from flags (local and ``client`` commands alike), the service
+  validates wire dicts against it, and
   :meth:`CompileOptions.compiler_options` lowers it onto the core
-  :class:`~repro.core.pipeline.CompilerOptions` for one ladder tier.
+  :class:`~repro.core.pipeline.CompilerOptions` for one ladder tier —
+  the only place that lowering happens.
 - :class:`CompileRequest` / :class:`CompileReply` are the typed
   request/response pair.  ``repro client`` serializes a request with
   :meth:`CompileRequest.to_wire`; the daemon parses the same dict
@@ -18,8 +14,8 @@ notion of "options".  This module unifies them:
 - :class:`Session` is the in-process entry point: a compiler handle
   carrying options plus the observability hooks (a
   :class:`~repro.obs.Tracer` and a
-  :class:`~repro.obs.MetricsRegistry`).  It subsumes the deprecated
-  module-level ``compile_*`` helpers and can also execute a full
+  :class:`~repro.obs.MetricsRegistry`).  It compiles programs or
+  sources directly and can also execute a full
   :class:`CompileRequest` locally — the *same* payload builder the
   service workers run (:func:`execute_tier`), so a local
   ``Session.execute`` and a daemon round-trip produce identical
@@ -42,7 +38,7 @@ from .core.pipeline import CompilationResult, Compiler, CompilerOptions
 from .core.summarycache import fingerprint
 from .frontend.program import Program
 from .obs import MetricsRegistry, NULL_TRACER, Tracer
-from .transform.heuristics import HeuristicParams
+from .transform.heuristics import HeuristicParams, PEEL_MODES
 from .transform.search import ENGINES, SEARCH_DEFAULTS
 
 #: compile operations, ladder-governed (the service adds control ops)
@@ -153,22 +149,16 @@ class SearchOptions:
     sa_iters: int = 60                  # batches per restart
     sa_restarts: int = 2                # re-heats from the incumbent
     ilp_max_fields: int = 8             # exact-solver field threshold
-    #: greedy-floor knobs the ``--search`` flag absorbed from the old
-    #: ad-hoc ``--ts`` / ``--peel-mode`` flags (None = scheme default)
-    ts: float | None = None             # splitting threshold, percent
-    peel_mode: str | None = None        # auto|per-field|hot-cold|affinity
 
     WIRE_FIELDS = ("engine", "budget_s", "seed", "sa_batch",
                    "sa_alpha", "sa_tmax", "sa_tmin", "sa_iters",
-                   "sa_restarts", "ilp_max_fields", "ts", "peel_mode")
-
-    PEEL_MODES = ("auto", "per-field", "hot-cold", "affinity")
+                   "sa_restarts", "ilp_max_fields")
 
     #: CLI spellings accepted by :meth:`from_cli` on top of the wire
     #: names (``budget=10s`` reads more naturally than ``budget_s=10``)
     _CLI_ALIASES = {"budget": "budget_s", "restarts": "sa_restarts",
                     "iters": "sa_iters", "batch": "sa_batch",
-                    "alpha": "sa_alpha", "peel": "peel_mode"}
+                    "alpha": "sa_alpha"}
 
     def __post_init__(self):
         if self.engine not in ENGINES:
@@ -190,13 +180,6 @@ class SearchOptions:
         if not 0.0 < self.sa_alpha < 1.0:
             raise ApiError("'search.sa_alpha' must be in (0, 1)",
                            detail={"where": "search.sa_alpha"})
-        if self.peel_mode is not None \
-                and self.peel_mode not in self.PEEL_MODES:
-            raise ApiError(
-                f"unknown peel mode {self.peel_mode!r}; expected one "
-                f"of {', '.join(self.PEEL_MODES)}",
-                detail={"where": "search.peel_mode",
-                        "known_modes": list(self.PEEL_MODES)})
 
     @classmethod
     def from_dict(cls, d: dict | None) -> "SearchOptions":
@@ -217,10 +200,6 @@ class SearchOptions:
                          "ilp_max_fields"):
                 if name in d:
                     kwargs[name] = int(d[name])
-            if d.get("ts") is not None:
-                kwargs["ts"] = float(d["ts"])
-            if d.get("peel_mode") is not None:
-                kwargs["peel_mode"] = str(d["peel_mode"])
         except (TypeError, ValueError) as exc:
             raise ApiError(f"bad search option value: {exc}",
                            detail={"where": "search"}) from exc
@@ -297,6 +276,15 @@ class CompileOptions:
     WIRE_FIELDS = ("scheme", "relax", "ts", "peel_mode", "verify",
                    "cache", "jobs", "cycle_limit", "search")
 
+    def __post_init__(self):
+        if self.peel_mode is not None \
+                and self.peel_mode not in PEEL_MODES:
+            raise ApiError(
+                f"unknown peel mode {self.peel_mode!r}; expected one "
+                f"of {', '.join(PEEL_MODES)}",
+                detail={"where": "options.peel_mode",
+                        "known_modes": list(PEEL_MODES)})
+
     @classmethod
     def from_dict(cls, d: dict | None) -> "CompileOptions":
         if d is None:
@@ -305,30 +293,30 @@ class CompileOptions:
             raise ApiError("'options' must be an object",
                            detail={"where": "options"})
         _reject_unknown(d, cls.WIRE_FIELDS, "options")
-        opts = cls()
+        kwargs: dict = {}
         try:
             if "scheme" in d:
-                opts.scheme = str(d["scheme"])
+                kwargs["scheme"] = str(d["scheme"])
             if "relax" in d:
-                opts.relax = bool(d["relax"])
+                kwargs["relax"] = bool(d["relax"])
             if d.get("ts") is not None:
-                opts.ts = float(d["ts"])
+                kwargs["ts"] = float(d["ts"])
             if d.get("peel_mode") is not None:
-                opts.peel_mode = str(d["peel_mode"])
+                kwargs["peel_mode"] = str(d["peel_mode"])
             if "verify" in d:
-                opts.verify = bool(d["verify"])
+                kwargs["verify"] = bool(d["verify"])
             if "cache" in d:
-                opts.cache = bool(d["cache"])
+                kwargs["cache"] = bool(d["cache"])
             if "jobs" in d:
-                opts.jobs = int(d["jobs"])
+                kwargs["jobs"] = int(d["jobs"])
             if "cycle_limit" in d:
-                opts.cycle_limit = int(d["cycle_limit"])
+                kwargs["cycle_limit"] = int(d["cycle_limit"])
         except (TypeError, ValueError) as exc:
             raise ApiError(f"bad options value: {exc}",
                            detail={"where": "options"}) from exc
         if d.get("search") is not None:
-            opts.search = SearchOptions.from_dict(d["search"])
-        return opts
+            kwargs["search"] = SearchOptions.from_dict(d["search"])
+        return cls(**kwargs)
 
     def to_dict(self) -> dict:
         """Only the non-default fields — the compact wire form."""
@@ -342,21 +330,19 @@ class CompileOptions:
     def compiler_options(self, tier: str = "full",
                          cache_dir: str | None = None
                          ) -> CompilerOptions:
-        """Lower onto core options for one degradation-ladder tier."""
+        """Lower onto core options for one degradation-ladder tier.
+
+        The one lowering every way in shares: the local CLI commands,
+        the service workers (and so ``repro client``) and
+        :meth:`Session.execute`.  ``ts`` and ``peel_mode`` tune the
+        greedy heuristics; only ``search`` turns the layout search on.
+        """
         params = HeuristicParams()
         if self.ts is not None:
             params.ts_static = float(self.ts)
             params.ts_profile = float(self.ts)
         if self.peel_mode:
             params.peel_mode = self.peel_mode
-        if self.search is not None:
-            # greedy-floor knobs riding on the search spec win over
-            # the deprecated top-level fields
-            if self.search.ts is not None:
-                params.ts_static = float(self.search.ts)
-                params.ts_profile = float(self.search.ts)
-            if self.search.peel_mode:
-                params.peel_mode = self.search.peel_mode
         full = tier == "full"
         return CompilerOptions(
             scheme=self.scheme,
@@ -725,10 +711,7 @@ def execute_tier(op: str, tier: str, sources: list[tuple[str, str]],
 # ---------------------------------------------------------------------------
 
 class Session:
-    """An in-process compiler handle: options + observability.
-
-    The replacement for the deprecated module-level ``compile_*``
-    helpers::
+    """An in-process compiler handle: options + observability::
 
         from repro.api import Session
         result = Session().compile_source(text)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -37,7 +38,7 @@ from .advisor import (
     AdvisorOptions, advisor_report, classify_report, program_vcg,
 )
 from .api import (
-    ApiError, CompileOptions, CompileReply, CompileRequest,
+    LADDER, ApiError, CompileOptions, CompileReply, CompileRequest,
     SearchOptions, Session,
 )
 from .core import (
@@ -48,7 +49,8 @@ from .frontend import Program
 from .obs import Tracer, write_trace
 from .profit import collect_feedback
 from .runtime import run_program
-from .transform import HeuristicParams, program_sources
+from .transform import program_sources
+from .transform.heuristics import PEEL_MODES
 
 EXIT_OK = 0
 EXIT_COMPILE = 1
@@ -116,73 +118,37 @@ class OptionBundle(NamedTuple):
     feedback: object | None
 
 
-def _resolve_jobs(jobs) -> int:
-    """``--jobs 0`` means auto: one scheduler thread per effective
-    core (CPU affinity respected)."""
-    from .core.dag import effective_cores
-    jobs = int(jobs or 0)
-    return jobs if jobs >= 1 else effective_cores()
-
-
-def _deprecated_flag(old: str, new: str) -> None:
-    """DeprecationWarning shim for flags the ``--search`` spec
-    absorbed (same pattern as the PR 5 ``compile_*`` shims; see the
-    migration table in DESIGN.md)."""
-    import warnings
-    warnings.warn(
-        f"{old} is deprecated; use {new} "
-        f"(see the migration table in DESIGN.md)",
-        DeprecationWarning, stacklevel=3)
-
-
-def _search_options(args) -> SearchOptions | None:
-    """Parse ``--search`` and the deprecated per-transform flags into
-    one :class:`SearchOptions` (None when no search was asked for —
-    the deprecated flags alone keep the greedy pipeline)."""
-    spec = getattr(args, "search", None)
-    if spec is None:
-        return None
+def _compile_options(args) -> CompileOptions:
+    """The one builder from flags to :class:`repro.api.CompileOptions`,
+    shared by the local commands and ``client`` — so a flag means the
+    same thing whether the compile runs here or in a daemon."""
     try:
-        return SearchOptions.from_cli(spec)
+        return CompileOptions(
+            scheme=args.scheme or "ISPBO",
+            relax=args.relax,
+            ts=args.ts,
+            peel_mode=args.peel_mode,
+            verify=not getattr(args, "no_verify", False),
+            cache=not args.no_cache,
+            jobs=getattr(args, "jobs", 1),
+            search=None if args.search is None
+            else SearchOptions.from_cli(args.search))
     except ApiError as exc:
         raise CliError(str(exc), EXIT_USAGE) from exc
 
 
 def _options(args) -> OptionBundle:
-    params = HeuristicParams()
-    if getattr(args, "ts", None) is not None:
-        _deprecated_flag("--ts", "--search ts=N")
-        params.ts_static = args.ts
-        params.ts_profile = args.ts
-    if getattr(args, "peel_mode", None):
-        _deprecated_flag("--peel-mode", "--search peel=MODE")
-        params.peel_mode = args.peel_mode
-    search = _search_options(args)
-    if search is not None:
-        if search.ts is not None:
-            params.ts_static = search.ts
-            params.ts_profile = search.ts
-        if search.peel_mode:
-            params.peel_mode = search.peel_mode
+    """Core options for a local command: the flags' CompileOptions
+    lowered for the command's best ladder tier (``advisory`` for
+    analyze/advise, ``full`` for transform/compare), with ``--profile``
+    feedback and ``--strict`` applied on top."""
+    options = _compile_options(args).compiler_options(
+        LADDER[args.command][0], args.cache_dir)
     feedback = None
-    scheme = getattr(args, "scheme", "ISPBO")
-    if getattr(args, "profile", False):
+    if args.profile:
         feedback = collect_feedback(_load_program(args.files))
-        scheme = "PBO"
-    verify = (getattr(args, "verify_default", False)
-              and not getattr(args, "no_verify", False))
-    cache_dir = getattr(args, "cache_dir", None)
-    if getattr(args, "no_cache", False):
-        cache_dir = None
-    options = CompilerOptions(
-        scheme=scheme, feedback=feedback, params=params,
-        relax_legality=getattr(args, "relax", False),
-        strict=getattr(args, "strict", False),
-        verify_transforms=verify,
-        jobs=_resolve_jobs(getattr(args, "jobs", 1)),
-        cache_dir=cache_dir,
-        search=search)
-    return OptionBundle(options, feedback)
+        options = replace(options, scheme="PBO", feedback=feedback)
+    return OptionBundle(replace(options, strict=args.strict), feedback)
 
 
 def _report(result: CompilationResult) -> int:
@@ -203,9 +169,7 @@ def _first_divergence(before: str, after: str) -> str:
 
 
 def cmd_analyze(args) -> int:
-    options = _options(args).options
-    options.transform = False
-    result = _compile(args.files, options, args.trace_out)
+    result = _compile(args.files, _options(args).options, args.trace_out)
 
     types, legal, relaxed = result.table1_row()
     print(f"record types: {types}  legal: {legal}  "
@@ -226,7 +190,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_advise(args) -> int:
     options, feedback = _options(args)
-    options.transform = False
     result = _compile(args.files, options, args.trace_out)
     show_costs = args.costs or bool(args.trace_out)
     print(advisor_report(result, feedback=feedback,
@@ -252,8 +215,7 @@ def cmd_advise(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    options = _options(args).options
-    result = _compile(args.files, options, args.trace_out)
+    result = _compile(args.files, _options(args).options, args.trace_out)
     transformed = result.transformed_types()
     print(f"transformed {len(transformed)} type(s): "
           f"{', '.join(d.type_name for d in transformed) or '-'}",
@@ -286,8 +248,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    options = _options(args).options
-    result = _compile(args.files, options, args.trace_out)
+    result = _compile(args.files, _options(args).options, args.trace_out)
     before = run_program(result.program, cycle_limit=args.cycle_limit)
     after = run_program(result.transformed,
                         cycle_limit=args.cycle_limit)
@@ -625,18 +586,7 @@ def _client_request(args) -> CompileRequest:
     schema the service validates against — there is no second,
     hand-rolled wire dict to drift out of sync."""
     from .core.faults import ProcessFaultSpec
-    if args.ts is not None:
-        _deprecated_flag("--ts", "--search ts=N")
-    if args.peel_mode:
-        _deprecated_flag("--peel-mode", "--search peel=MODE")
-    options = CompileOptions(
-        scheme=args.scheme or "ISPBO",
-        relax=bool(args.relax),
-        ts=args.ts,
-        peel_mode=args.peel_mode,
-        verify=not args.no_verify,
-        cache=not args.no_cache,
-        search=_search_options(args))
+    options = _compile_options(args)
     try:
         faults = [ProcessFaultSpec.from_dict(_parse_fault_flag(s))
                   for s in args.inject_fault]
@@ -737,6 +687,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "(CGO 2006 reproduction)")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_layout_flags(p):
+        p.add_argument("--ts", type=float, default=None,
+                       help="split threshold T_s: fields below this "
+                            "percent of the type's hottest field are "
+                            "cold (default 7.5, 3 under --profile); "
+                            "tunes the greedy heuristics, no search")
+        p.add_argument("--peel-mode", default=None, choices=PEEL_MODES,
+                       help="peel grouping (default auto: the "
+                            "line-traffic cost model picks)")
+        p.add_argument("--search", default=None, metavar="SPEC",
+                       help="run the global layout search: "
+                            "comma-separated key=value options, "
+                            "e.g. 'engine=sa,budget=10s,seed=7' "
+                            "(engines: greedy, sa, ilp, auto)")
+
     def add_common(p, scheme=True):
         p.add_argument("files", nargs="+",
                        help="MiniC source files (one program)")
@@ -751,19 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--relax", action="store_true",
                            help="tolerate CSTT/CSTF/ATKN when "
                                 "points-to proves field safety")
-            p.add_argument("--ts", type=float, default=None,
-                           help="DEPRECATED: use --search ts=N")
-            p.add_argument("--peel-mode", default=None,
-                           choices=["auto", "per-field", "hot-cold",
-                                    "affinity"],
-                           help="DEPRECATED: use --search peel=MODE")
-            p.add_argument("--search", default=None, metavar="SPEC",
-                           help="run the global layout search: "
-                                "comma-separated key=value options, "
-                                "e.g. 'engine=sa,budget=10s,seed=7' "
-                                "(engines: greedy, sa, ilp, auto; "
-                                "also accepts the greedy-floor knobs "
-                                "ts=N and peel=MODE)")
+            add_layout_flags(p)
             p.add_argument("--strict", action="store_true",
                            help="abort on the first contained fault "
                                 "instead of degrading gracefully")
@@ -831,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-verify", action="store_true",
                    help="skip differential verification of the "
                         "transformed program")
-    p.set_defaults(fn=cmd_transform, verify_default=True)
+    p.set_defaults(fn=cmd_transform)
 
     p = sub.add_parser("run", help="execute on the simulated machine")
     add_common(p, scheme=False)
@@ -847,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-verify", action="store_true",
                    help="skip differential verification of the "
                         "transformed program")
-    p.set_defaults(fn=cmd_compare, verify_default=True)
+    p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser(
         "serve",
@@ -1029,15 +982,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", default=None,
                    choices=["SPBO", "ISPBO", "ISPBO.NO", "ISPBO.W"])
     p.add_argument("--relax", action="store_true")
-    p.add_argument("--ts", type=float, default=None,
-                   help="DEPRECATED: use --search ts=N")
-    p.add_argument("--peel-mode", default=None,
-                   choices=["auto", "per-field", "hot-cold",
-                            "affinity"],
-                   help="DEPRECATED: use --search peel=MODE")
-    p.add_argument("--search", default=None, metavar="SPEC",
-                   help="layout-search options forwarded to the "
-                        "daemon, e.g. 'engine=sa,budget=10s,seed=7'")
+    add_layout_flags(p)
     p.add_argument("--no-verify", action="store_true")
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the daemon's summary cache for this "

@@ -2,27 +2,29 @@
 
 §2 of the paper stresses that SYZYGY's FE is "run in parallel for
 different source files" while IPA is the monolithic step.  This module
-reproduces that structure for the MiniC frontend:
+reproduces that structure for the MiniC frontend; the pass DAG
+(:mod:`repro.core.pipeline`) is its only driver:
 
 1. **Pre-scan** every source for typedef *names* (a tiny regex pass),
    because C's grammar needs to know which identifiers are type names
-   before it can parse a unit that uses a typedef from an earlier unit.
+   before it can parse a unit that uses a typedef from an earlier unit
+   (:func:`plan_parses`).
 2. **Parse each TU in isolation** — its own token stream, its own
-   struct-tag and typedef tables — optionally on a
-   :class:`concurrent.futures.ProcessPoolExecutor` worker, and
-   optionally backed by the content-addressed parse cache.
+   struct-tag and typedef tables — one ``parse[u.c]`` DAG node per
+   unit, on the shared process pool when ``jobs > 1``, and optionally
+   backed by the content-addressed parse cache (:func:`parse_cached`).
 3. **Unify** the per-unit type tables into whole-program canonical
    records and typedefs (the IPA "summary aggregation" for types),
    rewriting every AST type slot to the canonical objects and re-laying
    out records whose parse-time layout used placeholder sizes.
 4. **Finalize** with the ordinary shared semantic analysis, in unit
-   order, exactly like the serial front end.
+   order, exactly like the serial front end (:func:`finish_assembly`,
+   the ``fe.assemble`` node).
 
 Determinism: workers are pure functions of ``(unit name, source,
-typedef seed)``, ``executor.map`` preserves submission order, and the
-unify step iterates units in submission order — so the assembled
-program is byte-for-byte independent of ``--jobs`` and of worker
-completion order.
+typedef seed)``, and the unify step iterates units in submission
+order — so the assembled program is byte-for-byte independent of
+``--jobs`` and of worker completion order.
 
 Safety: the serial front end (:meth:`Program.from_sources`) stays the
 reference semantics.  Any situation where isolated parsing could
@@ -48,7 +50,7 @@ from ..frontend.sema import SemaError, SemanticAnalyzer
 from ..frontend.typesys import (
     INT, ArrayType, FunctionType, NamedType, PointerType, RecordType,
 )
-from .dag import process_pool, shutdown_process_pool
+from .dag import shutdown_process_pool
 from .summarycache import SummaryCache
 
 
@@ -367,22 +369,16 @@ def unify_units(parsed: list[ParsedUnit],
 
 
 # ---------------------------------------------------------------------------
-# The driver
+# Node bodies for the pass DAG's parse and assemble nodes
 # ---------------------------------------------------------------------------
 
-def _legacy(sources: list[tuple[str, str]], recover: bool,
-            report: FEReport, reason: str) -> tuple[Program, FEReport]:
+def legacy_assembly(sources: list[tuple[str, str]], report: FEReport,
+                    reason: str) -> tuple[Program, FEReport]:
+    """The serial-FE fallback: parse everything with shared tables (in
+    recover mode) and record ``reason`` in ``report``."""
     report.mode = "legacy"
     report.fallback_reason = reason
-    return Program.from_sources(sources, recover=recover), report
-
-
-def legacy_assembly(sources: list[tuple[str, str]], recover: bool,
-                    report: FEReport, reason: str
-                    ) -> tuple[Program, FEReport]:
-    """Serial-FE fallback, public for the pass-DAG driver (which needs
-    it when parse *planning* itself fails, before any node exists)."""
-    return _legacy(sources, recover, report, reason)
+    return Program.from_sources(sources, recover=True), report
 
 
 def plan_parses(sources: list[tuple[str, str]],
@@ -406,12 +402,6 @@ def plan_parses(sources: list[tuple[str, str]],
     return tasks, prescans
 
 
-def clean_parse(got) -> bool:
-    """True when a cached artifact is a complete, error-free parse."""
-    return (isinstance(got, ParsedUnit) and got.unit is not None
-            and not got.errors and got.crashed is None)
-
-
 def parse_pool_width(jobs: int, n_tasks: int) -> int:
     """Workers worth using for ``n_tasks`` CPU-bound parses.
 
@@ -421,34 +411,26 @@ def parse_pool_width(jobs: int, n_tasks: int) -> int:
     return min(jobs, n_tasks, os.cpu_count() or 1)
 
 
-def probe_parse_cache(task: tuple, cache: SummaryCache | None,
-                      cache_salt: str
-                      ) -> tuple[ParsedUnit | None, str | None]:
-    """``(clean cached parse | None, cache key | None)`` for one task."""
-    if cache is None:
-        return None, None
-    name, text, seed, _budget = task
-    key = cache.key_for("parse", name, text, seed, cache_salt)
-    got = cache.load("parse", key)
-    if clean_parse(got):
-        got.budget_exceeded = False           # not a property of
-        got.elapsed = 0.0                     # the cached artifact
-        return got, key
-    return None, key
-
-
 def parse_cached(task: tuple, cache: SummaryCache | None = None,
                  cache_salt: str = "", pool=None
                  ) -> tuple[ParsedUnit, str | None, bool]:
     """Parse one TU through the cache: ``(unit, key, fresh)``.
 
-    This is the pass-DAG node body: probe the parse cache, then parse
-    on the shared process pool (when one is passed) or inline.  A pool
-    failure tears the broken pool down and falls back to an inline
-    parse — result-identical, just slower."""
-    got, key = probe_parse_cache(task, cache, cache_salt)
-    if got is not None:
-        return got, key, False
+    This is the ``parse[u.c]`` node body: probe the parse cache for a
+    complete, error-free artifact, then parse on the shared process
+    pool (when one is passed) or inline.  A pool failure tears the
+    broken pool down and falls back to an inline parse —
+    result-identical, just slower."""
+    key = None
+    if cache is not None:
+        name, text, seed, _budget = task
+        key = cache.key_for("parse", name, text, seed, cache_salt)
+        got = cache.load("parse", key)
+        if (isinstance(got, ParsedUnit) and got.unit is not None
+                and not got.errors and got.crashed is None):
+            got.budget_exceeded = False           # not a property of
+            got.elapsed = 0.0                     # the cached artifact
+            return got, key, False
     if pool is not None:
         try:
             return pool.submit(parse_unit_task, task).result(), key, True
@@ -458,38 +440,42 @@ def parse_cached(task: tuple, cache: SummaryCache | None = None,
 
 
 def finish_assembly(sources: list[tuple[str, str]],
-                    results: list[ParsedUnit],
-                    keys: list[str | None],
-                    fresh: list[bool],
-                    prescans: list[list[str]],
-                    recover: bool, report: FEReport,
+                    parsed: list[tuple[ParsedUnit, str | None, bool]],
+                    prescans: list[list[str]], report: FEReport,
                     cache: SummaryCache | None = None
                     ) -> tuple[Program, FEReport]:
-    """The tail of the front end: record per-unit stats, store fresh
-    clean parses, unify the type tables, and run sema — or fall back
-    to the serial FE on anything the unified path cannot reproduce."""
-    for i, pu in enumerate(results):
+    """The ``fe.assemble`` node body over the parse nodes' ``(unit,
+    key, fresh)`` triples, in unit order: record per-unit stats, store
+    fresh clean parses, unify the type tables, and run sema — or fall
+    back to the serial FE on anything the unified path cannot
+    reproduce."""
+    report.parse_cache_hits = sum(1 for _, _, fresh in parsed
+                                  if not fresh)
+    for pu, key, fresh in parsed:
         report.unit_elapsed[pu.name] = pu.elapsed
         if pu.budget_exceeded:
             report.budget_overruns.append(pu.name)
         if pu.crashed is not None:
-            return _legacy(sources, recover, report,
-                           f"unit {pu.name} parse crashed: {pu.crashed}")
+            return legacy_assembly(
+                sources, report,
+                f"unit {pu.name} parse crashed: {pu.crashed}")
         if pu.errors:
-            return _legacy(sources, recover, report,
-                           f"unit {pu.name} has frontend errors")
+            return legacy_assembly(
+                sources, report, f"unit {pu.name} has frontend errors")
         if pu.unit is None:
-            return _legacy(sources, recover, report,
-                           f"unit {pu.name} exceeded its parse budget")
-        if cache is not None and keys[i] is not None and fresh[i]:
-            cache.store("parse", keys[i], pu)
+            return legacy_assembly(
+                sources, report,
+                f"unit {pu.name} exceeded its parse budget")
+        if cache is not None and key is not None and fresh:
+            cache.store("parse", key, pu)
 
+    results = [pu for pu, _, _ in parsed]
     try:
         records, typedefs = unify_units(results, prescans)
     except Exception as exc:
         reason = str(exc) if isinstance(exc, UnifyError) \
             else f"unify failed: {type(exc).__name__}: {exc}"
-        return _legacy(sources, recover, report, reason)
+        return legacy_assembly(sources, report, reason)
 
     prog = Program()
     prog.records = records
@@ -499,77 +485,9 @@ def finish_assembly(sources: list[tuple[str, str]],
         try:
             sema.analyze(pu.unit)
         except SemaError as err:
-            if not recover:
-                raise
             prog.frontend_errors.append(FrontendError(
                 unit=pu.name, line=getattr(err, "line", 0),
                 message=str(err), kind="sema"))
             continue
         prog.units.append(pu.unit)
     return prog, report
-
-
-def assemble_program(sources: list[tuple[str, str]], *,
-                     jobs: int = 1,
-                     cache: SummaryCache | None = None,
-                     cache_salt: str = "",
-                     recover: bool = False,
-                     unit_budget: float | None = None
-                     ) -> tuple[Program, FEReport]:
-    """Build a :class:`Program` with the parallel/cached front end.
-
-    ``jobs=1`` runs the same isolated-parse + unify path inline (no
-    pool), so results are identical for every job count by
-    construction.  ``cache`` enables the per-TU parse tier, keyed by
-    ``(unit name, source, typedef seed, cache_salt)``.  Any input the
-    unified path cannot handle identically to the serial front end
-    falls back to :meth:`Program.from_sources`.
-    """
-    report = FEReport(jobs=jobs)
-    try:
-        tasks, prescans = plan_parses(sources, unit_budget)
-    except Exception as exc:                       # pragma: no cover
-        return _legacy(sources, recover, report,
-                       f"typedef pre-scan failed: {exc}")
-
-    # -- parse tier: cache lookups first ------------------------------
-    results: list[ParsedUnit | None] = [None] * len(tasks)
-    keys: list[str | None] = [None] * len(tasks)
-    pending: list[int] = []
-    for i, task in enumerate(tasks):
-        got, keys[i] = probe_parse_cache(task, cache, cache_salt)
-        if got is not None:
-            results[i] = got
-            report.parse_cache_hits += 1
-        else:
-            pending.append(i)
-
-    # -- parse the misses, fanned out when it pays --------------------
-    if pending:
-        n_workers = parse_pool_width(jobs, len(pending))
-        if n_workers > 1:
-            try:
-                parsed = _pool_map(
-                    [tasks[i] for i in pending], n_workers)
-            except Exception as exc:
-                shutdown_process_pool()
-                return _legacy(sources, recover, report,
-                               f"process pool failed: {exc}")
-        else:
-            parsed = [parse_unit_task(tasks[i]) for i in pending]
-        for i, pu in zip(pending, parsed):
-            results[i] = pu
-
-    pending_set = set(pending)
-    fresh = [i in pending_set for i in range(len(tasks))]
-    return finish_assembly(sources, results, keys, fresh, prescans,
-                           recover, report, cache)
-
-
-def _pool_map(tasks: list[tuple], n_workers: int) -> list[ParsedUnit]:
-    """Run :func:`parse_unit_task` over ``tasks`` on the shared process
-    pool, preserving input order."""
-    pool = process_pool(n_workers)
-    if pool is None:                               # pragma: no cover
-        return [parse_unit_task(t) for t in tasks]
-    return list(pool.map(parse_unit_task, tasks))

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -100,15 +99,6 @@ SCHEMES = ("SPBO", "ISPBO", "ISPBO.NO", "ISPBO.W", "PBO", "PPBO")
 
 #: legality pseudo-reason marking a type demoted by fault containment
 FAULT_REASON = "FAULT"
-
-#: DEPRECATED single-callable pass hook, kept so out-of-tree callers
-#: keep working one release: subscribe to
-#: :data:`repro.obs.PASS_EVENTS` instead.  When set, it is still
-#: called with each pass name at pass entry, *before* the containment
-#: boundary (a process fault firing there — SIGKILL, simulated OOM —
-#: must not be containable in-process).  The observer registry gets
-#: the same pre-containment placement for its ``enter`` events.
-PASS_OBSERVER: Callable[[str], None] | None = None
 
 #: sentinel a per-unit summarize node returns when its source name is
 #: absent from the assembled program (legacy-fallback sema skips, parse
@@ -303,11 +293,11 @@ class PhaseGuard:
 
     def run(self, name: str, fn: Callable[[], Any],
             fallback: Callable[[], Any]) -> Any:
-        observer = PASS_OBSERVER      # deprecated hook, still honored
-        if observer is not None:
-            observer(name)
         events = PASS_EVENTS
-        if events:                    # pre-containment, like the hook
+        if events:
+            # ``enter`` is published *before* the containment boundary:
+            # a process fault firing there (SIGKILL, simulated OOM)
+            # must not be containable in-process
             events.publish(PassEvent(name, "enter",
                                      diags=len(self.diags),
                                      ctx=self.ctx))
@@ -453,16 +443,11 @@ class _CompileGraph:
 
         def assemble(ctx, engine, guard):
             if tasks is None:
-                program, rep = legacy_assembly(sources, True, report,
-                                               plan_error)
+                program, rep = legacy_assembly(sources, report, plan_error)
             else:
-                triples = [ctx[n] for n in parse_nodes]
-                report.parse_cache_hits = sum(
-                    1 for t in triples if not t[2])
                 program, rep = finish_assembly(
-                    sources, [t[0] for t in triples],
-                    [t[1] for t in triples], [t[2] for t in triples],
-                    prescans, True, report, self.cache)
+                    sources, [ctx[n] for n in parse_nodes], prescans,
+                    report, self.cache)
             self.state["fe_report"] = rep
             c._fe_report_diags(rep, engine, unit_budget)
             c._parse_diags(program, engine)
@@ -1566,43 +1551,3 @@ class Compiler:
             out = outcome_of(current)
         return current
 
-
-def _deprecated(old: str) -> None:
-    warnings.warn(
-        f"repro.core.pipeline.{old}() is deprecated; use "
-        f"repro.api.Session (see the migration table in DESIGN.md)",
-        DeprecationWarning, stacklevel=3)
-
-
-def compile_program(program: Program,
-                    options: CompilerOptions | None = None
-                    ) -> CompilationResult:
-    """One-call convenience wrapper around :class:`Compiler`.
-
-    .. deprecated:: use :class:`repro.api.Session` instead.
-    """
-    _deprecated("compile_program")
-    return Compiler(options).compile(program)
-
-
-def compile_source(source: str,
-                   options: CompilerOptions | None = None
-                   ) -> CompilationResult:
-    """Compile MiniC source text directly.
-
-    .. deprecated:: use :class:`repro.api.Session` instead.
-    """
-    _deprecated("compile_source")
-    return Compiler(options).compile(Program.from_source(source))
-
-
-def compile_sources(sources: list[tuple[str, str]],
-                    options: CompilerOptions | None = None
-                    ) -> CompilationResult:
-    """Compile ``[(unit_name, source_text), ...]`` through the parallel
-    front end, honouring ``options.jobs`` and ``options.cache_dir``.
-
-    .. deprecated:: use :class:`repro.api.Session` instead.
-    """
-    _deprecated("compile_sources")
-    return Compiler(options).compile_sources(sources)

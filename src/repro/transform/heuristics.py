@@ -33,6 +33,9 @@ from .splitting import SplitSpec, split_structure
 #: schemes whose weights come from measured profiles
 PROFILE_SCHEMES = frozenset({"PBO", "PPBO"})
 
+#: peel groupings :func:`peel_groups` knows (``HeuristicParams.peel_mode``)
+PEEL_MODES = ("auto", "per-field", "hot-cold", "affinity")
+
 
 @dataclass
 class HeuristicParams:

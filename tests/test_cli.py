@@ -1,8 +1,11 @@
 """CLI tests (the §5 standalone tool)."""
 
+import warnings
+
 import pytest
 
-from repro.cli import main, build_parser
+from repro.cli import _client_request, _options, build_parser, main
+from repro.core import Compiler
 
 DEMO = """
 struct item { long key; long val; long rare1; long rare2; double dead; };
@@ -96,6 +99,41 @@ class TestTransform:
 
     def test_ts_flag_changes_split(self, demo_file, capsys):
         assert main(["transform", "--ts", "0.0001", demo_file]) == 0
+
+
+class TestLayoutFlags:
+    """``--ts`` / ``--peel-mode`` tune the greedy heuristics without a
+    warning and without turning on the search; ``--search`` takes only
+    the search engine's own keys."""
+
+    def test_search_rejects_greedy_floor_keys(self, demo_file, capsys):
+        for key in ("ts", "peel"):
+            argv = ["analyze", "--search", f"{key}=5", demo_file]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"unknown --search key '{key}'" in err
+
+    def test_ts_and_peel_mode_do_not_warn_or_search(self, demo_file,
+                                                     capsys):
+        argv = ["transform", "--ts", "0.0001", "--peel-mode", "hot-cold",
+                demo_file]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+            options = _options(build_parser().parse_args(argv)).options
+        assert [str(w.message) for w in caught] == []
+        assert options.search is None
+        assert options.params.ts_static == 0.0001
+        assert options.params.peel_mode == "hot-cold"
+        result = Compiler(options).compile_sources([("demo.c", DEMO)])
+        assert result.search == {}
+
+    def test_client_builds_the_same_options(self, demo_file):
+        args = build_parser().parse_args(
+            ["client", "transform", "--ts", "5", "--peel-mode",
+             "affinity", "--socket", "unused.sock", demo_file])
+        wire = _client_request(args).to_wire()
+        assert wire["options"] == {"ts": 5.0, "peel_mode": "affinity"}
 
 
 class TestCompare:

@@ -11,11 +11,11 @@ failure."""
 
 import pytest
 
+from repro.api import Session
 from repro.core import (
-    CODE_BUDGET, CODE_CONTAINED, CODE_CORRUPT, CODE_ROLLBACK,
+    CODE_BUDGET, CODE_CONTAINED, CODE_CORRUPT, CODE_ROLLBACK, Compiler,
     CompilerOptions, FatalCompilerError, FAULTS, INJECTABLE_PASSES,
-    FaultSpec, InjectedFault, compile_program, compile_source,
-    inject_fault,
+    FaultSpec, InjectedFault, inject_fault,
 )
 from repro.frontend import Program
 from repro.runtime import run_program
@@ -74,7 +74,7 @@ class TestRegistry:
 
     def test_fired_counts(self):
         with inject_fault("legality", "raise") as spec:
-            compile_source(DEMO)
+            Session().compile_source(DEMO)
         assert spec.fired == 1
 
     def test_all_issue_passes_injectable(self):
@@ -86,7 +86,7 @@ class TestCrashContainment:
     @pytest.mark.parametrize("pass_name", FAULT_PASSES)
     def test_pass_crash_is_contained(self, pass_name):
         with inject_fault(pass_name, "raise") as spec:
-            res = compile_source(DEMO, _options(pass_name))
+            res = Session(_options(pass_name)).compile_source(DEMO)
         assert spec.fired >= 1
         assert res.transformed is not None
         contained = res.diagnostics.contained()
@@ -95,22 +95,22 @@ class TestCrashContainment:
         _assert_equivalent(res)
 
     def test_clean_compile_has_no_fault_diagnostics(self):
-        res = compile_source(DEMO)
+        res = Session().compile_source(DEMO)
         assert res.diagnostics.contained() == []
         assert res.rolled_back == []
         assert res.transformed_types()          # still optimizes
 
     def test_crash_outside_registry_also_contained(self):
         """Containment guards real bugs, not just injected ones."""
-        res = compile_source(
-            DEMO, CompilerOptions(pointsto_max_sweeps=10_000,
-                                  relax_legality=True))
+        res = Session(CompilerOptions(
+            pointsto_max_sweeps=10_000,
+            relax_legality=True)).compile_source(DEMO)
         assert res.transformed is not None
 
     def test_strict_mode_promotes_to_fatal(self):
         with inject_fault("legality", "raise"):
             with pytest.raises(FatalCompilerError) as exc:
-                compile_source(DEMO, CompilerOptions(strict=True))
+                Session(CompilerOptions(strict=True)).compile_source(DEMO)
         assert exc.value.phase == "legality"
 
 
@@ -119,7 +119,7 @@ class TestBudgetContainment:
     def test_stall_past_budget_is_contained(self, pass_name):
         opts = _options(pass_name, phase_budget=0.02)
         with inject_fault(pass_name, "stall", seconds=0.15):
-            res = compile_source(DEMO, opts)
+            res = Session(opts).compile_source(DEMO)
         assert res.transformed is not None
         budget = res.diagnostics.by_code(CODE_BUDGET)
         assert any(d.phase == pass_name for d in budget), \
@@ -127,9 +127,8 @@ class TestBudgetContainment:
         _assert_equivalent(res)
 
     def test_pointsto_iteration_cap(self):
-        res = compile_source(
-            DEMO, CompilerOptions(relax_legality=True,
-                                  pointsto_max_sweeps=1))
+        res = Session(CompilerOptions(
+            relax_legality=True, pointsto_max_sweeps=1)).compile_source(DEMO)
         assert res.transformed is not None
         assert any(d.phase == "pointsto"
                    for d in res.diagnostics.contained())
@@ -137,7 +136,7 @@ class TestBudgetContainment:
 
     def test_no_budget_means_no_overrun(self):
         with inject_fault("legality", "stall", seconds=0.01):
-            res = compile_source(DEMO)
+            res = Session().compile_source(DEMO)
         assert res.diagnostics.by_code(CODE_BUDGET) == []
 
 
@@ -145,7 +144,7 @@ class TestCorruptSummaries:
     def test_corrupt_profiles_detected_structurally(self):
         """NaN hotness counts fail validation; the profile is dropped."""
         with inject_fault("profiles", "corrupt"):
-            res = compile_source(DEMO)
+            res = Session().compile_source(DEMO)
         assert res.diagnostics.by_code(CODE_CORRUPT), \
             res.diagnostics.render()
         _assert_equivalent(res)
@@ -154,13 +153,13 @@ class TestCorruptSummaries:
         """A summary that wrongly marks live fields dead must not make
         it into emitted code."""
         with inject_fault("deadfields", "corrupt"):
-            res = compile_source(DEMO)
+            res = Session().compile_source(DEMO)
         assert res.diagnostics.contained() or res.rolled_back
         _assert_equivalent(res)
 
     def test_corrupt_heuristics_caught(self):
         with inject_fault("heuristics", "corrupt"):
-            res = compile_source(DEMO)
+            res = Session().compile_source(DEMO)
         _assert_equivalent(res)
 
 
@@ -197,10 +196,9 @@ class TestDifferentialRollback:
         does emit a wrong program (otherwise the rollback test below
         proves nothing)."""
         with inject_fault("legality", "corrupt"):
-            res = compile_source(
-                CSTF_TRAP,
-                CompilerOptions(verify_transforms=False,
-                                params=_TRAP_PARAMS))
+            res = Session(CompilerOptions(
+                verify_transforms=False,
+                params=_TRAP_PARAMS)).compile_source(CSTF_TRAP)
         assert [d.action for d in res.transformed_types()] == ["split"]
         before = run_program(res.program)
         after = run_program(res.transformed)
@@ -208,10 +206,9 @@ class TestDifferentialRollback:
 
     def test_broken_transform_rolled_back(self):
         with inject_fault("legality", "corrupt"):
-            res = compile_source(
-                CSTF_TRAP,
-                CompilerOptions(verify_transforms=True,
-                                params=_TRAP_PARAMS))
+            res = Session(CompilerOptions(
+                verify_transforms=True,
+                params=_TRAP_PARAMS)).compile_source(CSTF_TRAP)
         assert res.rolled_back == ["pt"]
         assert res.diagnostics.rollbacks()
         assert res.transformed_types() == []
@@ -220,14 +217,13 @@ class TestDifferentialRollback:
     def test_rollback_strict_raises(self):
         with inject_fault("legality", "corrupt"):
             with pytest.raises(FatalCompilerError):
-                compile_source(
-                    CSTF_TRAP,
-                    CompilerOptions(verify_transforms=True, strict=True,
-                                    params=_TRAP_PARAMS))
+                Session(CompilerOptions(
+                    verify_transforms=True, strict=True,
+                    params=_TRAP_PARAMS)).compile_source(CSTF_TRAP)
 
     def test_verification_keeps_good_transforms(self):
-        res = compile_source(
-            DEMO, CompilerOptions(verify_transforms=True))
+        res = Session(CompilerOptions(
+            verify_transforms=True)).compile_source(DEMO)
         assert res.rolled_back == []
         assert res.transformed_types()
         _assert_equivalent(res)
@@ -237,9 +233,8 @@ class TestWorkloadsUnderVerification:
     @pytest.mark.parametrize("wl", ALL_WORKLOADS,
                              ids=lambda w: w.name)
     def test_zero_mismatches(self, wl):
-        res = compile_program(
-            wl.program("train"),
-            CompilerOptions(verify_transforms=True))
+        res = Compiler(CompilerOptions(verify_transforms=True)).compile(
+            wl.program("train"))
         assert res.rolled_back == [], res.diagnostics.render()
         assert res.diagnostics.rollbacks() == []
 

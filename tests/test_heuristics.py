@@ -9,13 +9,13 @@ from repro.transform.heuristics import (
     apply_decisions, peel_groups, split_threshold, grouping_cost,
     candidate_groupings, piece_size,
 )
-from repro.core.pipeline import compile_program, CompilerOptions
+from repro.core.pipeline import Compiler, CompilerOptions
 from repro.runtime import run_program
 
 
 def compiled(src, **opt_kw):
-    return compile_program(Program.from_source(src),
-                           CompilerOptions(**opt_kw) if opt_kw else None)
+    return Compiler(CompilerOptions(**opt_kw) if opt_kw else None).compile(
+        Program.from_source(src))
 
 
 HOT_COLD = """

@@ -1,5 +1,5 @@
 """Observability layer tests: span tracer, metrics registry, the pass
-observer registry that replaced ``PASS_OBSERVER``, pipeline span
+event observer registry (``PASS_EVENTS``), pipeline span
 nesting under the parallel front end, metrics accuracy against a
 scripted compile, Chrome/JSONL export, the ``repro.api`` facade, and
 trace-id propagation through a live daemon with a killed-and-retried
@@ -11,7 +11,6 @@ import json
 import os
 import tempfile
 import threading
-import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -21,9 +20,7 @@ from repro.api import (
     ApiError, CompileOptions, CompileReply, CompileRequest, Session,
 )
 from repro.core import Compiler, CompilerOptions
-from repro.core.pipeline import (
-    PASS_EVENTS, compile_program, compile_source,
-)
+from repro.core.pipeline import PASS_EVENTS
 from repro.obs import (
     CAT_PASS, CAT_PHASE, CAT_SERVICE, MetricsRegistry, NULL_SPAN,
     NULL_TRACER, PassEvent, PassEventRecorder, PassProfiler, Tracer,
@@ -198,7 +195,7 @@ class TestMetrics:
 
 
 # ---------------------------------------------------------------------------
-# The observer registry (PASS_OBSERVER replacement)
+# The pass-event observer registry (PASS_EVENTS)
 # ---------------------------------------------------------------------------
 
 class TestObserverRegistry:
@@ -373,23 +370,6 @@ class TestExport:
 # ---------------------------------------------------------------------------
 
 class TestApiFacade:
-    def test_session_matches_deprecated_entry_points(self):
-        fresh = Session().compile_source(DEMO)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = compile_source(DEMO)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        assert fresh.table1_row() == legacy.table1_row()
-        assert [d.type_name for d in fresh.transformed_types()] == \
-            [d.type_name for d in legacy.transformed_types()]
-
-    def test_compile_program_shim_warns(self):
-        from repro.frontend import Program
-        program = Program.from_sources([("demo.c", DEMO)], recover=True)
-        with pytest.deprecated_call():
-            compile_program(program)
-
     def test_options_reject_unknown_field(self):
         with pytest.raises(ApiError) as exc:
             CompileOptions.from_dict({"scheme": "ISPBO", "spede": 9})
@@ -416,6 +396,22 @@ class TestApiFacade:
                 {"op": "advise", "sources": [["a.c", "int x;"]],
                  "tracing": True})
         assert exc.value.detail["unknown_fields"] == ["tracing"]
+
+    def test_options_reject_unknown_peel_mode(self):
+        with pytest.raises(ApiError) as exc:
+            CompileOptions.from_dict({"peel_mode": "weird"})
+        assert "weird" in str(exc.value)
+        assert exc.value.detail["where"] == "options.peel_mode"
+        assert exc.value.detail["known_modes"] == [
+            "auto", "per-field", "hot-cold", "affinity"]
+        # the daemon's request parser answers with the same detail
+        with pytest.raises(ProtocolError) as exc:
+            Request.from_dict(
+                {"op": "transform", "sources": [["a.c", "int x;"]],
+                 "options": {"peel_mode": "weird"}})
+        assert exc.value.detail["where"] == "options.peel_mode"
+        assert CompileOptions.from_dict(
+            {"peel_mode": "hot-cold"}).peel_mode == "hot-cold"
 
     def test_wire_request_unknown_field_structured_error(self):
         with pytest.raises(ProtocolError) as exc:

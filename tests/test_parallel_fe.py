@@ -14,9 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import Compiler, CompilerOptions, compile_program
+from repro.core import Compiler, CompilerOptions
 from repro.core import fe
-from repro.core.fe import assemble_program, prescan_typedef_names
+from repro.core.fe import prescan_typedef_names
 from repro.frontend import Program
 from repro.transform import program_sources
 from repro.workloads import ALL_WORKLOADS
@@ -58,7 +58,7 @@ def result_fingerprint(result):
 
 
 def compile_legacy(sources):
-    return compile_program(Program.from_sources(sources, recover=True))
+    return Compiler().compile(Program.from_sources(sources, recover=True))
 
 
 def compile_jobs(sources, jobs):
@@ -126,9 +126,10 @@ def test_multi_tu_serial_equals_parallel(many_cores):
 
 
 def test_unit_order_is_preserved(many_cores):
-    prog, report = assemble_program(MULTI_TU, jobs=4, recover=True)
-    assert [u.name for u in prog.units] == ["a.c", "b.c", "c.c"]
-    assert report.mode == "unified"
+    result = compile_jobs(MULTI_TU, 4)
+    assert [u.name for u in result.program.units] == ["a.c", "b.c", "c.c"]
+    assert result.fe_report.mode == "unified"
+    assert result.fe_report.jobs == 4
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +158,8 @@ FALLBACK_PROGRAMS = {
 @pytest.mark.parametrize("name", sorted(FALLBACK_PROGRAMS))
 def test_fallback_matches_legacy(name, many_cores):
     sources = FALLBACK_PROGRAMS[name]
-    prog, report = assemble_program(sources, jobs=4, recover=True)
+    result = compile_jobs(sources, 4)
+    prog, report = result.program, result.fe_report
     assert report.mode == "legacy"
     assert report.fallback_reason
     legacy = Program.from_sources(sources, recover=True)
@@ -165,20 +167,7 @@ def test_fallback_matches_legacy(name, many_cores):
     assert [(e.unit, e.line, e.message) for e in prog.frontend_errors] \
         == [(e.unit, e.line, e.message) for e in legacy.frontend_errors]
     want = result_fingerprint(compile_legacy(sources))
-    assert result_fingerprint(compile_jobs(sources, 4)) == want
-
-
-def test_from_sources_jobs_kwarg(many_cores):
-    serial = Program.from_sources(MULTI_TU, recover=True)
-    parallel = Program.from_sources(MULTI_TU, recover=True, jobs=4)
-    assert [u.name for u in parallel.units] == \
-        [u.name for u in serial.units]
-    assert sorted(parallel.records) == sorted(serial.records)
-    for name, rec in serial.records.items():
-        other = parallel.records[name]
-        assert [(f.name, f.offset) for f in rec.fields] == \
-            [(f.name, f.offset) for f in other.fields]
-        assert rec.size == other.size
+    assert result_fingerprint(result) == want
 
 
 def test_jobs_validation():

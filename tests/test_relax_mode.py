@@ -1,6 +1,7 @@
 """Pipeline-level tests of the verified relaxation mode (§2.2)."""
 
-from repro.core import CompilerOptions, compile_source
+from repro.api import Session
+from repro.core import CompilerOptions
 from repro.runtime import run_program
 
 ATKN_SAFE = """
@@ -27,19 +28,19 @@ int main() {
 
 class TestRelaxMode:
     def test_plain_compile_blocks_atkn(self):
-        res = compile_source(ATKN_SAFE)
+        res = Session().compile_source(ATKN_SAFE)
         assert not res.legality.info("t").is_legal()
         assert res.transformed_types() == []
 
     def test_relax_unblocks_field_safe_type(self):
-        res = compile_source(ATKN_SAFE,
-                             CompilerOptions(relax_legality=True))
+        res = Session(CompilerOptions(relax_legality=True)).compile_source(
+            ATKN_SAFE)
         assert res.legality.info("t").is_legal()
         assert len(res.transformed_types()) == 1
 
     def test_relaxed_transformation_preserves_output(self):
-        res = compile_source(ATKN_SAFE,
-                             CompilerOptions(relax_legality=True))
+        res = Session(CompilerOptions(relax_legality=True)).compile_source(
+            ATKN_SAFE)
         before = run_program(res.program)
         after = run_program(res.transformed)
         assert before.stdout == after.stdout
@@ -51,7 +52,7 @@ class TestRelaxMode:
             "long *pa = &g[5].a;\n"
             "    pa = pa + 1;             /* walks into field b */\n"
             "    pa[0] = 99;")
-        res = compile_source(src, CompilerOptions(relax_legality=True))
+        res = Session(CompilerOptions(relax_legality=True)).compile_source(src)
         assert not res.legality.info("t").is_legal()
         assert res.transformed_types() == []
 
@@ -59,7 +60,7 @@ class TestRelaxMode:
         src = ATKN_SAFE.replace(
             'printf("%ld", s);',
             'fwrite(g, sizeof(struct t), 200, NULL); printf("%ld", s);')
-        res = compile_source(src, CompilerOptions(relax_legality=True))
+        res = Session(CompilerOptions(relax_legality=True)).compile_source(src)
         assert not res.legality.info("t").is_legal()
 
     def test_relax_mixed_reason_stays_blocked(self):
@@ -67,7 +68,7 @@ class TestRelaxMode:
         src = ATKN_SAFE.replace(
             'printf("%ld", s);',
             'memset(g, 0, 200 * sizeof(struct t)); printf("%ld", s);')
-        res = compile_source(src, CompilerOptions(relax_legality=True))
+        res = Session(CompilerOptions(relax_legality=True)).compile_source(src)
         info = res.legality.info("t")
         assert "MSET" in info.invalid_reasons
         assert "ATKN" in info.invalid_reasons   # not cleared either

@@ -281,7 +281,7 @@ class TestSearchOptionsApi:
 
     def test_wire_round_trip(self):
         s = SearchOptions(engine="auto", budget_s=2.5, seed=9,
-                          sa_restarts=0, ts=12.5, peel_mode="affinity")
+                          sa_restarts=0, sa_iters=5)
         d = s.to_dict()
         assert SearchOptions.from_dict(d) == s
         # defaults stay off the wire
@@ -305,6 +305,15 @@ class TestSearchOptionsApi:
         with pytest.raises(ApiError):
             CompileOptions.from_dict({"search": {"turbo": True}})
 
+    def test_greedy_floor_knobs_are_not_search_fields(self):
+        # ts / peel_mode live on CompileOptions only: on the wire they
+        # are unknown inside ``search``
+        for key, value in (("ts", 5), ("peel_mode", "hot-cold")):
+            with pytest.raises(ApiError) as ei:
+                CompileOptions.from_dict({"search": {key: value}})
+            assert ei.value.detail["unknown_fields"] == [key]
+            assert ei.value.detail["where"] == "search"
+
     def test_validation(self):
         with pytest.raises(ApiError):
             SearchOptions(engine="bogus")
@@ -312,17 +321,18 @@ class TestSearchOptionsApi:
             SearchOptions(budget_s=-1.0)
         with pytest.raises(ApiError):
             SearchOptions(sa_alpha=1.5)
-        with pytest.raises(ApiError):
-            SearchOptions(peel_mode="weird")
 
     def test_from_cli(self):
         s = SearchOptions.from_cli("engine=sa,budget=10s,seed=7")
         assert (s.engine, s.budget_s, s.seed) == ("sa", 10.0, 7)
         assert SearchOptions.from_cli("ilp").engine == "ilp"
-        s2 = SearchOptions.from_cli("ts=5,peel=hot-cold,iters=3")
-        assert (s2.ts, s2.peel_mode, s2.sa_iters) == (5.0, "hot-cold", 3)
+        s2 = SearchOptions.from_cli("iters=3,alpha=0.5")
+        assert (s2.sa_iters, s2.sa_alpha) == (3, 0.5)
         with pytest.raises(ApiError):
             SearchOptions.from_cli("warp=9")
+        for spec in ("ts=5", "peel=hot-cold", "peel_mode=affinity"):
+            with pytest.raises(ApiError, match="unknown --search key"):
+                SearchOptions.from_cli(spec)
 
     def test_search_type_respects_greedy_legality(self, mcf_res):
         # search_mode applies the same pre-checks as the greedy

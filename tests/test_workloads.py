@@ -4,7 +4,7 @@ direction.  Uses the small 'train' inputs to stay fast."""
 
 import pytest
 
-from repro.core import compile_program
+from repro.core import Compiler
 from repro.runtime import run_program
 from repro.workloads import (
     ALL_WORKLOADS, WORKLOADS_BY_NAME, get_workload, MCF, ART, MOLDYN,
@@ -19,7 +19,7 @@ def compiled():
     """Compile every workload once (train inputs)."""
     out = {}
     for wl in ALL_WORKLOADS:
-        out[wl.name] = compile_program(wl.program("train"))
+        out[wl.name] = Compiler().compile(wl.program("train"))
     return out
 
 
@@ -117,7 +117,7 @@ class TestHeadlineDirections:
     def test_headline_gains_direction(self):
         for wl, lo, hi in [(MCF, 3.0, 60.0), (ART, 40.0, 250.0),
                            (MOLDYN, 5.0, 60.0)]:
-            res = compile_program(wl.program("ref"))
+            res = Compiler().compile(wl.program("ref"))
             r0 = run_program(res.program)
             r1 = run_program(res.transformed)
             gain = 100.0 * (r0.cycles / r1.cycles - 1.0)
