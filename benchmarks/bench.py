@@ -175,7 +175,6 @@ def bench_pipeline(n_units: int, repeats: int) -> dict:
     scheduler = {
         "nodes": sched_j4.get("nodes"),
         "critical_path_ms": sched_j4.get("critical_path_ms"),
-        "mode_jobs4": sched_j4.get("mode"),
         "jobs1_wall_s": round(cold_j1, 4),
         "jobs4_wall_s": round(cold_j4, 4),
         "parallel_speedup": parallel_speedup,

@@ -193,11 +193,10 @@ def phase_cost_footer(result: CompilationResult) -> str:
     hottest guarded passes (with peak-RSS growth when the compile ran
     with a tracer and per-pass profiling is available).
 
-    Phase timings are wall-clock *windows*: under ``--jobs N`` phases
-    overlap, so they are normalized against the scheduler's measured
-    compile wall rather than their own sum — percentages then say how
-    much of the compile each phase actually spanned instead of
-    double-counting concurrent work."""
+    Phase timings are wall-clock *windows* (first node start to last
+    node end).  The pass DAG runs one node at a time, so phases never
+    overlap; percentages are taken against the scheduler's measured
+    compile wall, which also covers the time between nodes."""
     lines = ["per-phase compile cost", "-" * 69]
     sched = result.scheduler or {}
     wall = sched.get("wall_ms", 0.0) / 1e3

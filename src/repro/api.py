@@ -268,7 +268,7 @@ class CompileOptions:
     peel_mode: str | None = None       # auto|per-field|hot-cold|affinity
     verify: bool = True                # differential verification
     cache: bool = True                 # use the daemon's summary cache
-    jobs: int = 1                      # pass-DAG width (0 = auto)
+    jobs: int = 1                      # parse-pool width (0 = auto)
     cycle_limit: int = 2_000_000_000   # simulator budget for compare
     #: global layout search (None = greedy §2.4 heuristics only)
     search: SearchOptions | None = None

@@ -722,10 +722,10 @@ def build_parser() -> argparse.ArgumentParser:
                                 "instead of degrading gracefully")
             p.add_argument("-j", "--jobs", type=int, default=1,
                            metavar="N",
-                           help="run the pass DAG with N scheduler "
-                                "threads and up to N parse workers "
-                                "(default 1 = fully serial; 0 = one "
-                                "per effective core)")
+                           help="parse translation units on up to "
+                                "N pool workers (default 1 = inline; "
+                                "0 = one per effective core); every "
+                                "other pass runs serially")
             p.add_argument("--cache-dir", default=None, metavar="DIR",
                            help="keep per-TU summaries in DIR so "
                                 "unchanged units are not re-analyzed")

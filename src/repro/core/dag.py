@@ -1,35 +1,29 @@
-"""Pass-dependency DAG and its async scheduler.
+"""Pass-dependency DAG and its scheduler.
 
 The phased FE -> IPA -> BE monolith in :mod:`repro.core.pipeline` is
-expressed as an explicit graph of **pass nodes**: per-TU parse and
-summarize nodes, merge barriers (``legality``/``deadfields``), the
-whole-program IPA passes, and per-decision BE apply nodes.  This module
-is the engine that executes such a graph:
+expressed as an explicit graph of **pass nodes**: the parse fan-out,
+per-TU summarize nodes, merge barriers (``legality``/``deadfields``),
+the whole-program IPA passes, and per-decision BE apply nodes.  This
+module is the engine that executes such a graph:
 
 - :class:`PassDAG` holds named nodes with explicit dependency edges and
   validates the graph (duplicate names, unknown edges, cycles) before
   anything runs.
-- :class:`DagScheduler` executes a validated DAG either **serially**
-  (``jobs=1``: nodes run in builder order on the calling thread —
-  byte-identical to the historical phased pipeline) or **concurrently**
-  (``jobs>1``: a topological ready queue feeding a bounded thread
-  executor, so independent passes overlap).  CPU-bound parse work
-  additionally fans out to the shared fork-server process pool below,
-  which is what buys real multi-core speedup under the GIL.
+- :class:`DagScheduler` executes a validated DAG inline on the calling
+  thread, in insertion order — the historical phased pipeline, byte
+  for byte.  The one place a compile uses more than one core is the
+  parse fan-out, which submits every unit's parse to the shared
+  fork-server process pool below (the parse-pool width is ``--jobs``).
 - Nodes may *extend the graph while it runs* (the BE planner appends
   one apply node per transform decision once the heuristics have
   decided anything); dynamic additions are validated with the same
   rules as static ones.
-- Results are deterministic by construction: node functions depend
-  only on their declared inputs, ties in the ready queue are broken by
-  ``(order, name)``, and a ``shuffle`` hook exists so tests can prove
-  that dispatch order does not leak into results.
 
 The scheduler is observability- and fault-agnostic: containment
 (:class:`~repro.core.pipeline.PhaseGuard`), spans, and cache probes all
 live *inside* node functions; the only hook the scheduler offers is the
-serial-mode ``boundary`` callback the pipeline uses to open phase/group
-spans at phase transitions.
+``boundary`` callback the pipeline uses to open phase/group spans at
+phase transitions.
 """
 
 from __future__ import annotations
@@ -38,7 +32,6 @@ import atexit
 import heapq
 import itertools
 import os
-import queue
 import threading
 import time
 from dataclasses import dataclass, field
@@ -196,8 +189,6 @@ class NodeStat:
 class DagReport:
     """How one DAG run went: per-node timing and the derived rollups."""
 
-    jobs: int = 1
-    mode: str = "serial"               # serial | parallel
     wall: float = 0.0                  # whole-run wall clock, seconds
     stats: dict[str, NodeStat] = field(default_factory=dict)
 
@@ -207,7 +198,7 @@ class DagReport:
 
     def phase_window(self, phase: str) -> float:
         """Wall-clock window covered by a phase's nodes (first start to
-        last end) — the honest phase total when nodes overlap."""
+        last end)."""
         spans = [s for s in self.stats.values() if s.phase == phase]
         if not spans:
             return 0.0
@@ -215,8 +206,8 @@ class DagReport:
 
     def critical_path(self) -> tuple[float, list[str]]:
         """(seconds, node names) of the longest dependency chain,
-        weighted by measured node durations — the floor any schedule
-        can reach, however many workers it has."""
+        weighted by measured node durations — the part of the compile
+        that no reordering of independent nodes could shorten."""
         best: dict[str, float] = {}
         prev: dict[str, str | None] = {}
         # stats only contain executed nodes; deps outside (seeded) cost 0
@@ -243,7 +234,6 @@ class DagReport:
     def to_dict(self) -> dict:
         cp_s, cp_path = self.critical_path()
         return {
-            "mode": self.mode, "jobs": self.jobs,
             "nodes": self.node_count,
             "wall_ms": round(self.wall * 1e3, 3),
             "critical_path_ms": round(cp_s * 1e3, 3),
@@ -254,11 +244,10 @@ class DagReport:
 class NodeContext:
     """What a running node sees: dependency results + dynamic growth."""
 
-    __slots__ = ("_sched", "_node")
+    __slots__ = ("_sched",)
 
-    def __init__(self, sched: "DagScheduler", node: Node):
+    def __init__(self, sched: "DagScheduler"):
         self._sched = sched
-        self._node = node
 
     def __getitem__(self, name: str) -> Any:
         return self._sched._result_of(name)
@@ -273,42 +262,33 @@ class NodeContext:
         """Append nodes to the running DAG.  Each spec is the kwargs of
         :meth:`PassDAG.add` plus ``name``/``fn``.  New nodes may depend
         on any existing node or on earlier nodes of the same batch."""
-        self._sched._add_dynamic(self._node, specs)
+        self._sched._add_dynamic(specs)
 
 
 class DagScheduler:
-    """Executes one :class:`PassDAG`.
+    """Executes one :class:`PassDAG` inline on the calling thread.
 
-    ``jobs=1``: nodes run inline on the calling thread in deterministic
-    builder order; the optional ``boundary(kind, name, entering)``
-    callback fires at phase/group transitions (the pipeline opens real
-    nested tracer spans there).  ``jobs>1``: a ready queue over a
-    bounded :class:`~concurrent.futures.ThreadPoolExecutor`; any node
-    whose dependencies are met runs as soon as a worker frees up.
+    Ready nodes run in insertion order (the ready heap is keyed by
+    it), so a compile's node order never depends on timing.  The
+    optional ``boundary(kind, name, entering)`` callback fires at
+    phase/group transitions (the pipeline opens real nested tracer
+    spans there).
 
     An exception escaping a node (containment happens *inside* node
-    functions) aborts scheduling: in-flight nodes drain, no new nodes
-    dispatch, and the first exception re-raises in the caller's thread
-    — including ``BaseException``s like the service's simulated-OOM
-    process faults.
+    functions) aborts the run and re-raises in the caller — including
+    ``BaseException``s like the service's simulated-OOM process faults.
     """
 
-    def __init__(self, jobs: int = 1, *,
-                 shuffle: Callable[[list], None] | None = None,
+    def __init__(self, *,
                  boundary: Callable[[str, str, bool], None] | None = None):
-        self.jobs = max(1, int(jobs))
-        self.shuffle = shuffle
         self.boundary = boundary
 
-    # -- shared state helpers (parallel mode locks; serial is free) ---------
-
     def _result_of(self, name: str) -> Any:
-        with self._lock:
-            if name not in self._done:
-                raise KeyError(
-                    f"result of {name!r} is not available (missing "
-                    f"dependency edge?)")
-            return self._results[name]
+        if name not in self._done:
+            raise KeyError(
+                f"result of {name!r} is not available (missing "
+                f"dependency edge?)")
+        return self._results[name]
 
     def run(self, dag: PassDAG, *,
             seeded: dict[str, Any] | None = None
@@ -321,26 +301,19 @@ class DagScheduler:
         """
         seeded = dict(seeded or {})
         dag.validate(set(seeded))
-        self._lock = threading.Lock()
         self._dag = dag
         self._results: dict[str, Any] = dict(seeded)
         self._done: set[str] = set(seeded)
-        self._report = DagReport(
-            jobs=self.jobs, mode="serial" if self.jobs == 1 else "parallel")
+        self._report = DagReport()
         t0 = time.perf_counter()
-        if self.jobs == 1:
-            self._run_serial(dag)
-        else:
-            self._run_parallel(dag)
+        self._drain(dag)
         self._report.wall = time.perf_counter() - t0
         missing = [n for n in dag.nodes if n not in self._done]
         if missing:                               # pragma: no cover
             raise DagError(f"nodes never became ready: {missing}")
         return self._results, self._report
 
-    # -- serial ------------------------------------------------------------
-
-    def _run_serial(self, dag: PassDAG) -> None:
+    def _drain(self, dag: PassDAG) -> None:
         indeg = {n: sum(1 for d in node.deps if d in dag.nodes
                         and d not in self._done)
                  for n, node in dag.nodes.items()}
@@ -348,7 +321,7 @@ class DagScheduler:
         ready = [(dag.nodes[n].order, n)
                  for n, k in indeg.items() if k == 0]
         heapq.heapify(ready)
-        self._serial_ready = ready
+        self._ready = ready
         cur_phase = cur_group = ""
         try:
             while ready:
@@ -357,7 +330,7 @@ class DagScheduler:
                 if self.boundary is not None:
                     cur_phase, cur_group = self._cross(
                         node, cur_phase, cur_group)
-                self._exec_inline(node)
+                self._exec(node)
                 for w, wnode in dag.nodes.items():
                     if w in self._done:
                         continue
@@ -390,10 +363,10 @@ class DagScheduler:
             cur_group = group
         return cur_phase, cur_group
 
-    def _exec_inline(self, node: Node) -> None:
+    def _exec(self, node: Node) -> None:
         t0 = time.perf_counter()
         try:
-            result = node.fn(NodeContext(self, node))
+            result = node.fn(NodeContext(self))
         finally:
             end = time.perf_counter()
             self._report.stats[node.name] = NodeStat(
@@ -402,140 +375,50 @@ class DagScheduler:
         self._results[node.name] = result
         self._done.add(node.name)
 
-    # -- parallel ----------------------------------------------------------
-
-    def _run_parallel(self, dag: PassDAG) -> None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        self._doneq: queue.SimpleQueue = queue.SimpleQueue()
-        self._inflight = 0
-        self._failed = False
-        with self._lock:
-            self._indeg = {
-                n: sum(1 for d in node.deps if d not in self._done)
-                for n, node in dag.nodes.items()}
-            self._waiters = {n: [] for n in dag.nodes}
-            for node in dag.nodes.values():
-                for d in node.deps:
-                    if d in self._waiters:
-                        self._waiters[d].append(node.name)
-            self._ready = [(dag.nodes[n].order, n)
-                           for n, k in self._indeg.items() if k == 0]
-            heapq.heapify(self._ready)
-        error: BaseException | None = None
-        with ThreadPoolExecutor(
-                max_workers=self.jobs,
-                thread_name_prefix="repro-dag") as pool:
-            self._pool = pool
-            with self._lock:
-                self._launch_locked()
-            while True:
-                with self._lock:
-                    if self._inflight == 0:
-                        break
-                name, exc = self._doneq.get()
-                with self._lock:
-                    self._inflight -= 1
-                    if exc is not None:
-                        error = error or exc
-                        self._failed = True
-                        continue
-                    for w in self._waiters.get(name, ()):
-                        self._indeg[w] -= 1
-                        if self._indeg[w] == 0:
-                            heapq.heappush(
-                                self._ready,
-                                (dag.nodes[w].order, w))
-                    if not self._failed:
-                        self._launch_locked()
-        if error is not None:
-            raise error
-
-    def _launch_locked(self) -> None:
-        """Dispatch every ready node (caller holds the lock)."""
-        batch: list[str] = []
-        while self._ready:
-            batch.append(heapq.heappop(self._ready)[1])
-        if self.shuffle is not None and len(batch) > 1:
-            self.shuffle(batch)
-        for name in batch:
-            self._inflight += 1
-            self._pool.submit(self._exec_threaded, self._dag.nodes[name])
-
-    def _exec_threaded(self, node: Node) -> None:
-        t0 = time.perf_counter()
-        try:
-            result = node.fn(NodeContext(self, node))
-            exc: BaseException | None = None
-        except BaseException as e:
-            result, exc = None, e
-        end = time.perf_counter()
-        with self._lock:
-            self._report.stats[node.name] = NodeStat(
-                start=t0, end=end, phase=node.phase, group=node.group,
-                deps=node.deps)
-            if exc is None:
-                self._results[node.name] = result
-                self._done.add(node.name)
-        self._doneq.put((node.name, exc))
-
     # -- dynamic growth ----------------------------------------------------
 
-    def _add_dynamic(self, adder: Node, specs: list[dict]) -> None:
+    def _add_dynamic(self, specs: list[dict]) -> None:
         """Validate and insert a batch of nodes mid-run.
 
         Dependencies must name existing nodes or earlier nodes of the
         batch — so a dynamic batch can chain but never form a cycle.
         """
-        with self._lock:
-            known = set(self._dag.nodes) | self._done
-            batch_names: set[str] = set()
-            for spec in specs:
-                name = spec["name"]
-                if name in known or name in batch_names:
-                    raise DagError(f"duplicate node {name!r}")
-                for d in spec.get("deps", ()):
-                    if d not in known and d not in batch_names:
-                        raise DagError(
-                            f"dynamic node {name!r} depends on unknown "
-                            f"node {d!r}")
-                batch_names.add(name)
-            for spec in specs:
-                node = self._dag.add(
-                    spec["name"], spec["fn"],
-                    deps=tuple(spec.get("deps", ())),
-                    phase=spec.get("phase", ""),
-                    group=spec.get("group", ""),
-                    payload=spec.get("payload"))
-                k = sum(1 for d in node.deps if d not in self._done)
-                self._indeg[node.name] = k
-                if hasattr(self, "_waiters"):     # parallel mode
-                    self._waiters[node.name] = []
-                    for d in node.deps:
-                        if d in self._waiters and d not in self._done:
-                            self._waiters[d].append(node.name)
-                    if k == 0:
-                        heapq.heappush(self._ready,
-                                       (node.order, node.name))
-                else:                             # serial mode
-                    if k == 0:
-                        heapq.heappush(self._serial_ready,
-                                       (node.order, node.name))
-            if hasattr(self, "_waiters") and not self._failed:
-                self._launch_locked()
+        known = set(self._dag.nodes) | self._done
+        batch_names: set[str] = set()
+        for spec in specs:
+            name = spec["name"]
+            if name in known or name in batch_names:
+                raise DagError(f"duplicate node {name!r}")
+            for d in spec.get("deps", ()):
+                if d not in known and d not in batch_names:
+                    raise DagError(
+                        f"dynamic node {name!r} depends on unknown "
+                        f"node {d!r}")
+            batch_names.add(name)
+        for spec in specs:
+            node = self._dag.add(
+                spec["name"], spec["fn"],
+                deps=tuple(spec.get("deps", ())),
+                phase=spec.get("phase", ""),
+                group=spec.get("group", ""),
+                payload=spec.get("payload"))
+            k = sum(1 for d in node.deps if d not in self._done)
+            self._indeg[node.name] = k
+            if k == 0:
+                heapq.heappush(self._ready, (node.order, node.name))
 
 
 # ---------------------------------------------------------------------------
 # Shared parse process pool
 # ---------------------------------------------------------------------------
 #
-# Real multi-core parse speedup needs processes (the GIL serializes the
-# thread scheduler's CPU-bound nodes), and forking a fresh pool per
-# compile costs more than a small parse.  One module-level fork pool is
-# shared by every compile in the process; it grows on demand, resets
-# after fork (a forked service worker must never reuse its parent's
-# pool handles), and its children watch their parent so a SIGKILLed
-# owner cannot orphan them (the PR-6 worker idiom).
+# Real multi-core parse speedup needs processes (threads share one
+# interpreter lock), and forking a fresh pool per compile costs more
+# than a small parse.  One module-level fork pool is shared by every
+# compile in the process; it grows on demand, resets after fork (a
+# forked service worker must never reuse its parent's pool handles),
+# and its children watch their parent so a SIGKILLed owner cannot
+# orphan them (the service workers' parent watchdog).
 
 _pool_lock = threading.Lock()
 _pool_state: dict[str, Any] = {"pool": None, "width": 0}

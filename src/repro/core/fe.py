@@ -10,9 +10,10 @@ reproduces that structure for the MiniC frontend; the pass DAG
    before it can parse a unit that uses a typedef from an earlier unit
    (:func:`plan_parses`).
 2. **Parse each TU in isolation** — its own token stream, its own
-   struct-tag and typedef tables — one ``parse[u.c]`` DAG node per
-   unit, on the shared process pool when ``jobs > 1``, and optionally
-   backed by the content-addressed parse cache (:func:`parse_cached`).
+   struct-tag and typedef tables.  The ``fe.parse`` DAG node submits
+   every unit's parse to the shared process pool when ``jobs > 1``
+   and gathers the results in unit order, optionally backed by the
+   content-addressed parse cache (:func:`parse_cached`).
 3. **Unify** the per-unit type tables into whole-program canonical
    records and typedefs (the IPA "summary aggregation" for types),
    rewriting every AST type slot to the canonical objects and re-laying
@@ -50,7 +51,7 @@ from ..frontend.sema import SemaError, SemanticAnalyzer
 from ..frontend.typesys import (
     INT, ArrayType, FunctionType, NamedType, PointerType, RecordType,
 )
-from .dag import shutdown_process_pool
+from .dag import process_pool, shutdown_process_pool
 from .summarycache import SummaryCache
 
 
@@ -369,7 +370,7 @@ def unify_units(parsed: list[ParsedUnit],
 
 
 # ---------------------------------------------------------------------------
-# Node bodies for the pass DAG's parse and assemble nodes
+# Node bodies for the pass DAG's fe.parse and fe.assemble nodes
 # ---------------------------------------------------------------------------
 
 def legacy_assembly(sources: list[tuple[str, str]], report: FEReport,
@@ -411,32 +412,55 @@ def parse_pool_width(jobs: int, n_tasks: int) -> int:
     return min(jobs, n_tasks, os.cpu_count() or 1)
 
 
-def parse_cached(task: tuple, cache: SummaryCache | None = None,
-                 cache_salt: str = "", pool=None
-                 ) -> tuple[ParsedUnit, str | None, bool]:
-    """Parse one TU through the cache: ``(unit, key, fresh)``.
+def parse_cached(tasks: list[tuple], cache: SummaryCache | None = None,
+                 cache_salt: str = "", jobs: int = 1
+                 ) -> list[tuple[ParsedUnit, str | None, bool]]:
+    """Parse every TU through the cache: one ``(unit, key, fresh)``
+    triple per task, in task order.
 
-    This is the ``parse[u.c]`` node body: probe the parse cache for a
-    complete, error-free artifact, then parse on the shared process
-    pool (when one is passed) or inline.  A pool failure tears the
-    broken pool down and falls back to an inline parse —
+    This is the ``fe.parse`` node body.  Each unit first probes the
+    parse cache for a complete, error-free artifact.  The misses are
+    all submitted to the shared process pool before any result is
+    awaited, then gathered in unit order; at a pool width of 1
+    (:func:`parse_pool_width`) they parse inline.  A pool failure tears
+    the broken pool down and the affected units parse inline —
     result-identical, just slower."""
-    key = None
-    if cache is not None:
-        name, text, seed, _budget = task
-        key = cache.key_for("parse", name, text, seed, cache_salt)
-        got = cache.load("parse", key)
-        if (isinstance(got, ParsedUnit) and got.unit is not None
-                and not got.errors and got.crashed is None):
-            got.budget_exceeded = False           # not a property of
-            got.elapsed = 0.0                     # the cached artifact
-            return got, key, False
-    if pool is not None:
-        try:
-            return pool.submit(parse_unit_task, task).result(), key, True
-        except Exception:
-            shutdown_process_pool()
-    return parse_unit_task(task), key, True
+    out: list = [None] * len(tasks)
+    misses: list[tuple[int, str | None]] = []
+    for i, (name, text, seed, _budget) in enumerate(tasks):
+        key = None
+        if cache is not None:
+            key = cache.key_for("parse", name, text, seed, cache_salt)
+            got = cache.load("parse", key)
+            if (isinstance(got, ParsedUnit) and got.unit is not None
+                    and not got.errors and got.crashed is None):
+                got.budget_exceeded = False       # not a property of
+                got.elapsed = 0.0                 # the cached artifact
+                out[i] = (got, key, False)
+                continue
+        misses.append((i, key))
+    pool = process_pool(parse_pool_width(jobs, len(tasks)))
+    pending = []
+    for i, key in misses:
+        future = None
+        if pool is not None:
+            try:
+                future = pool.submit(parse_unit_task, tasks[i])
+            except Exception:
+                shutdown_process_pool()
+                pool = None
+        pending.append((i, key, future))
+    for i, key, future in pending:
+        pu = None
+        if future is not None:
+            try:
+                pu = future.result()
+            except Exception:
+                shutdown_process_pool()
+        if pu is None:
+            pu = parse_unit_task(tasks[i])
+        out[i] = (pu, key, True)
+    return out
 
 
 def finish_assembly(sources: list[tuple[str, str]],
@@ -444,8 +468,8 @@ def finish_assembly(sources: list[tuple[str, str]],
                     prescans: list[list[str]], report: FEReport,
                     cache: SummaryCache | None = None
                     ) -> tuple[Program, FEReport]:
-    """The ``fe.assemble`` node body over the parse nodes' ``(unit,
-    key, fresh)`` triples, in unit order: record per-unit stats, store
+    """The ``fe.assemble`` node body over ``fe.parse``'s ``(unit, key,
+    fresh)`` triples, in unit order: record per-unit stats, store
     fresh clean parses, unify the type tables, and run sema — or fall
     back to the serial FE on anything the unified path cannot
     reproduce."""

@@ -8,22 +8,21 @@ longer a monolith: every pass is a **node** in a
 :class:`~repro.core.dag.PassDAG` with explicit dependency edges,
 executed by :class:`~repro.core.dag.DagScheduler`:
 
-- per-TU parse nodes (``parse[a.c]``) fan out to a shared process
-  pool, per-TU summarize nodes (``legality[a.c]``) run concurrently,
-  and the IPA merges (``legality``, ``deadfields``) are barriers over
-  their unit nodes;
-- independent whole-program passes (callgraph/escape/points-to on one
-  side, weights/profiles on the other) overlap when ``jobs > 1``;
+- the ``fe.parse`` node fans every unit's parse out to a shared
+  process pool (``jobs`` workers) and gathers them in unit order,
+  per-TU summarize nodes (``legality[a.c]``) each probe their own
+  summary-cache entry, and the IPA merges (``legality``,
+  ``deadfields``) are barriers over their unit nodes;
 - the BE planner appends one ``apply[TypeName]`` node per transform
   decision *while the DAG runs* (dynamic growth), chained in decision
   order.
 
-``jobs=1`` executes nodes inline in builder order — byte-identical to
-the historical phased pipeline — so parallelism stays an execution
-strategy, never a semantic knob.  Per-phase wall-clock timings are
-derived from per-node measurements (§2.5), and
-:attr:`CompilationResult.scheduler` reports the DAG shape, critical
-path, and mode of every compile.
+Nodes run inline in insertion order — byte-identical to the
+historical phased pipeline — and ``jobs`` only sizes the parse pool,
+so it stays an execution strategy, never a semantic knob.  Per-phase wall-clock
+timings are derived from per-node measurements (§2.5), and
+:attr:`CompilationResult.scheduler` reports the DAG shape and critical
+path of every compile.
 
 The driver is **fault tolerant**: structure layout optimization is an
 optimization, so no failure inside it may take the compilation down.
@@ -82,7 +81,7 @@ from ..obs import (
     MetricsRegistry, NULL_TRACER, PASS_EVENTS, PassEvent, PassProfiler,
     Tracer, TracingPassObserver,
 )
-from .dag import DagScheduler, PassDAG, process_pool
+from .dag import DagScheduler, PassDAG
 from .diagnostics import (
     CODE_BUDGET, CODE_CACHE, CODE_CONTAINED, CODE_CORRUPT, CODE_PARSE,
     CODE_ROLLBACK, CODE_VERIFY, DiagnosticEngine, FatalCompilerError,
@@ -90,7 +89,7 @@ from .diagnostics import (
 from .faults import FAULTS, InjectedFault
 from .fe import (
     FEReport, finish_assembly, legacy_assembly, parse_cached,
-    parse_pool_width, plan_parses,
+    plan_parses,
 )
 from .summarycache import SummaryCache, fingerprint, open_cache
 
@@ -148,11 +147,12 @@ class CompilerOptions:
     #: transformed-run budget = original cycles * factor + slack
     verify_cycle_factor: float = 4.0
     verify_cycle_slack: int = 1_000_000
-    #: pass-DAG parallelism: worker threads for the node scheduler and
-    #: parse workers for the shared process pool (1 = fully serial,
-    #: deterministic builder order).  The CLI/API resolve ``--jobs 0``
-    #: (auto) to :func:`repro.core.dag.effective_cores` before options
-    #: are built, so here the floor stays 1.
+    #: parse workers in the shared process pool, clamped to the unit
+    #: and core counts (1 = every unit parses inline); every other
+    #: node runs inline, one at a time, regardless.  The CLI/API
+    #: resolve ``--jobs 0`` (auto) to
+    #: :func:`repro.core.dag.effective_cores` before options are
+    #: built, so here the floor stays 1.
     jobs: int = 1
     #: content-addressed summary cache spec (None = off): a local
     #: directory, or ``unix:PATH`` naming a shared cache-service
@@ -228,7 +228,7 @@ class CompilationResult:
     pass_profile: dict[str, dict] = field(default_factory=dict)
     #: trace id of the compile's span tree (None when tracing was off)
     trace_id: str | None = None
-    #: how the pass DAG ran: mode, jobs, node count, wall, critical path
+    #: how the pass DAG ran: jobs, node count, wall, critical path
     scheduler: dict = field(default_factory=dict)
     #: per-type layout-search stats keyed by type name, plus a
     #: ``_trace`` entry describing the captured access trace; empty
@@ -275,21 +275,15 @@ class PhaseGuard:
     fallback, with a diagnostic naming the contained failure.  In
     ``strict`` mode the original exception is re-raised as
     :class:`FatalCompilerError` instead.
-
-    ``ctx`` tags this guard's :class:`~repro.obs.PassEvent`s with the
-    owning compilation, so observers can attribute events correctly
-    when DAG nodes run on scheduler worker threads.
     """
 
     def __init__(self, diags: DiagnosticEngine, *, strict: bool = False,
                  budget: float | None = None,
-                 timings: dict[str, float] | None = None,
-                 ctx: Any = None):
+                 timings: dict[str, float] | None = None):
         self.diags = diags
         self.strict = strict
         self.budget = budget
         self.timings = timings if timings is not None else {}
-        self.ctx = ctx
 
     def run(self, name: str, fn: Callable[[], Any],
             fallback: Callable[[], Any]) -> Any:
@@ -299,8 +293,7 @@ class PhaseGuard:
             # a process fault firing there (SIGKILL, simulated OOM)
             # must not be containable in-process
             events.publish(PassEvent(name, "enter",
-                                     diags=len(self.diags),
-                                     ctx=self.ctx))
+                                     diags=len(self.diags)))
         t0 = time.perf_counter()
         try:
             FAULTS.fire(name)        # injection point (raise / stall)
@@ -312,14 +305,13 @@ class PhaseGuard:
                 events.publish(PassEvent(
                     name, "fail", elapsed=elapsed,
                     error=f"{type(exc).__name__}: {exc}",
-                    diags=len(self.diags), ctx=self.ctx))
+                    diags=len(self.diags)))
             return self._contain(name, exc, fallback)
         elapsed = time.perf_counter() - t0
         self.timings[name] = elapsed
         if events:
             events.publish(PassEvent(name, "exit", elapsed=elapsed,
-                                     diags=len(self.diags),
-                                     ctx=self.ctx))
+                                     diags=len(self.diags)))
         if self.budget is not None and elapsed > self.budget:
             # the pass finished but blew its budget: its result is
             # suspect (a stalled analysis may have been wedged), so the
@@ -355,48 +347,34 @@ class _CompileGraph:
     """Builds the pass DAG for one compilation.
 
     Each node gets its own :class:`DiagnosticEngine`, pass-timing
-    fragment, and :class:`PhaseGuard` — so containment, budgets and
-    diagnostics stay correct when nodes run on different threads.  The
-    driver merges the per-node engines in node (= historical serial)
-    order after the run, so rendered diagnostics are independent of
-    execution order.
+    fragment, and :class:`PhaseGuard`; :meth:`Compiler._run` merges
+    the per-node engines in node insertion order after the run.
     """
 
-    def __init__(self, compiler: "Compiler", *, token: Any,
+    def __init__(self, compiler: "Compiler", *,
                  cache: SummaryCache | None, opts_fp: str,
                  sources: list[tuple[str, str]] | None):
         self.c = compiler
         self.opts = compiler.options
-        self.token = token
         self.cache = cache
         self.opts_fp = opts_fp
         self.sources = sources
-        self.unit_sources = dict(sources) \
-            if sources is not None and cache is not None else None
         self.dag = PassDAG()
         self.engines: dict[str, DiagnosticEngine] = {}
         self.node_timings: dict[str, dict[str, float]] = {}
-        #: guard name -> phase, for re-parenting pass spans emitted on
-        #: scheduler worker threads (parallel mode)
-        self.pass_phase: dict[str, str] = {}
         self.state: dict[str, Any] = {}
         self.rolled_back: list[str] = []
-        self.pool_width = 1
 
     # -- node plumbing -----------------------------------------------------
 
     def _spec(self, name: str, fn, *, deps=(), phase: str = "",
-              group: str = "", budget: float | None = None,
-              guard_names: tuple[str, ...] = ()) -> dict:
+              group: str = "", budget: float | None = None) -> dict:
         engine = DiagnosticEngine()
         timings: dict[str, float] = {}
         guard = PhaseGuard(engine, strict=self.opts.strict,
-                           budget=budget, timings=timings,
-                           ctx=self.token)
+                           budget=budget, timings=timings)
         self.engines[name] = engine
         self.node_timings[name] = timings
-        for g in guard_names:
-            self.pass_phase[g] = phase
         return {"name": name,
                 "fn": lambda ctx, fn=fn, e=engine, g=guard: fn(ctx, e, g),
                 "deps": tuple(deps), "phase": phase, "group": group}
@@ -421,33 +399,19 @@ class _CompileGraph:
             tasks, prescans = None, None
             plan_error = f"typedef pre-scan failed: {exc}"
 
-        parse_nodes: list[str] = []
-        if tasks is not None:
-            self.pool_width = parse_pool_width(opts.jobs, len(tasks))
-            counts: dict[str, int] = {}
-            for task in tasks:
-                raw = task[0]
-                occ = counts.get(raw, 0)
-                counts[raw] = occ + 1
-                node = f"parse[{raw}]" if occ == 0 \
-                    else f"parse[{raw}#{occ}]"
-
-                def parse_fn(ctx, engine, guard, task=task):
-                    pool = process_pool(self.pool_width) \
-                        if self.pool_width > 1 else None
-                    return parse_cached(task, self.cache, self.opts_fp,
-                                        pool=pool)
-
-                self._add(node, parse_fn, phase="fe", group="fe.parse")
-                parse_nodes.append(node)
+        def parse_fn(ctx, engine, guard):
+            if tasks is None:
+                return None
+            return parse_cached(tasks, self.cache, self.opts_fp,
+                                jobs=opts.jobs)
 
         def assemble(ctx, engine, guard):
             if tasks is None:
                 program, rep = legacy_assembly(sources, report, plan_error)
             else:
                 program, rep = finish_assembly(
-                    sources, [ctx[n] for n in parse_nodes], prescans,
-                    report, self.cache)
+                    sources, ctx["fe.parse"], prescans, report,
+                    self.cache)
             self.state["fe_report"] = rep
             c._fe_report_diags(rep, engine, unit_budget)
             c._parse_diags(program, engine)
@@ -455,7 +419,8 @@ class _CompileGraph:
                 self.state["iface_fp"] = c._interface_fingerprint(program)
             return program
 
-        self._add("fe.assemble", assemble, deps=tuple(parse_nodes),
+        self._add("fe.parse", parse_fn, phase="fe", group="fe.parse")
+        self._add("fe.assemble", assemble, deps=("fe.parse",),
                   phase="fe", group="fe.parse")
 
     # -- FE: analyses --------------------------------------------------------
@@ -468,8 +433,7 @@ class _CompileGraph:
             lambda ctx, e, g: g.run(
                 "lower", lambda: lower_program(ctx["fe.assemble"]),
                 dict),
-            deps=("fe.assemble",), phase="fe", budget=pb,
-            guard_names=("lower",))
+            deps=("fe.assemble",), phase="fe", budget=pb)
         self._add(
             "loops",
             lambda ctx, e, g: g.run(
@@ -477,8 +441,7 @@ class _CompileGraph:
                 lambda: {name: find_loops(cfg)
                          for name, cfg in ctx["lower"].items()},
                 dict),
-            deps=("lower",), phase="fe", budget=pb,
-            guard_names=("loops",))
+            deps=("lower",), phase="fe", budget=pb)
         leg = self._unit_family(
             "legality", unit_names, summarize=summarize_unit_legality,
             unit_fallback=fallback_unit_legality,
@@ -498,20 +461,20 @@ class _CompileGraph:
                      summary_type) -> list[str]:
         """One summarize node per unit (``legality[a.c]``), each with a
         proportional share of the phase budget and its own summary-cache
-        probe — the FE/IPA split of §2, now genuinely concurrent."""
+        probe — the FE/IPA split of §2."""
         opts = self.opts
         n = max(len(unit_names), 1)
         share = opts.phase_budget / n \
             if opts.phase_budget is not None else None
         nodes: list[str] = []
         counts: dict[str, int] = {}
-        for raw in unit_names:
+        for i, raw in enumerate(unit_names):
             occ = counts.get(raw, 0)
             counts[raw] = occ + 1
             gname = f"{kind}[{raw}]"
             node = gname if occ == 0 else f"{kind}[{raw}#{occ}]"
 
-            def unit_fn(ctx, engine, guard, raw=raw, occ=occ,
+            def unit_fn(ctx, engine, guard, i=i, raw=raw, occ=occ,
                         gname=gname):
                 program = ctx["fe.assemble"]
                 u = _unit_for(program, raw, occ)
@@ -519,10 +482,11 @@ class _CompileGraph:
                     return _SKIP
                 cache = self.cache
                 key = None
-                if cache is not None and self.unit_sources is not None \
-                        and raw in self.unit_sources:
+                # a cache implies sources; the program's units line up
+                # with them one to one unless the FE dropped a unit
+                if cache is not None and not program.frontend_errors:
                     key = cache.key_for(
-                        "summary", kind, raw, self.unit_sources[raw],
+                        "summary", kind, raw, self.sources[i][1],
                         self.state.get("iface_fp", ""), self.opts_fp)
                     got = cache.load("summary", key)
                     if isinstance(got, summary_type):
@@ -541,7 +505,7 @@ class _CompileGraph:
                 return s
 
             self._add(node, unit_fn, deps=("fe.assemble",), phase="fe",
-                      budget=share, guard_names=(gname,))
+                      budget=share)
             nodes.append(node)
         return nodes
 
@@ -560,7 +524,7 @@ class _CompileGraph:
 
         self._add(kind, merge_fn,
                   deps=("fe.assemble",) + tuple(unit_nodes),
-                  phase="fe", budget=pb, guard_names=(kind,))
+                  phase="fe", budget=pb)
 
     def build_fe_finish(self, fe_key: str) -> None:
         """Store the whole-FE artifact once every FE node is clean.
@@ -601,8 +565,7 @@ class _CompileGraph:
                 lambda: build_call_graph(ctx["lower"],
                                          ctx["fe.assemble"]),
                 lambda: CallGraph(cfgs={})),
-            deps=("fe.assemble", "lower"), phase="ipa", budget=pb,
-            guard_names=("callgraph",))
+            deps=("fe.assemble", "lower"), phase="ipa", budget=pb)
         # escape mutates legality (ESCP/FAULT reasons), so the whole-FE
         # store must have happened first when a cache is in play
         esc_deps = ("fe.assemble", "legality") \
@@ -614,8 +577,7 @@ class _CompileGraph:
                 lambda: analyze_escapes(ctx["fe.assemble"],
                                         ctx["legality"]),
                 lambda: c._fallback_escape(ctx["legality"])),
-            deps=esc_deps, phase="ipa", budget=pb,
-            guard_names=("escape",))
+            deps=esc_deps, phase="ipa", budget=pb)
         heur_deps = ["fe.assemble", "legality", "deadfields", "escape",
                      "weights", "profiles"]
         if opts.relax_legality:
@@ -624,7 +586,7 @@ class _CompileGraph:
                 lambda ctx, e, g: c._relax(ctx["fe.assemble"],
                                            ctx["legality"], g, e),
                 deps=("fe.assemble", "legality", "escape"),
-                phase="ipa", budget=pb, guard_names=("pointsto",))
+                phase="ipa", budget=pb)
             heur_deps.append("pointsto")
         self._add(
             "weights",
@@ -634,7 +596,7 @@ class _CompileGraph:
                                    ctx["loops"]),
                 lambda: ProgramWeights(scheme=opts.scheme)),
             deps=("lower", "loops", "callgraph"), phase="ipa",
-            budget=pb, guard_names=("weights",))
+            budget=pb)
 
         def profiles_fn(ctx, e, g):
             res = g.run(
@@ -647,7 +609,7 @@ class _CompileGraph:
 
         self._add("profiles", profiles_fn,
                   deps=("fe.assemble", "lower", "loops", "weights"),
-                  phase="ipa", budget=pb, guard_names=("profiles",))
+                  phase="ipa", budget=pb)
 
         def heuristics_fn(ctx, e, g):
             program = ctx["fe.assemble"]
@@ -661,7 +623,7 @@ class _CompileGraph:
             return c._validate_decisions(program, res, e)
 
         self._add("heuristics", heuristics_fn, deps=tuple(heur_deps),
-                  phase="ipa", budget=pb, guard_names=("heuristics",))
+                  phase="ipa", budget=pb)
         if opts.search is not None:
             def trace_fn(ctx, e, g):
                 return g.run(
@@ -671,8 +633,7 @@ class _CompileGraph:
                     lambda: None)
 
             self._add("search.trace", trace_fn, deps=("fe.assemble",),
-                      phase="be", budget=pb,
-                      guard_names=("search.trace",))
+                      phase="be", budget=pb)
             self._add("search.plan", self._search_plan_fn,
                       deps=("fe.assemble", "heuristics", "legality",
                             "profiles", "search.trace"),
@@ -684,12 +645,12 @@ class _CompileGraph:
     def _search_plan_fn(self, ctx, engine, guard):
         """Grow the search subgraph from the captured trace: one
         ``search[TypeName]`` node per eligible type (each replays the
-        shared read-only trace against its own candidate batches, so
-        types search concurrently under ``jobs > 1``), a ``search``
-        gather node merging the refined decisions back in decision
-        order, and ``be.plan`` itself — the BE planner must be
-        appended here because a static node cannot depend on
-        dynamically added ones."""
+        shared read-only trace against its own candidate batches
+        within its even share of ``budget_s``), a ``search`` gather
+        node merging the refined decisions back in decision order, and
+        ``be.plan`` itself — the BE planner must be appended here
+        because a static node cannot depend on dynamically added
+        ones."""
         opts = self.opts
         program = ctx["fe.assemble"]
         decisions = ctx["heuristics"]
@@ -738,7 +699,7 @@ class _CompileGraph:
 
             specs.append(self._spec(nname, search_fn,
                                     deps=("search.plan",), phase="be",
-                                    budget=pb, guard_names=(nname,)))
+                                    budget=pb))
             snodes.append(nname)
 
         def gather_fn(ctx2, e2, g2):
@@ -768,7 +729,7 @@ class _CompileGraph:
         specs.append(self._spec(
             "search", gather_fn,
             deps=tuple(snodes) if snodes else ("search.plan",),
-            phase="be", budget=pb, guard_names=("search",)))
+            phase="be", budget=pb))
         specs.append(self._spec(
             "be.plan", self._plan_fn,
             deps=("fe.assemble", "heuristics", "search"), phase="be"))
@@ -799,7 +760,7 @@ class _CompileGraph:
             specs.append(self._spec(
                 gname, self._apply_fn(d, prev, program),
                 deps=("be.plan",) if prev is None else (prev,),
-                phase="be", budget=pb, guard_names=(gname,)))
+                phase="be", budget=pb))
             prev = gname
         last = prev
 
@@ -814,7 +775,7 @@ class _CompileGraph:
         specs.append(self._spec(
             "apply", gather_fn,
             deps=("be.plan",) if last is None else (last,),
-            phase="be", budget=pb, guard_names=("apply",)))
+            phase="be", budget=pb))
         if opts.verify_transforms:
             def verify_fn(ctx2, e2, g2):
                 transformed = ctx2["apply"]
@@ -830,8 +791,7 @@ class _CompileGraph:
 
             specs.append(self._spec("verify", verify_fn,
                                     deps=("apply",), phase="be",
-                                    budget=pb,
-                                    guard_names=("verify",)))
+                                    budget=pb))
         ctx.add_nodes(specs)
         return None
 
@@ -887,25 +847,23 @@ class Compiler:
         self.metrics = metrics
 
     @contextmanager
-    def _observing(self, token: Any):
+    def _observing(self):
         """Subscribe this compile's observers (tracing spans, metrics,
         per-pass profiling) for the duration of one compilation;
-        yields ``(profiler, tracing_observer)`` — both None on the
-        zero-overhead path."""
+        yields the per-pass profiler — None on the zero-overhead
+        path."""
         subs: list = []
         profiler = None
-        tracing = None
         if self.tracer.enabled:
-            profiler = PassProfiler(ctx=token)
-            tracing = TracingPassObserver(self.tracer, ctx=token)
-            subs += [tracing, profiler]
+            profiler = PassProfiler()
+            subs += [TracingPassObserver(self.tracer), profiler]
         if self.metrics is not None:
             subs.append(MetricsPassObserver(self.metrics))
         if not subs:
-            yield None, None
+            yield None
             return
         with PASS_EVENTS.subscribed(*subs):
-            yield profiler, tracing
+            yield profiler
 
     def _finalize_obs(self, result: CompilationResult,
                       profiler) -> CompilationResult:
@@ -940,20 +898,19 @@ class Compiler:
     def _entry(self, program: Program | None = None,
                sources: list[tuple[str, str]] | None = None
                ) -> CompilationResult:
-        token = object()              # this compile's event identity
-        with self._observing(token) as (profiler, tracing):
+        with self._observing() as profiler:
             with self.tracer.span("compile", category=CAT_COMPILE) as s:
                 s.set(scheme=self.options.scheme,
                       units=len(sources) if sources is not None
                       else len(program.units))
-                result = self._run(program, sources, s, token, tracing)
+                result = self._run(program, sources, s)
             return self._finalize_obs(result, profiler)
 
     # -- the DAG driver ----------------------------------------------------
 
     def _run(self, program: Program | None,
-             sources: list[tuple[str, str]] | None, compile_span,
-             token: Any, tracing) -> CompilationResult:
+             sources: list[tuple[str, str]] | None,
+             compile_span) -> CompilationResult:
         opts = self.options
         diags = DiagnosticEngine()
         opts_fp = opts.fingerprint()
@@ -989,8 +946,8 @@ class Compiler:
                         attrs={"restored_from_cache": True})
 
         # ---- build the graph ------------------------------------------
-        graph = _CompileGraph(self, token=token, cache=cache,
-                              opts_fp=opts_fp, sources=sources)
+        graph = _CompileGraph(self, cache=cache, opts_fp=opts_fp,
+                              sources=sources)
         if restored:
             graph.build_ipa_be(has_finish=False)
         elif sources is not None:
@@ -1006,15 +963,9 @@ class Compiler:
             graph.build_ipa_be(has_finish=False)
 
         # ---- execute ---------------------------------------------------
-        jobs = opts.jobs
-        if jobs > 1 and graph.pool_width > 1:
-            # pre-warm the fork pool from this (single-threaded-so-far)
-            # thread: forking after the scheduler's workers exist risks
-            # inheriting held locks into pool children
-            process_pool(graph.pool_width)
         boundary_spans: dict[str, Any] = {}
         boundary = None
-        if jobs == 1 and self.tracer.enabled:
+        if self.tracer.enabled:
             def boundary(kind, name, entering):
                 if entering:
                     boundary_spans[name] = self.tracer.start(
@@ -1023,8 +974,8 @@ class Compiler:
                     sp = boundary_spans.get(name)
                     if sp is not None:
                         self.tracer.finish(sp)
-        sched = DagScheduler(jobs, boundary=boundary)
-        results, dreport = sched.run(graph.dag, seeded=seeded)
+        results, dreport = DagScheduler(boundary=boundary).run(
+            graph.dag, seeded=seeded)
 
         # ---- merge per-node diagnostics + timings in builder order ----
         pass_timings: dict[str, float] = {}
@@ -1056,9 +1007,7 @@ class Compiler:
             transformed = program_out
 
         if self.tracer.enabled:
-            self._emit_spans(graph, dreport, compile_span, tracing,
-                             boundary_spans, decisions,
-                             graph.rolled_back, jobs)
+            self._emit_spans(graph, boundary_spans, decisions)
         if cache is not None:
             self._cache_metrics(cache)
 
@@ -1073,71 +1022,31 @@ class Compiler:
             rolled_back=graph.rolled_back,
             fe_report=graph.state.get("fe_report"),
             search=search_stats)
-        result.scheduler = {**dreport.to_dict(),
+        result.scheduler = {"jobs": opts.jobs, **dreport.to_dict(),
                             "restored_fe": restored}
         return result
 
     # -- span assembly -----------------------------------------------------
 
-    def _emit_spans(self, graph: _CompileGraph, dreport, compile_span,
-                    tracing, boundary_spans: dict, decisions,
-                    rolled_back: list[str], jobs: int) -> None:
-        """Phase/group spans for the finished run.
-
-        Serial mode opened real nested spans via the scheduler's
-        boundary callback — only attributes are filled in here.
-        Parallel mode records retroactive phase spans spanning each
-        phase's node window, and re-parents pass spans that were opened
-        on worker threads (where no phase span was current)."""
+    def _emit_spans(self, graph: _CompileGraph, boundary_spans: dict,
+                    decisions) -> None:
+        """Fill in the attributes of the phase/group spans the
+        scheduler's boundary callback opened, and lay out the per-unit
+        parse spans under ``fe.parse``."""
         opts = self.options
         rep = graph.state.get("fe_report")
-        if jobs == 1:
-            ps = boundary_spans.get("fe.parse")
-            if ps is not None and rep is not None:
-                ps.set(mode=rep.mode, jobs=rep.jobs,
-                       parse_cache_hits=rep.parse_cache_hits)
-                self._fe_unit_spans(rep, ps.start, ps.span_id)
-            ipa = boundary_spans.get("ipa")
-            if ipa is not None:
-                ipa.set(decisions=len(decisions))
-            be = boundary_spans.get("be")
-            if be is not None:
-                be.set(transform=opts.transform,
-                       rolled_back=len(rolled_back))
-            return
-
-        stats = dreport.stats
-        phase_spans: dict[str, Any] = {}
-        for phase in ("fe", "ipa", "be"):
-            ss = [s for s in stats.values() if s.phase == phase]
-            if not ss:
-                continue
-            phase_spans[phase] = self.tracer.add_finished(
-                phase, min(s.start for s in ss),
-                max(s.end for s in ss), category=CAT_PHASE,
-                parent_id=compile_span.span_id)
-        gs = [s for s in stats.values() if s.group == "fe.parse"]
-        fe_span = phase_spans.get("fe")
-        if gs and fe_span is not None and rep is not None:
-            start = min(s.start for s in gs)
-            ps = self.tracer.add_finished(
-                "fe.parse", start, max(s.end for s in gs),
-                category=CAT_PHASE, parent_id=fe_span.span_id,
-                attrs={"mode": rep.mode, "jobs": rep.jobs,
-                       "parse_cache_hits": rep.parse_cache_hits})
-            self._fe_unit_spans(rep, start, ps.span_id)
-        if "ipa" in phase_spans:
-            phase_spans["ipa"].set(decisions=len(decisions))
-        if "be" in phase_spans:
-            phase_spans["be"].set(transform=opts.transform,
-                                  rolled_back=len(rolled_back))
-        if tracing is not None:
-            for sp in tracing.created:
-                if sp.parent_id is None:
-                    target = phase_spans.get(
-                        graph.pass_phase.get(sp.name, ""))
-                    if target is not None:
-                        sp.parent_id = target.span_id
+        ps = boundary_spans.get("fe.parse")
+        if ps is not None and rep is not None:
+            ps.set(mode=rep.mode, jobs=rep.jobs,
+                   parse_cache_hits=rep.parse_cache_hits)
+            self._fe_unit_spans(rep, ps.start, ps.span_id)
+        ipa = boundary_spans.get("ipa")
+        if ipa is not None:
+            ipa.set(decisions=len(decisions))
+        be = boundary_spans.get("be")
+        if be is not None:
+            be.set(transform=opts.transform,
+                   rolled_back=len(graph.rolled_back))
 
     def _fe_unit_spans(self, report: FEReport, parse_t0: float,
                        parent_id: str | None = None) -> None:

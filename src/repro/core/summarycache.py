@@ -130,7 +130,7 @@ class SummaryCache:
 
     def __post_init__(self):
         self.root = Path(self.root)
-        # concurrent DAG nodes probe/store through one cache object;
+        # keeps one cache object safe to share between threads;
         # reentrant because load -> _event/_discard nest
         self.lock = threading.RLock()
 

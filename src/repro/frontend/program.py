@@ -55,8 +55,8 @@ class Program:
 
         This is the serial front end.  The parallel one (per-unit
         isolated parses unified afterwards) runs as the pass DAG's
-        ``parse[u.c]`` nodes and falls back to this path whenever it
-        cannot reproduce it exactly.
+        ``fe.parse`` and ``fe.assemble`` nodes and falls back to this
+        path whenever it cannot reproduce it exactly.
         """
         prog = cls()
         sema = SemanticAnalyzer(prog.symbols)

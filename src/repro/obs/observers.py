@@ -44,10 +44,6 @@ class PassEvent:
     error: str | None = None          # "Type: message" (fail only)
     #: diagnostics recorded in the compile so far at publish time
     diags: int = 0
-    #: opaque owning-compilation token: DAG nodes run on scheduler
-    #: worker threads, so thread identity no longer attributes an
-    #: event to a compile — this does
-    ctx: Any = None
 
     @property
     def base_name(self) -> str:
@@ -110,41 +106,25 @@ PASS_EVENTS = PassObserverRegistry()
 # ---------------------------------------------------------------------------
 
 class TracingPassObserver:
-    """Opens one child span per guarded pass.
+    """Opens one child span per guarded pass on the subscribing thread.
 
-    Events from other compiles are ignored: when ``ctx`` is set, only
-    events carrying the same token are accepted (DAG nodes may run on
-    any scheduler worker thread); without a token, thread identity is
-    the filter, as before — a concurrent compile must not graft its
-    passes into this trace.  ``created`` keeps every span this observer
-    opened so the pipeline can re-parent spans that were started on
-    worker threads where no phase span was current.
+    Events from other threads are ignored: a concurrent compile on a
+    different thread must not graft its passes into this trace.
     """
 
-    def __init__(self, tracer: Tracer, ctx: Any = None):
+    def __init__(self, tracer: Tracer):
         self.tracer = tracer
-        self.ctx = ctx
         self._thread = threading.get_ident()
-        self._lock = threading.Lock()
         self._open: dict[str, Span] = {}
-        self.created: list[Span] = []
-
-    def _mine(self, ev: PassEvent) -> bool:
-        if self.ctx is not None:
-            return ev.ctx is self.ctx
-        return threading.get_ident() == self._thread
 
     def __call__(self, ev: PassEvent) -> None:
-        if not self._mine(ev):
+        if threading.get_ident() != self._thread:
             return
         if ev.kind == "enter":
-            span = self.tracer.start(ev.name, category=CAT_PASS)
-            with self._lock:
-                self._open[ev.name] = span
-                self.created.append(span)
+            self._open[ev.name] = self.tracer.start(
+                ev.name, category=CAT_PASS)
             return
-        with self._lock:
-            span = self._open.pop(ev.name, None)
+        span = self._open.pop(ev.name, None)
         if span is None:
             return
         if ev.kind == "fail":
@@ -174,23 +154,14 @@ class PassProfiler:
 
     ``ru_maxrss`` is a high-water mark, so the recorded delta is the
     *growth of the process peak* during the pass — zero for passes
-    that stay under an earlier peak, which is the honest number.  With
-    concurrent passes the peak's growth is additionally attributed at
-    most once: each pass measures against the highest baseline any
-    pass has seen, so overlapping nodes cannot double-count the same
-    RSS growth into the phase totals.
-
-    Like :class:`TracingPassObserver`, a ``ctx`` token scopes the
-    profiler to one compile across scheduler worker threads; without
-    one it falls back to thread-identity filtering.
+    that stay under an earlier peak, which is the honest number.  Like
+    :class:`TracingPassObserver`, it only counts passes run on the
+    subscribing thread.
     """
 
-    def __init__(self, ctx: Any = None):
-        self.ctx = ctx
+    def __init__(self):
         self._thread = threading.get_ident()
-        self._lock = threading.Lock()
         self._entered: dict[str, tuple[int, int]] = {}
-        self._high = 0                # highest baseline handed out
         #: pass name -> {wall_ms, rss_kb_delta, diags, failed}
         self.profile: dict[str, dict] = {}
 
@@ -203,31 +174,19 @@ class PassProfiler:
         except Exception:               # pragma: no cover - non-POSIX
             return 0
 
-    def _mine(self, ev: PassEvent) -> bool:
-        if self.ctx is not None:
-            return ev.ctx is self.ctx
-        return threading.get_ident() == self._thread
-
     def __call__(self, ev: PassEvent) -> None:
-        if not self._mine(ev):
+        if threading.get_ident() != self._thread:
             return
         if ev.kind == "enter":
-            with self._lock:
-                self._entered[ev.name] = (self._peak_rss_kb(),
-                                          ev.diags)
+            self._entered[ev.name] = (self._peak_rss_kb(), ev.diags)
             return
-        peak = self._peak_rss_kb()
-        with self._lock:
-            rss0, diags0 = self._entered.pop(ev.name, (0, 0))
-            base = max(rss0, self._high)
-            delta = max(0, peak - base)
-            self._high = max(self._high, peak)
-            self.profile[ev.name] = {
-                "wall_ms": round(ev.elapsed * 1e3, 3),
-                "rss_kb_delta": delta,
-                "diags": max(0, ev.diags - diags0),
-                "failed": ev.kind == "fail",
-            }
+        rss0, diags0 = self._entered.pop(ev.name, (0, 0))
+        self.profile[ev.name] = {
+            "wall_ms": round(ev.elapsed * 1e3, 3),
+            "rss_kb_delta": max(0, self._peak_rss_kb() - rss0),
+            "diags": max(0, ev.diags - diags0),
+            "failed": ev.kind == "fail",
+        }
 
 
 @dataclass

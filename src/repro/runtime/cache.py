@@ -240,15 +240,14 @@ class CacheHierarchy:
             last_addr, last_stride = prev
             stride = addr - last_addr
             if stride != 0 and stride == last_stride:
-                line = self.levels[-1].config.line_size
+                line_bits = self.levels[-1].line_bits
                 for i in range(1, self.config.prefetch_degree + 1):
                     target = addr + stride * i
-                    if (target >> 7) != (addr >> 7):
+                    if (target >> line_bits) != (addr >> line_bits):
                         for level in self.levels:
                             level.install(target)
                         self.prefetches += 1
                         break
-                    _ = line
             self._strides[site] = (addr, stride)
         else:
             self._strides[site] = (addr, 0)

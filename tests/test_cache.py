@@ -1,5 +1,6 @@
 """Cache hierarchy simulator tests."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.runtime.cache import (
@@ -119,6 +120,19 @@ class TestPrefetcher:
         for i in range(4):
             h.access(0x1000 + i * 128, site=7)
         assert h.prefetches > 0
+
+    @pytest.mark.parametrize("line", [64, 128])
+    def test_prefetch_uses_last_level_line_size(self, line):
+        """16 loads one last-level line apart from one site: once the
+        stride is stable (from the third load on) every load's next
+        target sits on another line, whatever the configured size."""
+        h = CacheHierarchy(CacheConfig(levels=(
+            CacheLevelConfig("L1D", 256, 2, 64, 1),
+            CacheLevelConfig("L2", 1024, 4, line, 6),
+        ), memory_latency=100, prefetch=True))
+        for i in range(16):
+            h.access(0x1000 + i * line, site=7)
+        assert h.prefetches == 14
 
     def test_no_prefetch_without_stable_stride(self):
         h = CacheHierarchy(tiny_config(prefetch=True))

@@ -274,6 +274,41 @@ class TestPipelineTracing:
             assert s.trace_id == tracer.trace_id
             # retro spans land on synthetic lanes, one per unit
             assert s.tid >= 1_000_000
+        # one compile -> phase -> pass tree, no orphans, at jobs=4 too
+        spans = {s.name: s for s in tracer.finished()}
+        ids = {s.span_id for s in tracer.finished()}
+        assert [s.name for s in tracer.finished()
+                if s.parent_id not in ids] == ["compile"]
+        assert spans["legality"].parent_id == spans["fe"].span_id
+        assert spans["weights"].parent_id == spans["ipa"].span_id
+
+    def test_concurrent_compiles_keep_separate_traces(self):
+        """Observers keep the events published on the thread that
+        subscribed them: two compiles on two threads never graft their
+        passes into each other's trace or profile."""
+        tracers = [Tracer(), Tracer()]
+        results: list = [None, None]
+
+        def run(i):
+            results[i] = Compiler(CompilerOptions(), tracer=tracers[i]) \
+                .compile_sources(multi_unit(3))
+
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        for tracer, result in zip(tracers, results):
+            assert result is not None and result.ok
+            spans = tracer.finished()
+            ids = {s.span_id for s in spans}
+            assert [s.name for s in spans
+                    if s.parent_id not in ids] == ["compile"]
+            passes = [s.name for s in spans if s.category == CAT_PASS]
+            assert len(passes) == len(set(passes))
+            assert set(passes) == set(result.pass_profile)
 
     def test_metrics_accuracy_cache_and_passes(self):
         sources = multi_unit(3)

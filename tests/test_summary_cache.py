@@ -100,6 +100,44 @@ def test_changed_options_miss_everything(cache_dir):
     assert summary and "0 hit(s)" in summary[0].message
 
 
+SAME_NAMED = [
+    ("x.c", """
+struct node { long a; long b; };
+struct node *mk() {
+  struct node *p = (struct node*)malloc(sizeof(struct node));
+  p->a = 1; p->b = 2; return p;
+}
+"""),
+    ("x.c", """
+struct node;
+struct node *mk();
+int main() {
+  struct node *n = mk();
+  long *raw = (long *) n;
+  printf("%ld\\n", raw[1]);
+  return 0;
+}
+"""),
+]
+
+
+def test_same_named_units_keep_their_own_summaries(cache_dir):
+    """Two units called ``x.c`` (the CLI names units by file name):
+    each unit's summary is keyed by its own text, so the second unit's
+    raw-pointer cast is never masked by the first unit's summary."""
+
+    def legality(result):
+        return {name: sorted(info.invalid_reasons)
+                for name, info in result.legality.types.items()}
+
+    want = legality(Compiler(CompilerOptions()).compile_sources(SAME_NAMED))
+    assert "CSTF" in want["node"]
+    cold = Compiler(opts(cache_dir)).compile_sources(SAME_NAMED)
+    warm = Compiler(opts(cache_dir)).compile_sources(SAME_NAMED)
+    assert legality(cold) == want
+    assert legality(warm) == want
+
+
 def test_options_fingerprint_ignores_strategy_knobs():
     a = CompilerOptions(jobs=1, cache_dir=None).fingerprint()
     b = CompilerOptions(jobs=8, cache_dir="/tmp/x").fingerprint()
