@@ -386,12 +386,20 @@ class TestDrainWhileQueued:
 
             def one(i: int) -> None:
                 # distinct sources defeat the summary cache so every
-                # request does real work and the queue stays occupied
+                # request does real work; a heartbeat-keeping hang at
+                # job receipt holds the one worker for half a second
+                # per request, so whichever request it takes first,
+                # the others are still queued when the loop below looks
+                # (an unheld analyze finishes in ~15 ms, which a loaded
+                # host can outrun before the last request is accepted)
                 src = DEMO.replace("300", str(301 + i))
                 results[i] = single_request(
                     sock, {"id": i, "op": "analyze",
                            "sources": [[f"d{i}.c", src]],
-                           "options": {"cache": False}},
+                           "options": {"cache": False},
+                           "faults": [{"stage": "request",
+                                       "mode": "hang", "seconds": 0.5,
+                                       "silent": False}]},
                     timeout=120)
 
             threads = [threading.Thread(target=one, args=(i,))
