@@ -13,6 +13,8 @@ contract:
 3. The daemon survives the whole drill (it still answers ``ping`` and
    ``stats`` afterwards) and its crash directory holds a report for
    every kill.
+4. The supervisor's ``stats`` count exactly one crash and one respawn
+   per served kill.
 
 Every phase runs under its own wall-clock timeout so a wedged daemon
 fails the job quickly instead of hitting the CI job timeout.
@@ -202,6 +204,13 @@ def main(argv=None) -> int:
             if crash_dir else []
         kills_served = sum(
             1 for i in range(args.kills) if i in responses)
+        # 4. one crash and one respawn per served kill, no more
+        for key in ("crashes", "respawns"):
+            if sup.get(key) != kills_served:
+                ok = False
+                print(f"FAIL: {kills_served} kill(s) served but the "
+                      f"supervisor counts {key}={sup.get(key)}",
+                      file=sys.stderr)
         if len(reports) < kills_served:
             ok = False
             print(f"FAIL: {kills_served} kills but only "

@@ -85,27 +85,27 @@ class ApiError(ValueError):
         self.detail = detail or {}
 
 
-#: wire spellings of a priority lane (kept in sync with
-#: :mod:`repro.service.admission`, which cannot be imported here
-#: without inverting the api <- service layering)
+#: wire spellings of the priority lanes, best first; the service's
+#: admission queue numbers its lanes from this table
 PRIORITY_NAMES = {"high": 0, "normal": 1, "low": 2}
 
 
-def _coerce_priority(value) -> int:
+def coerce_priority(value) -> int:
     """Normalize a wire priority (int or name) to a lane index."""
+    top = len(PRIORITY_NAMES) - 1
     if isinstance(value, str):
         try:
             return PRIORITY_NAMES[value.lower()]
         except KeyError:
             raise ApiError(
                 f"unknown priority {value!r}; expected one of "
-                f"{', '.join(PRIORITY_NAMES)} or 0..2",
+                f"{', '.join(PRIORITY_NAMES)} or 0..{top}",
                 detail={"where": "priority"}) from None
     if isinstance(value, bool) or not isinstance(value, int):
         raise ApiError("'priority' must be an integer or a name",
                        detail={"where": "priority"})
-    if not 0 <= value <= 2:
-        raise ApiError("'priority' must be in 0..2",
+    if not 0 <= value <= top:
+        raise ApiError(f"'priority' must be in 0..{top}",
                        detail={"where": "priority"})
     return value
 
@@ -451,7 +451,7 @@ class CompileRequest:
             if not isinstance(tenant, str) or not tenant:
                 raise ApiError("'tenant' must be a non-empty string",
                                detail={"where": "tenant"})
-        priority = _coerce_priority(d.get("priority", 1))
+        priority = coerce_priority(d.get("priority", 1))
         deadline_ms = d.get("deadline_ms")
         if deadline_ms is not None:
             try:

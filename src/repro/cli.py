@@ -295,6 +295,33 @@ def _parse_fault_flag(spec: str) -> dict:
     return fault
 
 
+def _serve(server, args, banner: str) -> int:
+    """Run one socket server in the foreground until it exits.
+
+    Binds (a bind failure is a usage error), prints ``banner``, and
+    serves until shutdown or Ctrl-C.  SIGTERM begins a graceful drain
+    bounded by ``--drain-grace``: stop accepting, finish every
+    in-flight request, then exit — so a rolling hot-restart fails zero
+    requests.  A supervisor that needs the process gone *now*
+    escalates to SIGKILL after the grace period."""
+    import signal
+    try:
+        server.start()
+    except OSError as exc:
+        raise CliError(f"cannot bind {args.socket!r}: {exc}",
+                       EXIT_USAGE) from exc
+    print(banner, file=sys.stderr, flush=True)
+    signal.signal(signal.SIGTERM,
+                  lambda *_: server.begin_drain(args.drain_grace))
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        server.shutdown()
+    return EXIT_OK
+
+
 def cmd_serve(args) -> int:
     from .service import CompileServer, Supervisor, SupervisorConfig
     config = SupervisorConfig(
@@ -311,29 +338,12 @@ def cmd_serve(args) -> int:
                            max_request_bytes=args.max_request_bytes,
                            idle_timeout=args.idle_timeout,
                            max_connections=args.max_connections)
-    try:
-        server.start()
-    except OSError as exc:
-        raise CliError(f"cannot bind {args.socket!r}: {exc}",
-                       EXIT_USAGE) from exc
-    print(f"repro: serving on {args.socket} "
-          f"(pool={args.pool_size}, deadline={args.deadline:.0f}s, "
-          f"max-retries={args.max_retries}, "
-          f"queue-max={args.queue_max})", file=sys.stderr, flush=True)
-    # SIGTERM begins a graceful drain: stop accepting, finish every
-    # in-flight request, then exit — so a rolling hot-restart fails
-    # zero requests.  A supervisor that needs the process gone *now*
-    # escalates to SIGKILL after the grace period.
-    import signal
-    signal.signal(signal.SIGTERM,
-                  lambda *_: server.begin_drain(args.drain_grace))
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()
-    return EXIT_OK
+    return _serve(server, args,
+                  f"repro: serving on {args.socket} "
+                  f"(pool={args.pool_size}, "
+                  f"deadline={args.deadline:.0f}s, "
+                  f"max-retries={args.max_retries}, "
+                  f"queue-max={args.queue_max})")
 
 
 def cmd_drain(args) -> int:
@@ -407,26 +417,10 @@ def cmd_farm(args) -> int:
             max_request_bytes=args.max_request_bytes,
             idle_timeout=args.idle_timeout,
             max_connections=args.max_connections)
-        try:
-            router_server.start()
-        except OSError as exc:
-            raise CliError(f"cannot bind {args.socket!r}: {exc}",
-                           EXIT_USAGE) from exc
         ha = f", ha-rank {args.ha_rank}" if peers else ""
-        print(f"repro: routing {len(cluster.shards)} external "
-              f"shard(s) on {args.socket}{ha}", file=sys.stderr,
-              flush=True)
-        import signal
-        signal.signal(signal.SIGTERM,
-                      lambda *_: router_server.begin_drain(
-                          args.drain_grace))
-        try:
-            router_server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            router_server.shutdown()
-        return EXIT_OK
+        return _serve(router_server, args,
+                      f"repro: routing {len(cluster.shards)} external "
+                      f"shard(s) on {args.socket}{ha}")
 
     farm = Farm(args.dir, daemons=args.daemons,
                 pool_size=args.pool_size,
@@ -485,25 +479,11 @@ def cmd_cache_serve(args) -> int:
                              max_connections=args.max_connections)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE) from exc
-    try:
-        server.start()
-    except OSError as exc:
-        raise CliError(f"cannot bind {args.socket!r}: {exc}",
-                       EXIT_USAGE) from exc
     budget = parse_budget(args.cache_budget)
-    print(f"repro: cache service on {args.socket} (dir={args.dir}, "
-          f"budget={budget if budget else 'unbounded'})",
-          file=sys.stderr, flush=True)
-    import signal
-    signal.signal(signal.SIGTERM,
-                  lambda *_: server.begin_drain(args.drain_grace))
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()
-    return EXIT_OK
+    return _serve(server, args,
+                  f"repro: cache service on {args.socket} "
+                  f"(dir={args.dir}, "
+                  f"budget={budget if budget else 'unbounded'})")
 
 
 def cmd_cache_fsck(args) -> int:

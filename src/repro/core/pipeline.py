@@ -492,11 +492,8 @@ class _CompileGraph:
                     if isinstance(got, summary_type):
                         return got
                     if got is not None:
-                        with cache.lock:
-                            cache.hits -= 1
-                            cache._event("corrupt", "summary", key,
-                                         "artifact has the wrong type")
-                        cache._discard("summary", key)
+                        cache.reject("summary", key,
+                                     "artifact has the wrong type")
                 s = guard.run(gname, lambda: summarize(u),
                               lambda: unit_fallback(raw))
                 if key is not None and isinstance(s, summary_type) \
@@ -1112,11 +1109,7 @@ class Compiler:
                 and isinstance(blob[2], dict)
                 and isinstance(blob[3], LegalityResult)
                 and isinstance(blob[4], UsageResult)):
-            with cache.lock:
-                cache.hits -= 1       # reclassify: that was no hit
-                cache._event("corrupt", "fe", fe_key,
-                             "artifact has the wrong shape")
-            cache._discard("fe", fe_key)
+            cache.reject("fe", fe_key, "artifact has the wrong shape")
             return None
         return blob
 

@@ -189,69 +189,80 @@ class SummaryCache:
 
     def load(self, category: str, key: str) -> Any | None:
         """The cached artifact, or None on miss/corruption (never
-        raises).  Corruption is reported as a distinct event kind so the
+        raises).  Every call counts exactly one hit or one miss.
+        Corruption is reported as a distinct event kind so the
         pipeline can emit a diagnostic rather than silently recompute."""
         with self.lock:
-            blob = self.load_blob(category, key)
-            if blob is None:
-                return None
-            try:
-                value = pickle.loads(blob)
-            except Exception as exc:
-                self._event("corrupt", category, key,
-                            f"unpickle failed: {type(exc).__name__}")
-                self._discard(category, key)
-                return None
+            value = self._load_value(category, key)
             if value is None:
-                # None is not a legal artifact (it is the miss
-                # sentinel); treat a stored None as corruption
-                self._event("corrupt", category, key, "null artifact")
-                self._discard(category, key)
+                self.misses += 1
                 return None
             self.hits += 1
             self._event("hit", category, key)
             return value
 
-    def load_blob(self, category: str, key: str) -> bytes | None:
-        with self.lock:
-            return self._load_blob_locked(category, key)
-
-    def _load_blob_locked(self, category: str,
-                          key: str) -> bytes | None:
-        path = self._path(category, key)
+    def _load_value(self, category: str, key: str) -> Any | None:
+        blob = self.load_blob(category, key)
+        if blob is None:
+            return None
         try:
-            from .faults import CACHE_FAULTS
-            CACHE_FAULTS.fire("load", category)
-            raw = path.read_bytes()
-        except FileNotFoundError:
-            self.misses += 1
-            self._event("miss", category, key)
-            return None
-        except OSError as exc:
-            self.misses += 1
-            self._event("io-error", category, key,
-                        f"read failed: {type(exc).__name__}")
-            return None
-        if not raw:
-            self.misses += 1
-            self._event("corrupt", category, key, "empty file")
+            value = pickle.loads(blob)
+        except Exception as exc:
+            self._event("corrupt", category, key,
+                        f"unpickle failed: {type(exc).__name__}")
             self._discard(category, key)
             return None
-        blob, kind = unframe_blob(raw)
-        if kind == "corrupt":
-            self.misses += 1
-            self._event("corrupt", category, key, "checksum mismatch")
+        if value is None:
+            # None is not a legal artifact (it is the miss sentinel);
+            # treat a stored None as corruption
+            self._event("corrupt", category, key, "null artifact")
             self._discard(category, key)
-            return None
-        return blob
+        return value
+
+    def reject(self, category: str, key: str, detail: str) -> None:
+        """Turn the hit :meth:`load` just counted into a miss: the
+        caller found the artifact unusable.  It is reported and
+        quarantined like any corrupt entry."""
+        with self.lock:
+            self.hits -= 1
+            self.misses += 1
+            self._event("corrupt", category, key, detail)
+            self._discard(category, key)
+
+    def load_blob(self, category: str, key: str) -> bytes | None:
+        """The checksum-verified pickled artifact, or None (a miss,
+        an I/O error or a quarantined corrupt entry, each reported as
+        an event).  Counts nothing: :meth:`load` counts the lookup."""
+        path = self._path(category, key)
+        with self.lock:
+            try:
+                from .faults import CACHE_FAULTS
+                CACHE_FAULTS.fire("load", category)
+                raw = path.read_bytes()
+            except FileNotFoundError:
+                self._event("miss", category, key)
+                return None
+            except OSError as exc:
+                self._event("io-error", category, key,
+                            f"read failed: {type(exc).__name__}")
+                return None
+            if not raw:
+                self._event("corrupt", category, key, "empty file")
+                self._discard(category, key)
+                return None
+            blob, kind = unframe_blob(raw)
+            if kind == "corrupt":
+                self._event("corrupt", category, key,
+                            "checksum mismatch")
+                self._discard(category, key)
+                return None
+            return blob
 
     # -- maintenance --------------------------------------------------------
 
     def _discard(self, category: str, key: str) -> None:
         """Quarantine a bad entry so it is recomputed cleanly next time
         but stays inspectable (moved, not deleted; bounded count)."""
-        with self.lock:
-            self.misses += 1
         quarantine_entry(self.root, self._path(category, key),
                          category, key)
 

@@ -1,11 +1,13 @@
 """Metrics registry: counters, gauges, and histograms.
 
 Names are dotted strings (``fe.cache.hit``, ``pass.wall_ms``,
-``service.retries``); an optional label set distinguishes series of
+``service.attempts``); an optional label set distinguishes series of
 the same name (``pass.wall_ms{pass=legality}``).  The registry is
 thread-safe and process-local — service workers each have their own;
-the supervisor's registry is the one ``repro client``'s ``stats`` op
-reports.
+every server owns one, and its ``stats`` op reads each counter it
+reports out of that registry (:meth:`MetricsRegistry.total`,
+:meth:`MetricsRegistry.split`) next to the ``metrics`` block that
+lists every series.
 
 Kept deliberately small: a counter is a monotone float, a gauge a
 settable float, a histogram a running (count, sum, min, max) summary.
@@ -139,6 +141,29 @@ class MetricsRegistry:
 
     def histogram(self, name: str, **labels: str) -> Histogram:
         return self._get(Histogram, name, labels)
+
+    def _counters(self, name: str, match: dict[str, str]) -> list:
+        with self._lock:
+            return [m for m in self._metrics.values()
+                    if type(m) is Counter and m.name == name
+                    and all(m.labels.get(k) == v
+                            for k, v in match.items())]
+
+    def total(self, name: str, **match: str) -> int:
+        """Sum of the counters named ``name`` whose labels include
+        ``match``; 0 when no such series exists yet."""
+        return int(sum(m.value for m in self._counters(name, match)))
+
+    def split(self, name: str, label: str, **match: str
+              ) -> dict[str, int]:
+        """:meth:`total` per value of ``label`` (series without the
+        label are left out)."""
+        out: dict[str, int] = {}
+        for m in self._counters(name, match):
+            key = m.labels.get(label)
+            if key is not None:
+                out[key] = out.get(key, 0) + int(m.value)
+        return out
 
     def __iter__(self) -> Iterator:
         with self._lock:

@@ -28,8 +28,7 @@ time are refused immediately instead of queued.
 
 from .admission import (
     ANON_TENANT, AdmissionController, FairQueue, PRIORITY_HIGH,
-    PRIORITY_LOW, PRIORITY_NAMES, PRIORITY_NORMAL, QueueItem,
-    TokenBucket, coerce_priority,
+    PRIORITY_LOW, PRIORITY_NORMAL, QueueItem, TokenBucket,
 )
 from .breaker import (
     CircuitBreaker, STATE_CLOSED, STATE_HALF_OPEN, STATE_OPEN,
@@ -39,11 +38,10 @@ from .cacheservice import (
     serve_cache, wait_cache_ready,
 )
 from .requests import (
-    COMPILE_OPS, CONTROL_OPS, LADDER, OPS, ProtocolError, Request,
-    STATUS_BUSY, STATUS_DEADLINE_EXCEEDED, STATUS_DEGRADED,
+    COMPILE_OPS, CONTROL_OPS, LADDER, OPS, ProtocolError, STATUS_BUSY, STATUS_DEADLINE_EXCEEDED, STATUS_DEGRADED,
     STATUS_ERROR, STATUS_OK, STATUS_REJECTED, TIERS,
     busy_response, deadline_response, decode, encode, error_response,
-    rejected_response, response,
+    parse_compile, parse_control, rejected_response, response,
 )
 from .router import (
     ClusterConfig, Farm, FarmProc, Router, RouterPeer, RouterServer,
@@ -63,17 +61,18 @@ from .wire import (
 
 __all__ = [
     "ANON_TENANT", "AdmissionController", "FairQueue",
-    "PRIORITY_HIGH", "PRIORITY_LOW", "PRIORITY_NAMES",
-    "PRIORITY_NORMAL", "QueueItem", "TokenBucket", "coerce_priority",
+    "PRIORITY_HIGH", "PRIORITY_LOW", "PRIORITY_NORMAL", "QueueItem",
+    "TokenBucket",
     "CircuitBreaker", "STATE_CLOSED", "STATE_HALF_OPEN", "STATE_OPEN",
     "CACHE_OPS", "CacheServer", "CacheStore", "RemoteCache",
     "parse_budget", "serve_cache", "wait_cache_ready",
     "COMPILE_OPS", "CONTROL_OPS", "LADDER", "OPS", "ProtocolError",
-    "Request", "STATUS_BUSY", "STATUS_DEADLINE_EXCEEDED",
+    "STATUS_BUSY", "STATUS_DEADLINE_EXCEEDED",
     "STATUS_DEGRADED", "STATUS_ERROR", "STATUS_OK", "STATUS_REJECTED",
     "TIERS",
     "busy_response", "deadline_response", "decode", "encode",
-    "error_response", "rejected_response", "response",
+    "error_response", "parse_compile", "parse_control",
+    "rejected_response", "response",
     "ClusterConfig", "Farm", "FarmProc", "Router", "RouterPeer",
     "RouterServer", "ShardSpec", "ShardState",
     "CompileServer", "IDEMPOTENT_OPS", "LineServer", "ServiceClient",

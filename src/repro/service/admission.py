@@ -29,7 +29,10 @@ This module is the *reject-on-arrival* replacement, three layers deep:
   a worker).  Expired-in-queue items are evicted at dequeue time with a
   structured ``deadline_exceeded`` verdict instead of being dispatched.
 
-Everything takes an injected ``clock`` so tests can script time.
+Every verdict is counted once, as an ``admission.*`` series labelled
+by tenant in the server's :class:`~repro.obs.MetricsRegistry`; the
+``fairness`` stats block is read out of those series.  Everything
+takes an injected ``clock`` so tests can script time.
 The serial in-process path (``--jobs 1`` / :class:`repro.api.Session`)
 never touches this module; admission is a service-layer concern.
 """
@@ -39,18 +42,19 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
-#: priority lanes within a tenant, served strictly in this order
-PRIORITY_HIGH = 0
-PRIORITY_NORMAL = 1
-PRIORITY_LOW = 2
-PRIORITY_LANES = 3
+from ..api import PRIORITY_NAMES
+from ..obs import MetricsRegistry
 
-#: accepted wire spellings of a priority
-PRIORITY_NAMES = {"high": PRIORITY_HIGH, "normal": PRIORITY_NORMAL,
-                  "low": PRIORITY_LOW}
+#: priority lanes within a tenant, served strictly in this order; the
+#: lane numbers are the wire priorities :func:`repro.api.coerce_priority`
+#: accepts
+PRIORITY_HIGH = PRIORITY_NAMES["high"]
+PRIORITY_NORMAL = PRIORITY_NAMES["normal"]
+PRIORITY_LOW = PRIORITY_NAMES["low"]
+PRIORITY_LANES = len(PRIORITY_NAMES)
 
 #: the tenant a request without a ``tenant`` field is accounted to
 ANON_TENANT = "anon"
@@ -65,30 +69,34 @@ EVICT_EXPIRED = "expired"         # deadline passed while queued
 __all__ = [
     "ADMIT", "ANON_TENANT", "AdmissionController", "Decision",
     "EVICT_EXPIRED", "FairQueue", "PRIORITY_HIGH", "PRIORITY_LANES",
-    "PRIORITY_LOW", "PRIORITY_NAMES", "PRIORITY_NORMAL", "QueueItem",
+    "PRIORITY_LOW", "PRIORITY_NORMAL", "QueueItem",
     "REJECT_HOPELESS", "REJECT_QUEUE_FULL", "REJECT_QUOTA",
-    "ServiceTimeTracker", "TokenBucket", "coerce_priority",
+    "ServiceTimeTracker", "TokenBucket",
 ]
 
+#: DRR credit a tenant of weight 1 gains per turn
+DRR_QUANTUM = 1.0
 
-def coerce_priority(value: Any) -> int:
-    """Normalize a wire priority (int or name) to a lane index.
+#: recent service times kept per op for the p50 estimate
+SERVICE_TIME_WINDOW = 128
 
-    Raises ``ValueError`` for anything that is not a known lane."""
-    if isinstance(value, str):
-        try:
-            return PRIORITY_NAMES[value.lower()]
-        except KeyError:
-            raise ValueError(
-                f"unknown priority {value!r}; expected one of "
-                f"{', '.join(PRIORITY_NAMES)} or 0..{PRIORITY_LANES - 1}"
-            ) from None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError("priority must be an integer or a name")
-    if not 0 <= value < PRIORITY_LANES:
-        raise ValueError(
-            f"priority must be in 0..{PRIORITY_LANES - 1}")
-    return value
+#: half-life of the drain-rate EWMA, seconds
+DRAIN_HALFLIFE = 10.0
+
+#: bounds on every ``retry_after`` hint, seconds
+RETRY_AFTER_MIN = 0.1
+RETRY_AFTER_MAX = 30.0
+
+#: the per-tenant counts of the ``fairness`` block, each read from the
+#: ``admission.*`` series (and label filter) that counts it
+_TENANT_COUNTS = (
+    ("admitted", "admission.admitted", {}),
+    ("completed", "admission.completed", {}),
+    ("shed", "admission.shed", {}),                 # queue full + displaced
+    ("rejected", "admission.rejected", {"reason": "quota"}),
+    ("hopeless", "admission.rejected", {"reason": "hopeless"}),
+    ("deadline_evicted", "admission.deadline_evicted", {}),
+)
 
 
 class TokenBucket:
@@ -194,16 +202,15 @@ class FairQueue:
     displacement.
 
     ``get`` serves one item per call, rotating tenants by classic DRR:
-    each tenant's turn adds ``quantum * weight`` to its deficit and a
+    each tenant's turn adds ``DRR_QUANTUM * weight`` to its deficit and a
     dequeue costs 1, so long-term throughput is proportional to weight
     and a tenant with a thousand queued requests cannot starve one with
     two.  Within a tenant, lanes are strict priority."""
 
-    def __init__(self, capacity: int, *, quantum: float = 1.0,
+    def __init__(self, capacity: int, *,
                  weights: dict[str, float] | None = None,
                  clock: Callable[[], float] = time.monotonic):
         self.capacity = max(int(capacity), 0)
-        self.quantum = quantum
         self.weights = dict(weights or {})
         self._clock = clock
         self._cv = threading.Condition()
@@ -315,7 +322,7 @@ class FairQueue:
                     self._depth -= 1
                     self._retire_locked(tenant)
                     return item
-                tl.deficit += self.quantum * max(tl.weight, 1e-9)
+                tl.deficit += DRR_QUANTUM * max(tl.weight, 1e-9)
                 self._cursor = (self._cursor + 1) % len(self._ring)
 
     def drain(self) -> list[QueueItem]:
@@ -362,8 +369,7 @@ class ServiceTimeTracker:
     admission ("can this request's remaining budget cover the median
     service time at all?")."""
 
-    def __init__(self, window: int = 128, min_samples: int = 5):
-        self.window = window
+    def __init__(self, min_samples: int = 5):
         self.min_samples = min_samples
         self._lock = threading.Lock()
         self._samples: dict[str, deque] = {}
@@ -372,7 +378,8 @@ class ServiceTimeTracker:
         with self._lock:
             dq = self._samples.get(op)
             if dq is None:
-                dq = self._samples[op] = deque(maxlen=self.window)
+                dq = self._samples[op] = deque(
+                    maxlen=SERVICE_TIME_WINDOW)
             dq.append(seconds)
 
     def p50(self, op: str) -> float | None:
@@ -406,52 +413,33 @@ class Decision:
         return self.verdict == ADMIT
 
 
-@dataclass
-class _TenantCounters:
-    admitted: int = 0
-    completed: int = 0
-    shed: int = 0                      # queue-full + displacement
-    rejected: int = 0                  # quota
-    hopeless: int = 0                  # budget < p50 on arrival
-    deadline_evicted: int = 0          # expired while queued
-
-    def to_dict(self) -> dict:
-        return {"admitted": self.admitted, "completed": self.completed,
-                "shed": self.shed, "rejected": self.rejected,
-                "hopeless": self.hopeless,
-                "deadline_evicted": self.deadline_evicted}
-
-
 class AdmissionController:
     """Quota -> cost-aware check -> bounded fair queue, with honest
     ``retry_after`` hints and per-tenant accounting.
 
-    One controller fronts one server's dispatcher pool.  The
-    ``tenant_rate``/``tenant_burst`` quota is off by default
+    One controller fronts one server's dispatcher pool and counts into
+    that server's registry (``metrics``; a private one by default).
+    The ``tenant_rate``/``tenant_burst`` quota is off by default
     (``rate <= 0``); the fair queue is always on."""
 
     def __init__(self, capacity: int, *, tenant_rate: float = 0.0,
                  tenant_burst: float = 8.0,
                  weights: dict[str, float] | None = None,
-                 drain_halflife: float = 10.0,
-                 retry_after_min: float = 0.1,
-                 retry_after_max: float = 30.0,
+                 metrics: MetricsRegistry | None = None,
                  clock: Callable[[], float] = time.monotonic):
         self.queue = FairQueue(capacity, weights=weights, clock=clock)
         self.tenant_rate = tenant_rate
         self.tenant_burst = tenant_burst
-        self.retry_after_min = retry_after_min
-        self.retry_after_max = retry_after_max
         self.service_times = ServiceTimeTracker()
+        self.metrics = metrics if metrics is not None \
+            else MetricsRegistry()
         self._clock = clock
         self._lock = threading.Lock()
         self._buckets: dict[str, TokenBucket] = {}
-        self._tenants: dict[str, _TenantCounters] = {}
-        #: completions/second, EWMA with ``drain_halflife`` seconds
+        #: completions/second, EWMA with ``DRAIN_HALFLIFE`` seconds
         self._drain_rate = 0.0
         self._drain_stamp = clock()
-        self._drain_alpha = 0.6931471805599453 / max(drain_halflife,
-                                                     1e-6)
+        self._drain_alpha = 0.6931471805599453 / DRAIN_HALFLIFE
 
     # -- per-tenant state ---------------------------------------------------
 
@@ -464,12 +452,8 @@ class AdmissionController:
                     clock=self._clock)
             return bucket
 
-    def _counters(self, tenant: str) -> _TenantCounters:
-        with self._lock:
-            tc = self._tenants.get(tenant)
-            if tc is None:
-                tc = self._tenants[tenant] = _TenantCounters()
-            return tc
+    def _count(self, name: str, tenant: str, **labels: str) -> None:
+        self.metrics.counter(name, tenant=tenant, **labels).inc()
 
     # -- the decision -------------------------------------------------------
 
@@ -483,10 +467,10 @@ class AdmissionController:
         the request is refused on arrival (*hopeless*) instead of
         burning a queue slot and a worker.  ``extra_occupancy`` is
         forwarded to :meth:`FairQueue.put` (in-dispatch slots)."""
-        tc = self._counters(item.tenant)
         if self.tenant_rate > 0 \
                 and not self._bucket(item.tenant).try_take():
-            tc.rejected += 1
+            self._count("admission.rejected", item.tenant,
+                        reason="quota")
             return Decision(
                 REJECT_QUOTA,
                 retry_after=self._clamp(
@@ -496,7 +480,8 @@ class AdmissionController:
         if budget_s is not None:
             p50 = self.service_times.p50(item.op)
             if budget_s <= 0 or (p50 is not None and budget_s < p50):
-                tc.hopeless += 1
+                self._count("admission.rejected", item.tenant,
+                            reason="hopeless")
                 return Decision(
                     REJECT_HOPELESS,
                     detail=f"remaining budget {max(budget_s, 0.0):.3f}s "
@@ -506,13 +491,15 @@ class AdmissionController:
         admitted, displaced = self.queue.put(
             item, extra_occupancy=extra_occupancy)
         if not admitted:
-            tc.shed += 1
+            self._count("admission.shed", item.tenant,
+                        reason="queue_full")
             return Decision(REJECT_QUEUE_FULL,
                             retry_after=self.queue_retry_after(),
                             detail="bounded fair queue full")
-        tc.admitted += 1
+        self._count("admission.admitted", item.tenant)
         if displaced is not None:
-            self._counters(displaced.tenant).shed += 1
+            self._count("admission.shed", displaced.tenant,
+                        reason="displaced")
         return Decision(ADMIT, displaced=displaced)
 
     def take(self, timeout: float | None = None) -> QueueItem | None:
@@ -521,16 +508,15 @@ class AdmissionController:
 
     def evict_expired(self, item: QueueItem) -> None:
         """Account one expired-in-queue eviction (caller answers it)."""
-        self._counters(item.tenant).deadline_evicted += 1
+        self._count("admission.deadline_evicted", item.tenant)
 
     def note_completed(self, item: QueueItem,
                        service_s: float | None = None) -> None:
         """Feed the drain-rate EWMA (and the p50 tracker) after a
         dispatched request finishes."""
-        tc = self._counters(item.tenant)
+        self._count("admission.completed", item.tenant)
         now = self._clock()
         with self._lock:
-            tc.completed += 1
             dt = max(now - self._drain_stamp, 1e-9)
             inst = 1.0 / dt
             blend = min(1.0, self._drain_alpha * dt)
@@ -541,9 +527,9 @@ class AdmissionController:
 
     # -- honest hints -------------------------------------------------------
 
-    def _clamp(self, hint: float) -> float:
-        return min(self.retry_after_max,
-                   max(self.retry_after_min, hint))
+    @staticmethod
+    def _clamp(hint: float) -> float:
+        return min(RETRY_AFTER_MAX, max(RETRY_AFTER_MIN, hint))
 
     def drain_rate(self) -> float:
         """Completions per second (EWMA), decayed while idle."""
@@ -561,23 +547,21 @@ class AdmissionController:
         rate = self.drain_rate()
         depth = self.queue.depth()
         if rate <= 1e-9:
-            return self.retry_after_max if depth else \
-                self.retry_after_min
+            return RETRY_AFTER_MAX if depth else RETRY_AFTER_MIN
         return self._clamp(depth / rate)
 
     # -- stats --------------------------------------------------------------
 
     def fairness(self) -> dict:
-        """The ``fairness`` stats block."""
-        with self._lock:
-            tenants = {t: c.to_dict()
-                       for t, c in self._tenants.items()}
+        """The ``fairness`` stats block: live queue state plus every
+        tenant's verdict counts, read from the ``admission.*`` series."""
         depths = self.queue.tenant_depths()
-        for t, d in depths.items():
-            tenants.setdefault(t, _TenantCounters().to_dict())
-            tenants[t]["queued"] = d
-        for t in tenants:
-            tenants[t].setdefault("queued", 0)
+        counts = {key: self.metrics.split(name, "tenant", **match)
+                  for key, name, match in _TENANT_COUNTS}
+        tenants = {
+            t: {**{key: c.get(t, 0) for key, c in counts.items()},
+                "queued": depths.get(t, 0)}
+            for t in sorted(set(depths).union(*counts.values()))}
         oldest = self.queue.oldest_age_s()
         return {
             "queue_depth": self.queue.depth(),

@@ -14,9 +14,12 @@ the compile daemons:
 - :class:`CacheStore` — the server-side store: the local
   ``SummaryCache`` plus an **LRU index with a byte budget**.  A put
   that pushes the store past ``budget_bytes`` evicts least-recently
-  *used* entries (gets refresh recency) until it fits.  Hits, misses,
-  evictions, and corruption quarantines are counted in an
-  :class:`~repro.obs.MetricsRegistry` the ``cache.stats`` op reports.
+  *used* entries (gets refresh recency) until it fits.  Every lookup
+  counts exactly one ``cache.hits``, ``cache.misses`` or
+  ``cache.corrupt`` series (a corrupt lookup is a miss too), and puts
+  and evictions count likewise, in the server's one
+  :class:`~repro.obs.MetricsRegistry`; the ``cache`` stats block is
+  read out of it.
 - :class:`RemoteCache` — the client: a drop-in ``SummaryCache``
   subclass whose blob I/O goes over the socket, so the pipeline, the
   workers, and every diagnostic path are unchanged whether the cache
@@ -92,9 +95,6 @@ class CacheStore:
         #: (oldest first; a get moves its entry to the end)
         self._index: OrderedDict[tuple[str, str], int] = OrderedDict()
         self._bytes = 0
-        self.evictions = 0
-        self.corrupt = 0
-        self.puts = 0
         self._build_index()
 
     # -- index --------------------------------------------------------------
@@ -141,13 +141,11 @@ class CacheStore:
             # bounded over a long-lived service
             events = self.cache.drain_events()
             if blob is not None:
-                self.cache.hits += 1
                 self._touch(category, key)
                 self.metrics.counter("cache.hits",
                                      category=category).inc()
                 return blob, "hit"
             if any(e.kind == "corrupt" for e in events):
-                self.corrupt += 1
                 self._forget(category, key)
                 self.metrics.counter("cache.corrupt",
                                      category=category).inc()
@@ -162,7 +160,6 @@ class CacheStore:
             self.cache.drain_events()
             if not stored:
                 return False
-            self.puts += 1
             self._forget(category, key)      # replaced: re-account
             try:
                 size = self.cache._path(category, key).stat().st_size
@@ -201,21 +198,22 @@ class CacheStore:
                 self._index.move_to_end(victim)
                 continue
             self._drop_entry(*victim)
-            self.evictions += 1
             self.metrics.counter("cache.evictions").inc()
 
     def stats(self) -> dict:
+        m = self.metrics
         with self._lock:
+            corrupt = m.total("cache.corrupt")
             return {
                 "root": str(self.cache.root),
                 "entries": len(self._index),
                 "bytes": self._bytes,
                 "budget_bytes": self.budget_bytes,
-                "hits": self.cache.hits,
-                "misses": self.cache.misses,
-                "puts": self.puts,
-                "evictions": self.evictions,
-                "corrupt": self.corrupt,
+                "hits": m.total("cache.hits"),
+                "misses": m.total("cache.misses") + corrupt,
+                "puts": m.total("cache.puts"),
+                "evictions": m.total("cache.evictions"),
+                "corrupt": corrupt,
             }
 
 
@@ -225,7 +223,7 @@ class CacheServer(LineServer):
     WORK_OPS = ("cache.get", "cache.put", "cache.drop")
 
     def __init__(self, socket_path: str, store: CacheStore, **wire):
-        super().__init__(socket_path, **wire)
+        super().__init__(socket_path, metrics=store.metrics, **wire)
         self.store = store
 
     def handle_request(self, raw: dict) -> dict:
@@ -317,7 +315,7 @@ class CacheServer(LineServer):
             },
             "connections": self.connection_stats(),
             "cache": self.store.stats(),
-            "metrics": self.store.metrics.snapshot(),
+            "metrics": self.metrics.snapshot(),
         }
 
 
@@ -329,8 +327,8 @@ class RemoteCache(SummaryCache):
     """Drop-in ``SummaryCache`` backed by a cache-service socket.
 
     Only the blob I/O layer is overridden — keying, pickling, the
-    None-artifact rule, hit/miss accounting, and event reporting all
-    come from the base class, so a compile behaves identically against
+    None-artifact rule, hit/miss accounting (one per ``load``), and
+    event reporting all come from the base class, so a compile behaves identically against
     a local directory or the shared service.  Connection failures are
     *misses with an ``io-error`` event*, never exceptions: a cache
     outage slows the farm down, it cannot break it."""
@@ -364,19 +362,16 @@ class RemoteCache(SummaryCache):
             from ..core.faults import CACHE_FAULTS
             CACHE_FAULTS.fire("load", category)
         except OSError as exc:
-            self.misses += 1
             self._event("io-error", category, key,
                         f"read failed: {type(exc).__name__}")
             return None
         resp = self._call({"op": "cache.get", "category": category,
                            "key": key})
         if resp is None or resp.get("status") != "ok":
-            self.misses += 1
             self._event("io-error", category, key,
                         "cache service unreachable")
             return None
         if not resp.get("found"):
-            self.misses += 1
             if resp.get("kind") == "corrupt":
                 # the service already quarantined it; surface the
                 # corruption so the compile can diagnose the recompute
@@ -389,7 +384,6 @@ class RemoteCache(SummaryCache):
             return base64.b64decode(resp.get("blob") or "",
                                     validate=True)
         except (binascii.Error, TypeError):
-            self.misses += 1
             self._event("corrupt", category, key,
                         "undecodable service reply")
             return None
@@ -416,7 +410,6 @@ class RemoteCache(SummaryCache):
     def _discard(self, category: str, key: str) -> None:
         # a corrupt *payload* detected client-side (bad unpickle, None
         # artifact) is dropped from the shared store for everyone
-        self.misses += 1
         self._call({"op": "cache.drop", "category": category,
                     "key": key})
 

@@ -8,8 +8,11 @@ A compile request names an operation (``analyze`` / ``advise`` /
 ``transform`` / ``compare``), carries its sources inline, and may set a
 per-attempt ``deadline``, a ``max_retries`` budget, and (for tests and
 resilience drills) a list of process-level fault specs the worker arms
-before executing.  Control operations (``ping`` / ``stats`` /
-``drain`` / ``shutdown``) take no sources.
+before executing.  It parses into the public
+:class:`repro.api.CompileRequest` (:func:`parse_compile`), and that one
+object travels on to the worker.  Control operations (``ping`` /
+``stats`` / ``trace`` / ``drain`` / ``shutdown``) take no sources and
+are checked by :func:`parse_control`.
 
 Responses carry a ``status``:
 
@@ -38,15 +41,12 @@ deducts its own elapsed time before forwarding).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from ..api import (
     ApiError, COMPILE_OPS, CompileRequest, LADDER, STATUS_BUSY,
     STATUS_DEADLINE_EXCEEDED, STATUS_DEGRADED, STATUS_ERROR, STATUS_OK,
     STATUS_REJECTED, TIERS,
 )
-from ..core.faults import ProcessFaultSpec
-from ..core.summarycache import fingerprint
 
 #: control operations (daemon-level; no sources, no ladder)
 CONTROL_OPS = ("ping", "stats", "trace", "drain", "shutdown")
@@ -59,7 +59,8 @@ __all__ = [
     "COMPILE_OPS", "CONTROL_OPS", "OPS", "LADDER", "TIERS",
     "STATUS_OK", "STATUS_DEGRADED", "STATUS_BUSY", "STATUS_ERROR",
     "STATUS_REJECTED", "STATUS_DEADLINE_EXCEEDED",
-    "ProtocolError", "Request", "encode", "decode", "response",
+    "ProtocolError", "encode", "decode", "parse_compile",
+    "parse_control", "response",
     "busy_response", "error_response", "rejected_response",
     "deadline_response",
 ]
@@ -76,86 +77,40 @@ class ProtocolError(ValueError):
         self.detail = detail or {}
 
 
-@dataclass
-class Request:
-    """One parsed compile/control request.
+def parse_compile(d: dict) -> CompileRequest:
+    """A compile request, validated by the public API schema.
 
-    Compile-request validation is *derived from the public API
-    schema*: :meth:`from_dict` delegates to
-    :meth:`repro.api.CompileRequest.from_dict`, so the wire protocol
-    and the in-process API can never drift apart.  Unknown fields —
-    at the top level or inside ``options`` — are rejected with a
-    structured diagnostic."""
-
-    op: str
-    id: str | int | None = None
-    sources: list[tuple[str, str]] = field(default_factory=list)
-    options: dict = field(default_factory=dict)
-    deadline: float | None = None      # per-attempt wall clock, seconds
-    max_retries: int | None = None     # retries at the requested tier
-    faults: list[ProcessFaultSpec] = field(default_factory=list)
-    #: request a stitched distributed trace of this request
-    trace: bool = False
-    #: fetch filter for the ``trace`` control op
-    trace_id: str | None = None
-    #: multi-tenancy triple (see the module docstring)
-    tenant: str | None = None
-    priority: int = 1
-    deadline_ms: float | None = None
-    #: server-side runtime state, never on the wire: the monotonic
-    #: instant the end-to-end budget runs out, and the time this
-    #: request spent in the admission queue before dispatch
-    budget_expires_at: float | None = None
-    queue_wait_s: float | None = None
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Request":
-        if not isinstance(d, dict):
-            raise ProtocolError("request must be a JSON object")
+    :meth:`repro.api.CompileRequest.from_dict` does the validation, so
+    the wire protocol and the in-process API can never drift apart;
+    its :class:`~repro.api.ApiError` comes back as a
+    :class:`ProtocolError` with the same structured detail.  An op the
+    daemon does not serve at all is named against every op it does."""
+    if isinstance(d, dict) and d.get("op") not in OPS:
         op = d.get("op")
-        if op not in OPS:
-            raise ProtocolError(
-                f"unknown op {op!r}; expected one of {', '.join(OPS)}",
-                detail={"op": op, "known_ops": list(OPS)})
-        if op in CONTROL_OPS:
-            unknown = sorted(set(d) - set(_CONTROL_FIELDS))
-            if unknown:
-                raise ProtocolError(
-                    f"unknown request field(s): {', '.join(unknown)}",
-                    detail={"unknown_fields": unknown,
-                            "known_fields": sorted(_CONTROL_FIELDS),
-                            "where": "request"})
-            trace_id = d.get("trace_id")
-            if trace_id is not None and not isinstance(trace_id, str):
-                raise ProtocolError("'trace_id' must be a string",
-                                    detail={"where": "trace_id"})
-            return cls(op=op, id=d.get("id"), trace_id=trace_id)
-        try:
-            creq = CompileRequest.from_dict(d)
-        except ApiError as exc:
-            raise ProtocolError(str(exc), detail=exc.detail) from exc
-        return cls(op=creq.op, id=creq.id, sources=creq.sources,
-                   options=creq.options.to_dict(),
-                   deadline=creq.deadline,
-                   max_retries=creq.max_retries, faults=creq.faults,
-                   trace=creq.trace, tenant=creq.tenant,
-                   priority=creq.priority,
-                   deadline_ms=creq.deadline_ms)
+        raise ProtocolError(
+            f"unknown op {op!r}; expected one of {', '.join(OPS)}",
+            detail={"op": op, "known_ops": list(OPS)})
+    try:
+        return CompileRequest.from_dict(d)
+    except ApiError as exc:
+        raise ProtocolError(str(exc), detail=exc.detail) from exc
 
-    def remaining_budget_s(self, now: float) -> float | None:
-        """Seconds of end-to-end budget left, or ``None`` when the
-        request carries no ``deadline_ms``."""
-        if self.budget_expires_at is None:
-            return None
-        return self.budget_expires_at - now
 
-    def source_fingerprint(self) -> str:
-        """Content hash of the sources — the per-workload half of the
-        circuit-breaker key."""
-        return fingerprint("req-sources", tuple(self.sources))
-
-    def ladder(self) -> tuple[str, ...]:
-        return LADDER[self.op]
+def parse_control(d: dict) -> str | None:
+    """Validate a control request (``op`` in :data:`CONTROL_OPS`);
+    returns its ``trace_id`` filter, which only ``trace`` reads."""
+    unknown = sorted(set(d) - set(_CONTROL_FIELDS))
+    if unknown:
+        raise ProtocolError(
+            f"unknown request field(s): {', '.join(unknown)}",
+            detail={"unknown_fields": unknown,
+                    "known_fields": sorted(_CONTROL_FIELDS),
+                    "where": "request"})
+    trace_id = d.get("trace_id")
+    if trace_id is not None and not isinstance(trace_id, str):
+        raise ProtocolError("'trace_id' must be a string",
+                            detail={"where": "trace_id"})
+    return trace_id
 
 
 # ---------------------------------------------------------------------------

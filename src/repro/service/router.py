@@ -29,7 +29,7 @@ shard in rendezvous order.  Compile requests are idempotent, so
 resending is always safe.
 
 **Hedging**: a request stuck past the observed latency percentile
-(``hedge_percentile``, with a floor so cold starts don't stampede)
+(:data:`HEDGE_PERCENTILE`, with a floor so cold starts don't stampede)
 gets a duplicate dispatched to the next-ranked shard; the first
 non-failure answer wins and the loser is abandoned.  This bounds tail
 latency when a shard is slow-but-not-dead (the classic gray failure).
@@ -37,6 +37,12 @@ latency when a shard is slow-but-not-dead (the classic gray failure).
 Every routed response gains a ``route`` block::
 
     {"shard": "s0", "attempts": 2, "failovers": 1, "hedged": false}
+
+The router counts every routing event once, as a ``router.*`` series
+in its :class:`~repro.obs.MetricsRegistry` (labelled by tenant where
+the ``fairness`` block needs it); the ``router`` and ``fairness``
+stats blocks are read out of that registry, and the ``metrics`` block
+lists it.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..core.summarycache import fingerprint
+from ..obs import MetricsRegistry
 from .admission import ANON_TENANT, TokenBucket
 from .requests import (
     COMPILE_OPS, ProtocolError, STATUS_DEGRADED, STATUS_OK,
@@ -67,6 +74,52 @@ from .server import LineServer, ServiceClient, single_request, wait_ready
 #: quota-rejected or budget-expired request to another shard would
 #: turn overload control into an overload amplifier.
 _FAILOVER_STATUSES = ("busy", "error")
+
+#: seconds between two health probes of every shard
+PROBE_INTERVAL = 0.5
+#: an ejected shard's first re-probe delay, doubled per ejection up
+#: to the cap (seconds, before jitter)
+PROBE_BACKOFF = 1.0
+PROBE_BACKOFF_CAP = 10.0
+#: seconds a health ping (or a forwarded ``trace`` fetch) may take
+PROBE_TIMEOUT = 2.0
+#: a request running past this latency percentile gets hedged ...
+HEDGE_PERCENTILE = 0.95
+#: ... at most this many times
+HEDGE_MAX = 1
+
+#: the ``router`` stats block, each count read from the ``router.*``
+#: series (and label filters) that count it
+_ROUTER_COUNTS = (
+    ("requests", "router.requests", {}),
+    ("completed", "router.completed", {}),
+    ("failovers", "router.failovers", {}),
+    ("hedges", "router.hedges", {}),
+    ("hedge_wins", "router.completed", {"hedge": "won"}),
+    ("no_healthy_shard", "router.no_healthy_shard", {}),
+    ("exhausted", "router.exhausted", {}),
+    ("ejections", "router.ejections", {}),
+    ("readmissions", "router.readmissions", {}),
+    ("rejected", "router.rejected", {}),
+    ("deadline_refused", "router.deadline_exceeded", {}),
+    ("deadline_refused", "router.completed",
+     {"status": "deadline_exceeded"}),
+    ("retries_denied", "router.retries_denied", {}),
+)
+
+#: a tenant's counts in the ``fairness`` block, likewise
+_TENANT_COUNTS = (
+    ("requests", "router.requests", {}),
+    ("completed", "router.completed", {"status": STATUS_OK}),
+    ("completed", "router.completed", {"status": STATUS_DEGRADED}),
+    ("rejected", "router.rejected", {}),
+    ("rejected", "router.completed", {"status": "rejected"}),
+    ("deadline_exceeded", "router.deadline_exceeded", {}),
+    ("deadline_exceeded", "router.completed",
+     {"status": "deadline_exceeded"}),
+    ("retries_denied", "router.retries_denied", {}),
+    ("failed", "router.exhausted", {}),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +285,8 @@ class Router:
 
     def __init__(self, cluster: ClusterConfig, *,
                  fail_threshold: int = 3,
-                 probe_interval: float = 0.5,
-                 probe_backoff: float = 1.0,
-                 probe_backoff_cap: float = 10.0,
-                 probe_timeout: float = 2.0,
                  shard_timeout: float = 120.0,
-                 hedge_percentile: float = 0.95,
                  hedge_floor: float = 2.0,
-                 hedge_max: int = 1,
                  tenant_rate: float = 0.0,
                  tenant_burst: float = 8.0,
                  retry_rate: float = 8.0,
@@ -248,14 +295,8 @@ class Router:
         self.cluster = cluster
         self.shards = [ShardState(s) for s in cluster.shards]
         self.fail_threshold = fail_threshold
-        self.probe_interval = probe_interval
-        self.probe_backoff = probe_backoff
-        self.probe_backoff_cap = probe_backoff_cap
-        self.probe_timeout = probe_timeout
         self.shard_timeout = shard_timeout
-        self.hedge_percentile = hedge_percentile
         self.hedge_floor = hedge_floor
-        self.hedge_max = hedge_max
         #: per-tenant admission quota at the farm's front door
         #: (``rate <= 0`` disables it, the default)
         self.tenant_rate = tenant_rate
@@ -269,15 +310,9 @@ class Router:
         import random
         self._rng = random.Random(jitter_seed)
         self._lock = threading.Lock()
-        self.counters = {
-            "requests": 0, "completed": 0, "failovers": 0,
-            "hedges": 0, "hedge_wins": 0, "no_healthy_shard": 0,
-            "exhausted": 0, "ejections": 0, "readmissions": 0,
-            "rejected": 0, "deadline_refused": 0, "retries_denied": 0,
-        }
+        self.metrics = MetricsRegistry()
         self._tenant_buckets: dict[str, TokenBucket] = {}
         self._retry_buckets: dict[str, TokenBucket] = {}
-        self._tenant_stats: dict[str, dict] = {}
         #: in-flight dispatches: seq -> (tenant, arrival monotonic)
         self._active: dict[int, tuple[str, float]] = {}
         self._active_seq = 0
@@ -286,16 +321,8 @@ class Router:
 
     # -- per-tenant state ---------------------------------------------------
 
-    def _tenant_counters(self, tenant: str) -> dict:
-        with self._lock:
-            stats = self._tenant_stats.get(tenant)
-            if stats is None:
-                stats = self._tenant_stats[tenant] = {
-                    "requests": 0, "completed": 0, "rejected": 0,
-                    "deadline_exceeded": 0, "retries_denied": 0,
-                    "failed": 0,
-                }
-            return stats
+    def _count(self, name: str, **labels: str) -> None:
+        self.metrics.counter(name, **labels).inc()
 
     @staticmethod
     def _bucket(buckets: dict, tenant: str, rate: float,
@@ -327,7 +354,7 @@ class Router:
         self._stop.set()
 
     def _health_loop(self) -> None:
-        while not self._stop.wait(timeout=self.probe_interval):
+        while not self._stop.wait(timeout=PROBE_INTERVAL):
             for shard in self.shards:
                 self.probe(shard)
 
@@ -353,7 +380,7 @@ class Router:
         try:
             resp = single_request(
                 shard.spec.socket, {"op": "ping"},
-                timeout=self.probe_timeout, reconnects=0)
+                timeout=PROBE_TIMEOUT, reconnects=0)
             ok = bool(resp.get("pong"))
             draining = bool(resp.get("draining"))
         except (OSError, ConnectionError, ProtocolError):
@@ -369,21 +396,18 @@ class Router:
                 return False
             shard.readmit()
             if was_down:
-                with self._lock:
-                    self.counters["readmissions"] += 1
+                self._count("router.readmissions")
             return True
         self._note_shard_failure(shard)
         return False
 
     def _note_shard_failure(self, shard: ShardState) -> None:
-        backoff = min(
-            self.probe_backoff_cap,
-            self.probe_backoff * (2 ** min(6, shard.ejections)))
+        backoff = min(PROBE_BACKOFF_CAP,
+                      PROBE_BACKOFF * (2 ** min(6, shard.ejections)))
         backoff *= 0.5 + self._rng.random()       # jittered re-probe
         if shard.note_failure(self.fail_threshold, time.monotonic(),
                               backoff):
-            with self._lock:
-                self.counters["ejections"] += 1
+            self._count("router.ejections")
 
     # -- sharding -----------------------------------------------------------
 
@@ -420,7 +444,7 @@ class Router:
 
     def hedge_after(self) -> float:
         """Seconds a request may run before a hedge fires: the
-        ``hedge_percentile`` of recent latencies across all shards,
+        :data:`HEDGE_PERCENTILE` of recent latencies across all shards,
         floored so an empty/cold farm doesn't hedge everything."""
         lat: list[float] = []
         for shard in self.shards:
@@ -429,7 +453,7 @@ class Router:
         if len(lat) < 8:
             return self.hedge_floor
         return max(self.hedge_floor, _pct(sorted(lat),
-                                          self.hedge_percentile))
+                                          HEDGE_PERCENTILE))
 
     # -- dispatch -----------------------------------------------------------
 
@@ -447,18 +471,13 @@ class Router:
         attached, or a structured error if every shard is gone."""
         tenant = str(raw.get("tenant") or ANON_TENANT)
         arrival = time.monotonic()
-        tstats = self._tenant_counters(tenant)
-        with self._lock:
-            self.counters["requests"] += 1
-            tstats["requests"] += 1
+        self._count("router.requests", tenant=tenant)
         deadline_ms = raw.get("deadline_ms")
         if not isinstance(deadline_ms, (int, float)) \
                 or isinstance(deadline_ms, bool):
             deadline_ms = None
         if deadline_ms is not None and deadline_ms <= 0:
-            with self._lock:
-                self.counters["deadline_refused"] += 1
-                tstats["deadline_exceeded"] += 1
+            self._count("router.deadline_exceeded", tenant=tenant)
             return deadline_response(
                 raw.get("id"), raw.get("op") or "(unknown)",
                 message="deadline budget already exhausted on "
@@ -469,9 +488,7 @@ class Router:
                                   self.tenant_rate, self.tenant_burst,
                                   self._lock)
             if not bucket.try_take():
-                with self._lock:
-                    self.counters["rejected"] += 1
-                    tstats["rejected"] += 1
+                self._count("router.rejected", tenant=tenant)
                 return rejected_response(
                     raw.get("id"), raw.get("op") or "(unknown)",
                     max(0.05, bucket.retry_after()),
@@ -483,15 +500,14 @@ class Router:
             seq = self._active_seq
             self._active[seq] = (tenant, arrival)
         try:
-            resp = self._dispatch_routed(raw, tenant, tstats, arrival,
+            resp = self._dispatch_routed(raw, tenant, arrival,
                                          deadline_ms)
         finally:
             with self._lock:
                 self._active.pop(seq, None)
         return resp
 
-    def _dispatch_routed(self, raw: dict, tenant: str, tstats: dict,
-                         arrival: float,
+    def _dispatch_routed(self, raw: dict, tenant: str, arrival: float,
                          deadline_ms: float | None) -> dict:
         fp = self.workload_fingerprint(raw)
         ranked = self.rank(fp)
@@ -500,8 +516,7 @@ class Router:
             # shards — a stale ejection beats refusing the request
             ranked = self.rank(fp, include_unavailable=True)
         if not ranked:
-            with self._lock:
-                self.counters["no_healthy_shard"] += 1
+            self._count("router.no_healthy_shard", tenant=tenant)
             return error_response(
                 raw.get("id"), raw.get("op") or "(unknown)",
                 "no shard available to serve this request",
@@ -553,7 +568,7 @@ class Router:
             if budget <= 0:
                 break
             wait = budget
-            hedge_wanted = hedge_allowed and hedges < self.hedge_max
+            hedge_wanted = hedge_allowed and hedges < HEDGE_MAX
             if hedge_wanted:
                 # keep waking at hedge cadence even when no target is
                 # available yet: a readmission can create one
@@ -569,13 +584,11 @@ class Router:
                     # duplicate dispatch, so it spends retry budget
                     if not self._take_retry(tenant):
                         hedge_allowed = False
-                        with self._lock:
-                            self.counters["retries_denied"] += 1
-                            tstats["retries_denied"] += 1
+                        self._count("router.retries_denied",
+                                    tenant=tenant)
                         continue
                     hedges += 1
-                    with self._lock:
-                        self.counters["hedges"] += 1
+                    self._count("router.hedges", tenant=tenant)
                     fire(target)
                     continue
                 break
@@ -583,26 +596,15 @@ class Router:
             status = resp.get("status") if resp is not None else None
             if resp is not None \
                     and status not in _FAILOVER_STATUSES:
+                # a terminal admission verdict from the shard
+                # (rejected / deadline_exceeded) is not a shard
+                # failure, nor a routing success for latency stats
                 if status in (STATUS_OK, STATUS_DEGRADED):
                     shard.note_success(elapsed)
-                else:
-                    # terminal admission verdict from the shard
-                    # (rejected / deadline_exceeded): not a shard
-                    # failure, not a routing success — latency stats
-                    # and failure counters both stay untouched
-                    with self._lock:
-                        key = ("rejected" if status == "rejected"
-                               else "deadline_exceeded")
-                        tstats[key] += 1
-                        if status != "rejected":
-                            self.counters["deadline_refused"] += 1
-                with self._lock:
-                    self.counters["completed"] += 1
-                    if status in (STATUS_OK, STATUS_DEGRADED):
-                        tstats["completed"] += 1
-                    if hedges and launched > 1 \
-                            and shard is not primary:
-                        self.counters["hedge_wins"] += 1
+                hedge = "none" if not hedges else \
+                    "lost" if shard is primary else "won"
+                self._count("router.completed", tenant=tenant,
+                            status=str(status), hedge=hedge)
                 resp["route"] = {
                     "shard": shard.name, "attempts": launched,
                     "failovers": failovers, "hedged": hedges > 0,
@@ -626,17 +628,12 @@ class Router:
                 # budget (rolling restarts must stay zero-failure)
                 if draining_busy or self._take_retry(tenant):
                     failovers += 1
-                    with self._lock:
-                        self.counters["failovers"] += 1
+                    self._count("router.failovers", tenant=tenant)
                     fire(target)
                 else:
-                    with self._lock:
-                        self.counters["retries_denied"] += 1
-                        tstats["retries_denied"] += 1
+                    self._count("router.retries_denied", tenant=tenant)
 
-        with self._lock:
-            self.counters["exhausted"] += 1
-            tstats["failed"] += 1
+        self._count("router.exhausted", tenant=tenant)
         if last_failure is not None:
             last_failure.setdefault("route", {
                 "shard": None, "attempts": launched,
@@ -683,13 +680,24 @@ class Router:
 
     # -- stats --------------------------------------------------------------
 
+    def _read(self, counts: tuple) -> dict[str, int]:
+        out: dict[str, int] = {}
+        for key, name, match in counts:
+            out[key] = out.get(key, 0) + self.metrics.total(name, **match)
+        return out
+
     def fairness(self) -> dict:
         """Per-tenant accounting and live queue view (the ``fairness``
         stats block, mirroring the compile server's)."""
         now = time.monotonic()
+        tenants: dict[str, dict] = {
+            t: {} for t in sorted(self.metrics.split("router.requests",
+                                                     "tenant"))}
+        for key, name, match in _TENANT_COUNTS:
+            got = self.metrics.split(name, "tenant", **match)
+            for t, c in tenants.items():
+                c[key] = c.get(key, 0) + got.get(t, 0)
         with self._lock:
-            tenants = {t: dict(c)
-                       for t, c in self._tenant_stats.items()}
             active = list(self._active.values())
         by_tenant: dict[str, int] = {}
         for t, _ in active:
@@ -709,12 +717,11 @@ class Router:
         }
 
     def stats(self) -> dict:
-        with self._lock:
-            counters = dict(self.counters)
         out = {
-            "router": counters,
+            "router": self._read(_ROUTER_COUNTS),
             "fairness": self.fairness(),
             "shards": {s.name: s.snapshot() for s in self.shards},
+            "metrics": self.metrics.snapshot(),
         }
         if self.cluster.cache_socket:
             try:
@@ -766,7 +773,7 @@ class RouterServer(LineServer):
                  peer_probe_interval: float = 0.25,
                  peer_fail_threshold: int = 3,
                  peer_timeout: float = 1.0, **wire):
-        super().__init__(socket_path, **wire)
+        super().__init__(socket_path, metrics=router.metrics, **wire)
         self.router = router
         self.rank = rank
         self.peers = list(peers or [])
@@ -868,7 +875,7 @@ class RouterServer(LineServer):
             try:
                 resp = single_request(
                     shard.spec.socket, raw,
-                    timeout=self.router.probe_timeout, reconnects=0)
+                    timeout=PROBE_TIMEOUT, reconnects=0)
             except (OSError, ConnectionError, ProtocolError):
                 continue
             if resp.get("status") == "ok":
@@ -910,6 +917,12 @@ class RouterServer(LineServer):
 # Farm manager: spawn, drain-restart, and kill real daemon processes
 # ---------------------------------------------------------------------------
 
+#: seconds a managed process gets to exit after a ``drain`` ...
+FARM_DRAIN_GRACE = 5.0
+#: ... and then after SIGTERM, before SIGKILL
+FARM_TERM_GRACE = 2.0
+
+
 class FarmProc:
     """One managed subprocess (shard daemon, cache service, or
     router)."""
@@ -935,13 +948,11 @@ class Farm:
     over the wire (stop accepting, finish the queue, exit on its own),
     then SIGTERM (the daemon's handler also drains), then SIGKILL —
     each rung only if the previous one didn't end the process in
-    time."""
+    time (:data:`FARM_DRAIN_GRACE`, then :data:`FARM_TERM_GRACE`).
+    Every shard has weight 1."""
 
     def __init__(self, run_dir: str | Path, *, daemons: int = 3,
                  pool_size: int = 1, cache_budget: str | None = None,
-                 weights: list[float] | None = None,
-                 serve_args: list[str] | None = None,
-                 drain_grace: float = 5.0, term_grace: float = 2.0,
                  tenant_rate: float = 0.0, tenant_burst: float = 8.0,
                  retry_rate: float = 8.0, retry_burst: float = 32.0,
                  routers: int = 1):
@@ -949,9 +960,6 @@ class Farm:
         self.run_dir.mkdir(parents=True, exist_ok=True)
         self.pool_size = pool_size
         self.cache_budget = cache_budget
-        self.serve_args = list(serve_args or [])
-        self.drain_grace = drain_grace
-        self.term_grace = term_grace
         self.tenant_rate = tenant_rate
         self.tenant_burst = tenant_burst
         self.retry_rate = retry_rate
@@ -970,13 +978,9 @@ class Farm:
             self.router_sockets = [str(self.run_dir / f"r{i}.sock")
                                    for i in range(self.routers)]
         self.router_socket = self.router_sockets[0]
-        weights = weights or [1.0] * daemons
-        if len(weights) != daemons:
-            raise ValueError("need one weight per daemon")
         self.cluster = ClusterConfig(
             shards=[ShardSpec(name=f"s{i}",
-                              socket=str(self.run_dir / f"s{i}.sock"),
-                              weight=weights[i])
+                              socket=str(self.run_dir / f"s{i}.sock"))
                     for i in range(daemons)],
             cache_socket=self.cache_socket)
         self.procs: dict[str, FarmProc] = {}
@@ -1020,8 +1024,7 @@ class Farm:
                 "--socket", spec.socket,
                 "--cache-dir", f"unix:{self.cache_socket}",
                 "--crash-dir", str(self.run_dir / "crashes"),
-                "--pool-size", str(self.pool_size),
-                *self.serve_args]
+                "--pool-size", str(self.pool_size)]
 
     def _router_argv(self, i: int) -> list[str]:
         """A standalone router process: ``repro farm --config`` plus
@@ -1139,9 +1142,9 @@ class Farm:
                                timeout=2.0, reconnects=0)
             except (OSError, ConnectionError, ProtocolError):
                 pass
-            if not self._wait_exit(fp, self.drain_grace):
+            if not self._wait_exit(fp, FARM_DRAIN_GRACE):
                 fp.proc.terminate()
-                if not self._wait_exit(fp, self.term_grace):
+                if not self._wait_exit(fp, FARM_TERM_GRACE):
                     fp.proc.kill()
                     self._wait_exit(fp, 5.0)
         try:

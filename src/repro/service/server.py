@@ -35,6 +35,11 @@ room.  Quota rejections answer ``rejected``; requests whose
 ``deadline_exceeded``; requests that expire while queued are evicted
 with ``deadline_exceeded`` instead of dispatched.
 
+Every server counts into one :class:`~repro.obs.MetricsRegistry`
+(:attr:`LineServer.metrics`): each event it counts is one series
+there, and each counter of its ``stats`` blocks is read back out of
+that registry.
+
 The invariant the tests enforce: **every request line receives exactly
 one structured response line**.  Malformed JSON, unknown ops, internal
 errors, worker crashes — all of them produce an ``error`` (or
@@ -52,14 +57,17 @@ import threading
 import time
 from pathlib import Path
 
+from ..api import CompileRequest
 from ..core.dag import effective_cores
+from ..obs import MetricsRegistry
 from .admission import (
     ADMIT, ANON_TENANT, AdmissionController, QueueItem, REJECT_HOPELESS,
     REJECT_QUOTA,
 )
 from .requests import (
-    COMPILE_OPS, ProtocolError, Request, busy_response, deadline_response,
-    decode, encode, error_response, rejected_response,
+    COMPILE_OPS, CONTROL_OPS, ProtocolError, busy_response,
+    deadline_response, decode, encode, error_response, parse_compile,
+    parse_control, rejected_response,
 )
 from .supervisor import Supervisor
 from .wire import (
@@ -102,7 +110,9 @@ class LineServer:
     Subclasses implement :meth:`handle_request` (one raw request dict
     -> one response dict) and set :attr:`WORK_OPS` to the ops that
     count as in-flight *work* — control ops are always served, even
-    while draining, so health checks and stats stay answerable."""
+    while draining, so health checks and stats stay answerable.
+    ``metrics`` is the server's one registry (a fresh one by default);
+    connection events count there as ``wire.conn{event=...}``."""
 
     #: ops refused while draining and awaited before a drained exit
     WORK_OPS: tuple[str, ...] = ()
@@ -110,8 +120,11 @@ class LineServer:
     def __init__(self, socket_path: str, *,
                  max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
                  idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
-                 max_connections: int = DEFAULT_MAX_CONNECTIONS):
+                 max_connections: int = DEFAULT_MAX_CONNECTIONS,
+                 metrics: MetricsRegistry | None = None):
         self.socket_path = str(socket_path)
+        self.metrics = metrics if metrics is not None \
+            else MetricsRegistry()
         self.max_request_bytes = int(max_request_bytes)
         self.idle_timeout = float(idle_timeout)
         self.max_connections = int(max_connections)
@@ -126,9 +139,6 @@ class LineServer:
         self._drain_thread: threading.Thread | None = None
         self._conns: dict[int, _Conn] = {}
         self._conn_seq = 0
-        self._conn_counters = {"accepted": 0, "evicted_idle": 0,
-                               "refused": 0, "oversized": 0,
-                               "bad_version": 0}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -147,7 +157,10 @@ class LineServer:
         self._listener = socket.socket(socket.AF_UNIX,
                                        socket.SOCK_STREAM)
         self._listener.bind(self.socket_path)
-        self._listener.listen(16)
+        # a backlog as deep as the connection cap: a burst of connects
+        # must reach the cap's evict-or-refuse policy, not bounce off
+        # a full kernel queue as EAGAIN
+        self._listener.listen(self.max_connections)
         self._started_at = time.monotonic()
         self._accept_thread = threading.Thread(
             target=self._accept_loop, daemon=True,
@@ -279,18 +292,18 @@ class LineServer:
         with self._lock:
             self._conn_seq += 1
             state.cid = self._conn_seq
-            self._conn_counters["accepted"] += 1
             if len(self._conns) >= self.max_connections:
                 candidates = [c for c in self._conns.values()
                               if not c.busy]
                 if not candidates:
-                    self._conn_counters["refused"] += 1
+                    self._count("refused")
                     state.close()
                     return None
                 victim = min(candidates,
                              key=lambda c: c.last_active)
                 self._conns.pop(victim.cid, None)
-                self._conn_counters["evicted_idle"] += 1
+                self._count("evicted_idle")
+            self._count("opened")
             self._conns[state.cid] = state
         if victim is not None:
             victim.close()
@@ -300,14 +313,19 @@ class LineServer:
         with self._lock:
             self._conns.pop(state.cid, None)
 
-    def _count(self, key: str) -> None:
-        with self._lock:
-            self._conn_counters[key] += 1
+    def _count(self, event: str) -> None:
+        self.metrics.counter("wire.conn", event=event).inc()
 
     def connection_stats(self) -> dict:
-        """The ``connections`` stats block every server reports."""
+        """The ``connections`` stats block every server reports; an
+        accepted connection was either opened or refused."""
+        events = self.metrics.split("wire.conn", "event")
+        out = {"accepted": events.get("opened", 0)
+               + events.get("refused", 0)}
+        for key in ("evicted_idle", "refused", "oversized",
+                    "bad_version"):
+            out[key] = events.get(key, 0)
         with self._lock:
-            out = dict(self._conn_counters)
             out["open"] = len(self._conns)
         out["max_connections"] = self.max_connections
         out["max_request_bytes"] = self.max_request_bytes
@@ -455,16 +473,15 @@ class CompileServer(LineServer):
         super().__init__(socket_path,
                          max_request_bytes=max_request_bytes,
                          idle_timeout=idle_timeout,
-                         max_connections=max_connections)
+                         max_connections=max_connections,
+                         metrics=supervisor.metrics)
         self.supervisor = supervisor
         self.queue_max = queue_max
         #: bounds compile requests in the system: pool + bounded queue
         self.admission = AdmissionController(
             supervisor.config.pool_size + queue_max,
-            tenant_rate=tenant_rate, tenant_burst=tenant_burst)
-        self._served = 0
-        self._shed = 0
-        self._deadline_refused = 0
+            tenant_rate=tenant_rate, tenant_burst=tenant_burst,
+            metrics=self.metrics)
         #: requests currently held by a dispatcher (counts against the
         #: admission bound alongside the queue depth)
         self._dispatching = 0
@@ -517,104 +534,88 @@ class CompileServer(LineServer):
         if item.expired(now):
             # expired while queued: evict, never dispatch
             self.admission.evict_expired(item)
-            with self._lock:
-                self._deadline_refused += 1
-            self.supervisor.metrics.counter(
-                "admission.deadline_evicted").inc()
             _box_put(box, deadline_response(
                 req.id, req.op,
                 message="deadline budget expired while the request "
                         "was queued",
                 reason="expired_in_queue"))
             return
-        req.queue_wait_s = max(0.0, now - item.enqueued_at)
-        self.supervisor.metrics.histogram(
-            "admission.queue_wait_ms").observe(req.queue_wait_s * 1e3)
+        queue_wait_s = max(0.0, now - item.enqueued_at)
+        self.metrics.histogram(
+            "admission.queue_wait_ms").observe(queue_wait_s * 1e3)
         try:
-            resp = self.supervisor.submit(req)
+            resp = self.supervisor.submit(req,
+                                          expires_at=item.expires_at,
+                                          queue_wait_s=queue_wait_s)
         except Exception as exc:   # the dispatcher must never die
             resp = error_response(
                 req.id, req.op,
                 f"internal error: {type(exc).__name__}: {exc}")
         self.admission.note_completed(
             item, service_s=time.monotonic() - now)
-        with self._lock:
-            self._served += 1
         _box_put(box, resp)
 
     def handle_request(self, raw: dict) -> dict:
-        req_id = raw.get("id") if isinstance(raw, dict) else None
-        op = raw.get("op") if isinstance(raw, dict) else None
+        req_id = raw.get("id")
+        op = raw.get("op")
         try:
-            req = Request.from_dict(raw)
+            if op in CONTROL_OPS:
+                return self._control(op, req_id, parse_control(raw))
+            req = parse_compile(raw)
         except ProtocolError as exc:
             return error_response(req_id, op or "(unknown)", str(exc),
                                   detail=exc.detail or None)
-        return self._dispatch(req)
-
-    def _dispatch(self, req: Request) -> dict:
-        if req.op == "ping":
-            return {"id": req.id, "op": "ping", "status": "ok",
-                    "pong": True, "draining": self.draining}
-        if req.op == "shutdown":
-            return {"id": req.id, "op": "shutdown", "status": "ok"}
-        if req.op == "drain":
-            status = self.begin_drain()
-            return {"id": req.id, "op": "drain", "status": "ok",
-                    **status}
-        if req.op == "stats":
-            return {"id": req.id, "op": "stats", "status": "ok",
-                    "stats": self.stats()}
-        if req.op == "trace":
-            stored = self.supervisor.get_trace(req.trace_id)
-            if stored is None:
-                what = f"trace {req.trace_id!r}" if req.trace_id \
-                    else "no traces recorded yet"
-                return error_response(
-                    req.id, "trace", f"unknown trace: {what}")
-            trace_id, spans = stored
-            return {"id": req.id, "op": "trace", "status": "ok",
-                    "trace_id": trace_id, "spans": spans}
-        assert req.op in COMPILE_OPS
         return self._admit_and_wait(req)
 
-    def _admit_and_wait(self, req: Request) -> dict:
+    def _control(self, op: str, req_id, trace_id: str | None) -> dict:
+        if op == "ping":
+            return {"id": req_id, "op": "ping", "status": "ok",
+                    "pong": True, "draining": self.draining}
+        if op == "shutdown":
+            return {"id": req_id, "op": "shutdown", "status": "ok"}
+        if op == "drain":
+            status = self.begin_drain()
+            return {"id": req_id, "op": "drain", "status": "ok",
+                    **status}
+        if op == "stats":
+            return {"id": req_id, "op": "stats", "status": "ok",
+                    "stats": self.stats()}
+        stored = self.supervisor.get_trace(trace_id)
+        if stored is None:
+            what = f"trace {trace_id!r}" if trace_id \
+                else "no traces recorded yet"
+            return error_response(
+                req_id, "trace", f"unknown trace: {what}")
+        trace_id, spans = stored
+        return {"id": req_id, "op": "trace", "status": "ok",
+                "trace_id": trace_id, "spans": spans}
+
+    def _admit_and_wait(self, req: CompileRequest) -> dict:
         """Admission -> fair queue -> block on the reply box."""
         now = time.monotonic()
-        if req.deadline_ms is not None:
-            req.budget_expires_at = now + req.deadline_ms / 1e3
+        budget_s = None if req.deadline_ms is None \
+            else req.deadline_ms / 1e3
         box: queuelib.Queue = queuelib.Queue(maxsize=1)
         item = QueueItem(
             tenant=req.tenant or ANON_TENANT, priority=req.priority,
             op=req.op, enqueued_at=now,
-            expires_at=req.budget_expires_at, payload=(req, box))
+            expires_at=None if budget_s is None else now + budget_s,
+            payload=(req, box))
         with self._lock:
             extra = self._dispatching
         decision = self.admission.offer(
-            item, budget_s=req.remaining_budget_s(now),
-            extra_occupancy=extra)
-        metrics = self.supervisor.metrics
+            item, budget_s=budget_s, extra_occupancy=extra)
         if decision.verdict == REJECT_QUOTA:
-            metrics.counter("admission.rejected",
-                            reason="quota").inc()
             return rejected_response(
                 req.id, req.op, decision.retry_after or 0.5,
                 message=decision.detail, reason="quota")
         if decision.verdict == REJECT_HOPELESS:
             # the remaining budget cannot cover the observed p50
             # service time: answering now is the only honest outcome
-            with self._lock:
-                self._deadline_refused += 1
-            metrics.counter("admission.rejected",
-                            reason="hopeless").inc()
             return deadline_response(req.id, req.op,
                                      message=decision.detail,
                                      reason="hopeless")
         if decision.verdict != ADMIT:      # bounded queue full
-            with self._lock:
-                self._shed += 1
-            metrics.counter("admission.shed",
-                            reason="queue_full").inc()
             return busy_response(req.id, req.op,
                                  retry_after=decision.retry_after
                                  or 0.5)
@@ -623,28 +624,28 @@ class CompileServer(LineServer):
             # makes room for an under-share tenant — it still gets
             # its one structured (busy) reply, right now
             vreq, vbox = decision.displaced.payload
-            with self._lock:
-                self._shed += 1
-            metrics.counter("admission.shed",
-                            reason="displaced").inc()
             _box_put(vbox, busy_response(
                 vreq.id, vreq.op,
                 retry_after=self.admission.queue_retry_after(),
                 message="request displaced from the queue by a "
                         "tenant under its fair share",
                 reason="displaced"))
-        metrics.counter("admission.admitted",
-                        tenant=item.tenant).inc()
         return box.get()
 
     # -- stats -------------------------------------------------------------
 
     def stats(self) -> dict:
+        m = self.metrics
         with self._lock:
             server = {
-                "served": self._served,
-                "shed": self._shed,
-                "deadline_refused": self._deadline_refused,
+                # every dispatched request completes; shed counts the
+                # full-queue and displaced busy replies, deadline
+                # refusals the hopeless arrivals and queue expiries
+                "served": m.total("admission.completed"),
+                "shed": m.total("admission.shed"),
+                "deadline_refused": m.total("admission.rejected",
+                                            reason="hopeless")
+                + m.total("admission.deadline_evicted"),
                 "queue_max": self.queue_max,
                 "queue_depth": self.admission.queue.depth(),
                 "oldest_age_s": self.admission.queue.oldest_age_s(),

@@ -36,6 +36,7 @@ from pathlib import Path
 
 from collections import OrderedDict
 
+from ..api import CompileRequest
 from ..core.diagnostics import (
     CODE_BREAKER, CODE_DEADLINE, CODE_DEGRADED, CODE_HANG, CODE_WORKER,
     Diagnostic, DiagnosticEngine,
@@ -44,13 +45,24 @@ from ..core.summarycache import fingerprint
 from ..obs import CAT_SERVICE, MetricsRegistry, Tracer
 from .breaker import CircuitBreaker
 from .requests import (
-    Request, STATUS_DEGRADED, STATUS_OK, busy_response,
-    deadline_response, error_response, response,
+    STATUS_DEGRADED, STATUS_OK, busy_response, deadline_response,
+    error_response, response,
 )
 from .worker import STAGE_BYTES, get_stage, worker_main
 
 #: stitched traces kept in memory for the ``trace`` control op
 TRACE_STORE_MAX = 64
+
+#: seconds held back from a request's end-to-end ``deadline_ms``
+#: budget when deriving the worker deadline, so a successful reply
+#: always lands *before* the wire deadline
+DEADLINE_MARGIN = 0.1
+
+#: replacement spawns tried after a worker fails to come up
+SPAWN_RETRIES = 3
+
+#: SIGTERM grace before SIGKILL escalation, seconds
+TERM_GRACE = 0.5
 
 
 @dataclass
@@ -60,22 +72,14 @@ class SupervisorConfig:
     pool_size: int = 2
     #: per-attempt wall-clock deadline, seconds (requests may lower it)
     deadline: float = 60.0
-    #: safety margin held back from a request's end-to-end
-    #: ``deadline_ms`` budget when deriving the worker deadline, so a
-    #: successful reply always lands *before* the wire deadline
-    deadline_margin: float = 0.1
     #: retries at the requested tier (lower tiers get one attempt each)
     max_retries: int = 2
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
     #: kill a busy worker whose heartbeat is older than this
     hang_timeout: float = 2.0
-    heartbeat_interval: float = 0.05
     #: max wait for a fresh worker's first heartbeat before respawning
     ready_timeout: float = 15.0
-    spawn_retries: int = 3
-    #: SIGTERM grace before SIGKILL escalation
-    term_grace: float = 0.5
     #: shared content-addressed summary cache (None = no cache)
     cache_dir: str | None = None
     #: where crash reports are persisted (default: <cache_dir>/crashes,
@@ -86,9 +90,6 @@ class SupervisorConfig:
     crash_max: int = 200
     breaker_threshold: int = 3
     breaker_cooldown: float = 30.0
-    #: multiprocessing start method ("fork" keeps respawn cheap on
-    #: Linux; "spawn" is the portable fallback)
-    start_method: str | None = None
     #: boot-time fault specs (slow-start drills) forwarded to the first
     #: ``boot_fault_spawns`` worker spawns only, so recovery converges
     boot_faults: list[dict] = field(default_factory=list)
@@ -118,13 +119,16 @@ class _Outcome:
     """Result of one execution attempt."""
 
     def __init__(self, kind: str, *, payload=None, diagnostics=None,
-                 detail: str = "", last_stage: str = ""):
+                 detail: str = "", last_stage: str = "",
+                 respawned: bool = False):
         self.kind = kind      # ok | error | fatal | crash | deadline |
         #                       hang | busy
         self.payload = payload
         self.diagnostics = diagnostics or []
         self.detail = detail
         self.last_stage = last_stage
+        #: the attempt's own worker died and was replaced
+        self.respawned = respawned
 
     @property
     def ok(self) -> bool:
@@ -132,16 +136,19 @@ class _Outcome:
 
 
 class Supervisor:
-    """Owns the pool; turns requests into structured responses."""
+    """Owns the pool; turns requests into structured responses.
+
+    Every event it counts is one series in :attr:`metrics`, the
+    daemon's one registry; the ``supervisor`` stats block is read out
+    of it."""
 
     def __init__(self, config: SupervisorConfig | None = None):
         self.config = config or SupervisorConfig()
         cfg = self.config
-        method = cfg.start_method
-        if method is None:
-            method = "fork" if "fork" in \
-                multiprocessing.get_all_start_methods() else "spawn"
-        self._ctx = multiprocessing.get_context(method)
+        # fork keeps a respawn cheap; spawn is the portable fallback
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn")
         self.breaker = CircuitBreaker(threshold=cfg.breaker_threshold,
                                       cooldown=cfg.breaker_cooldown)
         self._rng = random.Random(cfg.jitter_seed)
@@ -153,16 +160,6 @@ class Supervisor:
         self._stopping = False
         self._spawn_count = 0
         self._crash_seq = 0
-        self.stats_lock = threading.Lock()
-        self.stats_counters = {
-            "requests": 0, "served_ok": 0, "served_degraded": 0,
-            "errors": 0, "busy": 0, "attempts": 0, "respawns": 0,
-            "crashes": 0, "deadline_kills": 0, "hang_kills": 0,
-            "breaker_skips": 0, "crash_reports_dropped": 0,
-            "deadline_exceeded": 0,
-        }
-        #: structured metrics alongside the flat counters — the
-        #: ``stats`` op reports both
         self.metrics = MetricsRegistry()
         self._trace_lock = threading.Lock()
         #: trace_id -> stitched span dicts, newest last (bounded)
@@ -215,11 +212,11 @@ class Supervisor:
 
         A worker that does not come up within ``ready_timeout``
         (slow-start fault, wedged import) is killed, crash-reported,
-        and replaced, up to ``spawn_retries`` times.
+        and replaced, up to :data:`SPAWN_RETRIES` times.
         """
         cfg = self.config
         last_error = "worker never became ready"
-        for attempt in range(cfg.spawn_retries + 1):
+        for attempt in range(SPAWN_RETRIES + 1):
             self._spawn_count += 1
             boot_faults = cfg.boot_faults \
                 if self._spawn_count <= cfg.boot_fault_spawns else []
@@ -229,7 +226,7 @@ class Supervisor:
             proc = self._ctx.Process(
                 target=worker_main,
                 args=(child_conn, heartbeat, state, cfg.cache_dir,
-                      cfg.heartbeat_interval, boot_faults, os.getpid()),
+                      boot_faults, os.getpid()),
                 daemon=True, name=f"repro-worker-{index}")
             proc.start()
             child_conn.close()
@@ -255,7 +252,7 @@ class Supervisor:
                 detail=last_error, exitcode=proc.exitcode)
         raise RuntimeError(
             f"worker {index} failed to start after "
-            f"{cfg.spawn_retries + 1} attempts: {last_error}")
+            f"{SPAWN_RETRIES + 1} attempts: {last_error}")
 
     def _kill(self, w: _WorkerHandle) -> None:
         """SIGTERM, grace, then SIGKILL escalation."""
@@ -263,7 +260,7 @@ class Supervisor:
             self._workers.discard(w)
         if w.proc.is_alive():
             w.proc.terminate()
-            w.proc.join(timeout=self.config.term_grace)
+            w.proc.join(timeout=TERM_GRACE)
         if w.proc.is_alive():
             w.proc.kill()
             w.proc.join(timeout=2.0)
@@ -272,8 +269,9 @@ class Supervisor:
         except OSError:
             pass
 
-    def _replace(self, w: _WorkerHandle) -> None:
-        """Kill ``w`` (if needed) and return a fresh worker to the pool.
+    def _replace(self, w: _WorkerHandle) -> bool:
+        """Kill ``w`` (if needed) and return a fresh worker to the pool;
+        False when shutting down, which spawns no replacement.
 
         The replacement inherits nothing from the corpse except the
         on-disk summary cache — which is the point: warm state survives
@@ -281,12 +279,11 @@ class Supervisor:
         self._kill(w)
         with self._cv:
             if self._stopping:
-                return                # shutting down: no replacement
-        with self.stats_lock:
-            self.stats_counters["respawns"] += 1
+                return False
         self.metrics.counter("service.respawns").inc()
         replacement = self._spawn(w.index)
         self._release(replacement)
+        return True
 
     # -- stitched traces ---------------------------------------------------
 
@@ -393,14 +390,12 @@ class Supervisor:
             except OSError:
                 pass
         if dropped:
-            with self.stats_lock:
-                self.stats_counters["crash_reports_dropped"] += dropped
             self.metrics.counter("service.crash_reports_dropped") \
                 .inc(dropped)
 
     # -- one execution attempt ---------------------------------------------
 
-    def _execute(self, req: Request, tier: str, attempt: int,
+    def _execute(self, req: CompileRequest, tier: str, attempt: int,
                  deadline: float,
                  tracer: Tracer | None = None) -> _Outcome:
         span = None
@@ -437,20 +432,17 @@ class Supervisor:
         if span is not None:
             span.set(worker=w.index, worker_pid=w.proc.pid)
 
-        job = {"id": req.id, "op": req.op, "tier": tier,
-               "sources": [[n, t] for n, t in req.sources],
-               "options": req.options, "attempt": attempt,
-               "faults": [f.to_dict() for f in req.faults]}
+        job = {"request": req, "tier": tier, "attempt": attempt}
         if tracer is not None:
             job["trace"] = {"trace_id": tracer.trace_id}
         try:
             w.conn.send(job)
         except (OSError, ValueError) as exc:
             last = w.last_stage
-            self._replace(w)
             return done(_Outcome("crash",
                                  detail=f"dispatch failed: {exc}",
-                                 last_stage=last))
+                                 last_stage=last,
+                                 respawned=self._replace(w)))
 
         start = time.monotonic()
         while True:
@@ -464,8 +456,6 @@ class Supervisor:
             now = time.monotonic()
             if now - start > deadline:
                 last = w.last_stage
-                with self.stats_lock:
-                    self.stats_counters["deadline_kills"] += 1
                 self.metrics.counter("service.kills",
                                      reason="deadline").inc()
                 self._crash_report(
@@ -474,15 +464,13 @@ class Supervisor:
                     last_stage=last, reason="deadline",
                     detail=f"attempt exceeded its {deadline:.2f}s "
                            f"deadline", exitcode=None)
-                self._replace(w)
                 return done(_Outcome("deadline", last_stage=last,
                                      detail=f"{deadline:.2f}s deadline "
-                                            f"expired in pass {last!r}"))
+                                            f"expired in pass {last!r}",
+                                     respawned=self._replace(w)))
             hb = w.heartbeat.value
             if hb > 0.0 and now - hb > cfg.hang_timeout:
                 last = w.last_stage
-                with self.stats_lock:
-                    self.stats_counters["hang_kills"] += 1
                 self.metrics.counter("service.kills",
                                      reason="hang").inc()
                 self._crash_report(
@@ -491,11 +479,11 @@ class Supervisor:
                     last_stage=last, reason="hang",
                     detail=f"heartbeat stale for "
                            f"{now - hb:.2f}s", exitcode=None)
-                self._replace(w)
                 return done(_Outcome(
                     "hang", last_stage=last,
                     detail=f"heartbeat lost for {now - hb:.2f}s in "
-                           f"pass {last!r}"))
+                           f"pass {last!r}",
+                    respawned=self._replace(w)))
             if not w.proc.is_alive():
                 try:
                     if w.conn.poll(0.0):
@@ -508,8 +496,6 @@ class Supervisor:
         if msg is None:               # worker died mid-request
             last = w.last_stage
             exitcode = w.proc.exitcode
-            with self.stats_lock:
-                self.stats_counters["crashes"] += 1
             self.metrics.counter("service.crashes").inc()
             self._crash_report(
                 op=req.op, tier=tier, request_id=req.id,
@@ -517,11 +503,11 @@ class Supervisor:
                 last_stage=last, reason="crash",
                 detail=f"worker exited with {exitcode}",
                 exitcode=exitcode)
-            self._replace(w)
             return done(_Outcome(
                 "crash", last_stage=last,
                 detail=f"worker died (exit {exitcode}) in "
-                       f"pass {last!r}"))
+                       f"pass {last!r}",
+                respawned=self._replace(w)))
 
         kind = msg.get("kind")
         if kind == "result":
@@ -533,18 +519,16 @@ class Supervisor:
         if kind == "fatal":           # worker reported OOM and is dying
             last = msg.get("stage") or w.last_stage
             w.proc.join(timeout=2.0)
-            with self.stats_lock:
-                self.stats_counters["crashes"] += 1
             self.metrics.counter("service.crashes").inc()
             self._crash_report(
                 op=req.op, tier=tier, request_id=req.id,
                 attempt=attempt, units=[n for n, _ in req.sources],
                 last_stage=last, reason="fatal",
                 detail=msg.get("error", ""), exitcode=w.proc.exitcode)
-            self._replace(w)
             return done(_Outcome("fatal", last_stage=last,
                                  detail=msg.get("error",
-                                                "worker fatal")))
+                                                "worker fatal"),
+                                 respawned=self._replace(w)))
         # kind == "error": the job failed but the worker is healthy
         self._release(w)
         return done(_Outcome("error", last_stage=msg.get("stage", ""),
@@ -553,10 +537,15 @@ class Supervisor:
 
     # -- the ladder --------------------------------------------------------
 
-    def submit(self, req: Request) -> dict:
+    def submit(self, req: CompileRequest, *,
+               expires_at: float | None = None,
+               queue_wait_s: float = 0.0) -> dict:
         """Serve one request by walking its degradation ladder.
 
-        When the request asked for a trace (``"trace": true``), the
+        ``expires_at`` is the monotonic instant the request's
+        end-to-end ``deadline_ms`` budget runs out (the admission
+        queue item's); ``queue_wait_s`` is the time it sat in that
+        queue.  When the request asked for a trace (``"trace": true``), the
         whole walk runs under a ``request`` span with one ``attempt``
         child span per execution attempt; worker-side spans come back
         with each attempt's result and are stitched underneath it.
@@ -564,24 +553,23 @@ class Supervisor:
         ``spans``) and kept in a bounded store for the ``trace``
         control op."""
         if not req.trace:
-            return self._submit(req, None)
+            return self._submit(req, expires_at, None)
         tracer = Tracer(id_prefix="s.")
         with tracer.span("request", category=CAT_SERVICE) as rs:
             rs.set(op=req.op, request_id=req.id,
                    units=[n for n, _ in req.sources])
-            if req.queue_wait_s:
+            if queue_wait_s:
                 # the admission queue wait happened before submit();
                 # synthesize its span so the trace shows the full
                 # arrival -> dispatch -> attempt timeline
                 now = tracer.clock()
                 tracer.add_finished(
-                    "queue", now - req.queue_wait_s, now,
+                    "queue", now - queue_wait_s, now,
                     category=CAT_SERVICE, parent_id=rs.span_id,
                     attrs={"tenant": req.tenant or "anon",
                            "priority": req.priority,
-                           "wait_ms": round(req.queue_wait_s * 1e3,
-                                            2)})
-            resp = self._submit(req, tracer)
+                           "wait_ms": round(queue_wait_s * 1e3, 2)})
+            resp = self._submit(req, expires_at, tracer)
             rs.set(status=resp.get("status"), tier=resp.get("tier"))
             if resp.get("status") not in (STATUS_OK, STATUS_DEGRADED):
                 rs.status = "error"
@@ -591,10 +579,9 @@ class Supervisor:
         resp["spans"] = spans
         return resp
 
-    def _submit(self, req: Request, tracer: Tracer | None) -> dict:
+    def _submit(self, req: CompileRequest, expires_at: float | None,
+                 tracer: Tracer | None) -> dict:
         cfg = self.config
-        with self.stats_lock:
-            self.stats_counters["requests"] += 1
         self.metrics.counter("service.requests", op=req.op).inc()
         t_start = time.monotonic()
         deadline = req.deadline if req.deadline is not None \
@@ -604,15 +591,17 @@ class Supervisor:
         ladder = req.ladder()
         src_fp = req.source_fingerprint()[:16]
         engine = DiagnosticEngine()
-        respawns_before = self.stats_counters["respawns"]
         attempts = 0
+        # workers this request's own attempts killed and replaced
+        respawns = 0
         failure_reasons: list[dict] = []
+
+        def remaining_s(now: float) -> float | None:
+            return None if expires_at is None else expires_at - now
 
         for tier_index, tier in enumerate(ladder):
             key = f"{req.op}:{tier}:{src_fp}"
             if not self.breaker.allow(key):
-                with self.stats_lock:
-                    self.stats_counters["breaker_skips"] += 1
                 self.metrics.counter("breaker.open",
                                      tier=tier).inc()
                 engine.warning(
@@ -626,15 +615,12 @@ class Supervisor:
                 continue
             tries = 1 + (max_retries if tier_index == 0 else 0)
             for local_try in range(tries):
-                now = time.monotonic()
-                remaining = req.remaining_budget_s(now)
+                remaining = remaining_s(time.monotonic())
                 if remaining is not None \
-                        and remaining <= cfg.deadline_margin:
+                        and remaining <= DEADLINE_MARGIN:
                     # out of end-to-end budget: answering now (with
                     # margin to spare) beats dispatching an attempt
                     # whose reply would land past the wire deadline
-                    with self.stats_lock:
-                        self.stats_counters["deadline_exceeded"] += 1
                     self.metrics.counter("service.deadline_exceeded",
                                          op=req.op).inc()
                     return deadline_response(
@@ -649,25 +635,22 @@ class Supervisor:
                     # minus the reply margin, never more than the
                     # configured per-attempt deadline
                     attempt_deadline = max(
-                        0.05, min(deadline,
-                                  remaining - cfg.deadline_margin))
+                        0.05, min(deadline, remaining - DEADLINE_MARGIN))
                 attempts += 1
-                with self.stats_lock:
-                    self.stats_counters["attempts"] += 1
-                if attempts > 1:
-                    self.metrics.counter("service.retries").inc()
+                self.metrics.counter(
+                    "service.attempts",
+                    kind="retry" if attempts > 1 else "first").inc()
                 outcome = self._execute(req, tier, attempts,
                                         attempt_deadline, tracer)
+                respawns += outcome.respawned
                 if outcome.kind == "busy":
-                    with self.stats_lock:
-                        self.stats_counters["busy"] += 1
                     self.metrics.counter("service.busy").inc()
                     return busy_response(req.id, req.op)
                 if outcome.ok:
                     self.breaker.record_success(key)
                     return self._success_response(
                         req, tier, ladder, outcome, engine, attempts,
-                        respawns_before, t_start)
+                        respawns, t_start)
                 self.breaker.record_failure(key)
                 self._note_failure(engine, tier, attempts, outcome)
                 failure_reasons.append(
@@ -676,22 +659,18 @@ class Supervisor:
                      "last_pass": outcome.last_stage})
                 if local_try < tries - 1:
                     sleep = self._backoff(local_try)
-                    remaining = req.remaining_budget_s(
-                        time.monotonic())
+                    remaining = remaining_s(time.monotonic())
                     if remaining is not None:
                         # never sleep the budget away
                         sleep = min(sleep, max(0.0, remaining / 4))
                     time.sleep(sleep)
 
-        with self.stats_lock:
-            self.stats_counters["errors"] += 1
         self.metrics.counter("service.errors", op=req.op).inc()
         return error_response(
             req.id, req.op,
             "every degradation-ladder tier failed for this request",
             diagnostics=[d.to_dict() for d in engine],
-            attempts=attempts,
-            respawns=self.stats_counters["respawns"] - respawns_before,
+            attempts=attempts, respawns=respawns,
             detail={"tiers_tried": list(ladder),
                     "failures": failure_reasons})
 
@@ -710,11 +689,10 @@ class Supervisor:
             f"{outcome.detail})", code=code,
             action="the supervisor retried or degraded the request")
 
-    def _success_response(self, req: Request, tier: str,
+    def _success_response(self, req: CompileRequest, tier: str,
                           ladder: tuple[str, ...], outcome: _Outcome,
                           engine: DiagnosticEngine, attempts: int,
-                          respawns_before: int,
-                          t_start: float) -> dict:
+                          respawns: int, t_start: float) -> dict:
         for d in outcome.diagnostics:
             try:
                 engine.emit(Diagnostic.from_dict(d))
@@ -728,10 +706,6 @@ class Supervisor:
                 f"{ladder[0]!r}", code=CODE_DEGRADED,
                 action="fix or re-try the workload for a full result")
         status = STATUS_DEGRADED if degraded else STATUS_OK
-        with self.stats_lock:
-            key = "served_degraded" if degraded else "served_ok"
-            self.stats_counters[key] += 1
-            respawns = self.stats_counters["respawns"] - respawns_before
         self.metrics.counter("service.served", op=req.op,
                              status=status).inc()
         self.metrics.histogram("service.request_wall_ms",
@@ -746,8 +720,24 @@ class Supervisor:
     # -- stats -------------------------------------------------------------
 
     def stats(self) -> dict:
-        with self.stats_lock:
-            counters = dict(self.stats_counters)
+        m = self.metrics
+        counters = {
+            "requests": m.total("service.requests"),
+            "served_ok": m.total("service.served", status=STATUS_OK),
+            "served_degraded": m.total("service.served",
+                                       status=STATUS_DEGRADED),
+            "errors": m.total("service.errors"),
+            "busy": m.total("service.busy"),
+            "attempts": m.total("service.attempts"),
+            "respawns": m.total("service.respawns"),
+            "crashes": m.total("service.crashes"),
+            "deadline_kills": m.total("service.kills", reason="deadline"),
+            "hang_kills": m.total("service.kills", reason="hang"),
+            "breaker_skips": m.total("breaker.open"),
+            "crash_reports_dropped": m.total(
+                "service.crash_reports_dropped"),
+            "deadline_exceeded": m.total("service.deadline_exceeded"),
+        }
         with self._cv:
             idle = len(self._idle)
         counters.update({

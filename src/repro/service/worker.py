@@ -5,11 +5,13 @@ supervisor sends over a pipe.  The worker
 
 - runs a daemon *heartbeat thread* stamping a shared
   ``multiprocessing.Value`` with the monotonic clock every
-  ``heartbeat_interval`` seconds — the supervisor's hang detector;
+  :data:`HEARTBEAT_INTERVAL` seconds — the supervisor's hang detector;
 - publishes its *current pass* into a shared character array (via a
   subscriber on the pipeline's pass-event registry) so a crash report
   can name the last pass a dead worker was in;
-- arms per-request *process-level faults*
+- receives each job as the request's own
+  :class:`~repro.api.CompileRequest` plus the ladder tier and attempt
+  number, and arms the request's *process-level faults*
   (:class:`~repro.core.faults.ProcessFaultSpec`) before executing, so
   kill/hang/OOM recovery paths are provable from tests;
 - when the job carries a trace context, runs the pipeline under a
@@ -38,7 +40,7 @@ import threading
 import time
 import traceback
 
-from ..api import CompileOptions, execute_tier
+from ..api import CompileRequest, execute_tier
 from ..api import _type_rows  # noqa: F401  (re-exported; tests use it)
 from ..core.dag import shutdown_process_pool
 from ..core.faults import PROC_FAULTS, ProcessFault, ProcessFaultSpec
@@ -47,6 +49,9 @@ from ..obs import CAT_SERVICE, Tracer
 
 #: bytes reserved for the shared current-pass name
 STAGE_BYTES = 96
+
+#: seconds between two heartbeat stamps
+HEARTBEAT_INTERVAL = 0.05
 
 #: exit status a worker uses when dying on a fatal (OOM-like) fault;
 #: chosen to mirror a SIGKILLed process (128 + 9)
@@ -73,10 +78,9 @@ def execute_job(job: dict, cache_dir: str | None,
     Raises on failure — the caller turns exceptions into ``error``
     messages (or ``fatal`` for :class:`ProcessFault`/``MemoryError``).
     """
-    options = CompileOptions.from_dict(job.get("options") or {})
-    return execute_tier(
-        job["op"], job["tier"], [(n, t) for n, t in job["sources"]],
-        options, cache_dir=cache_dir, tracer=tracer)
+    req: CompileRequest = job["request"]
+    return execute_tier(req.op, job["tier"], req.sources, req.options,
+                        cache_dir=cache_dir, tracer=tracer)
 
 
 def _job_tracer(job: dict) -> Tracer | None:
@@ -97,7 +101,6 @@ def _job_tracer(job: dict) -> Tracer | None:
 # ---------------------------------------------------------------------------
 
 def worker_main(conn, heartbeat, state, cache_dir: str | None,
-                heartbeat_interval: float,
                 boot_faults: list[dict],
                 parent_pid: int | None = None) -> None:
     """Run the worker loop until the parent sends ``None`` or dies."""
@@ -132,7 +135,7 @@ def worker_main(conn, heartbeat, state, cache_dir: str | None,
     def beat() -> None:
         while not silenced.is_set():
             heartbeat.value = time.monotonic()
-            time.sleep(heartbeat_interval)
+            time.sleep(HEARTBEAT_INTERVAL)
 
     threading.Thread(target=beat, daemon=True,
                      name="repro-heartbeat").start()
@@ -161,25 +164,23 @@ def worker_main(conn, heartbeat, state, cache_dir: str | None,
                 break                 # supervisor is gone
             if job is None:
                 break                 # orderly shutdown
+            req: CompileRequest = job["request"]
             set_stage(state, "request")
-            PROC_FAULTS.arm(
-                [ProcessFaultSpec.from_dict(d)
-                 for d in job.get("faults", [])],
-                attempt=int(job.get("attempt", 1)))
+            PROC_FAULTS.arm(req.faults, attempt=job["attempt"])
             tracer = _job_tracer(job)
             try:
                 PROC_FAULTS.fire("request")
                 observe("parse")      # stages before the first guard
                 if tracer is not None:
                     with tracer.span("job", category=CAT_SERVICE) as js:
-                        js.set(op=job.get("op"), tier=job.get("tier"),
-                               attempt=int(job.get("attempt", 1)),
+                        js.set(op=req.op, tier=job["tier"],
+                               attempt=job["attempt"],
                                worker_pid=os.getpid())
                         payload, diagnostics = execute_job(
                             job, cache_dir, tracer)
                 else:
                     payload, diagnostics = execute_job(job, cache_dir)
-                msg = {"kind": "result", "id": job.get("id"),
+                msg = {"kind": "result", "id": req.id,
                        "payload": payload, "diagnostics": diagnostics}
                 if tracer is not None:
                     msg["spans"] = [s.to_dict()
@@ -190,13 +191,13 @@ def worker_main(conn, heartbeat, state, cache_dir: str | None,
                 # in-process: report what we can, then die like the
                 # OOM killer hit us
                 try:
-                    conn.send({"kind": "fatal", "id": job.get("id"),
+                    conn.send({"kind": "fatal", "id": req.id,
                                "error": f"{type(exc).__name__}: {exc}",
                                "stage": get_stage(state)})
                 finally:
                     os._exit(FATAL_EXIT)
             except Exception as exc:  # job failed; worker is healthy
-                msg = {"kind": "error", "id": job.get("id"),
+                msg = {"kind": "error", "id": req.id,
                        "error": f"{type(exc).__name__}: {exc}",
                        "stage": get_stage(state),
                        "traceback": traceback.format_exc(limit=8)}

@@ -119,29 +119,38 @@ def layout_from_decision(decision: TransformDecision,
 def decision_from_layout(base: TransformDecision, layout: Layout,
                          mode: str, pointer, live: list
                          ) -> TransformDecision:
-    """Lower a winning layout back to an applicable decision."""
+    """Lower a winning layout back to an applicable decision.
+
+    Its note describes the searched layout, never the greedy one it
+    replaces."""
     d = TransformDecision(type_name=base.type_name, action="none",
-                          dead_fields=list(base.dead_fields),
-                          notes=list(base.notes))
+                          dead_fields=list(base.dead_fields))
     groups = layout.groups
     if len(groups) > 1 and mode == "peel":
         d.action = "peel"
         d.pointer = pointer
         d.groups = [list(g) for g in groups]
         d.cold_fields = list(base.cold_fields)
+        d.notes.append(f"peel via global pointer {pointer!r} into "
+                       f"{len(groups)} pieces")
         return d
     if len(groups) == 2 and mode == "split":
         d.action = "split"
         d.hot_order = list(groups[0])
         d.cold_fields = list(groups[1])
+        d.notes.append(f"split out {len(d.cold_fields)} fields")
         return d
     order = list(groups[0]) if groups else list(live)
     if d.dead_fields:
         d.action = "dead"
         d.hot_order = order
+        d.notes.append(f"remove {len(d.dead_fields)} dead/unused fields")
     elif order != list(live):
         d.action = "reorder"
         d.hot_order = order
+        d.notes.append("reorder fields")
+    else:
+        d.notes.append("keep the declared layout")
     return d
 
 

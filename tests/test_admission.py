@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.api import ApiError, CompileRequest
+from repro.api import ApiError, CompileRequest, coerce_priority
 from repro.service import (
     CompileServer, ServiceClient, Supervisor, SupervisorConfig,
     single_request, wait_ready,
@@ -23,7 +23,7 @@ from repro.service.admission import (
     ADMIT, ANON_TENANT, AdmissionController, EVICT_EXPIRED, FairQueue,
     PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL, QueueItem,
     REJECT_HOPELESS, REJECT_QUEUE_FULL, REJECT_QUOTA,
-    ServiceTimeTracker, TokenBucket, coerce_priority,
+    ServiceTimeTracker, TokenBucket,
 )
 
 SRC = "int main() { return 0; }\n"
@@ -49,7 +49,7 @@ def item(tenant: str, priority: int = PRIORITY_NORMAL, op: str = "analyze",
 
 
 # ---------------------------------------------------------------------------
-# coerce_priority
+# coerce_priority: the api's one parser of wire priorities
 # ---------------------------------------------------------------------------
 
 class TestCoercePriority:

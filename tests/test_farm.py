@@ -220,7 +220,7 @@ class TestDispatch:
             assert resp["status"] == "ok"
             assert resp["route"]["shard"] != winner
             assert resp["route"]["failovers"] == 1
-            assert router.counters["failovers"] == 1
+            assert router.stats()["router"]["failovers"] == 1
             # the traffic failure also ejected the dead shard
             dead = next(s for s in router.shards
                         if s.name == winner)
@@ -273,8 +273,9 @@ class TestDispatch:
             assert resp["route"]["hedged"] is True
             assert resp["route"]["shard"] != winner
             assert elapsed < 2.0      # did not wait out the slow shard
-            assert router.counters["hedges"] == 1
-            assert router.counters["hedge_wins"] == 1
+            counters = router.stats()["router"]
+            assert counters["hedges"] == 1
+            assert counters["hedge_wins"] == 1
         finally:
             for s in shards:
                 s.shutdown()
@@ -327,7 +328,7 @@ class TestHealth:
             router.probe(state)
         assert not state.healthy
         assert state.ejections == 1
-        assert router.counters["ejections"] == 1
+        assert router.stats()["router"]["ejections"] == 1
         # the shard comes back; the next due probe readmits it
         shard = FakeShard(cluster.shards[0].socket, "s0")
         shard.start()
@@ -335,7 +336,7 @@ class TestHealth:
             state.ejected_until = 0.0
             assert router.probe(state)
             assert state.healthy
-            assert router.counters["readmissions"] == 1
+            assert router.stats()["router"]["readmissions"] == 1
         finally:
             shard.shutdown()
 
@@ -666,7 +667,7 @@ class TestCrashRotation:
         assert len(reports) == 5
         # the survivors are the newest five (seq 0008..0012)
         assert all(int(p.stem.rsplit("-", 1)[1]) >= 8 for p in reports)
-        assert sup.stats_counters["crash_reports_dropped"] == 7
+        assert sup.metrics.total("service.crash_reports_dropped") == 7
         assert sup.stats()["supervisor"]["crash_reports_dropped"] == 7
 
     def test_unbounded_when_cap_disabled(self, tmp_path):
@@ -678,7 +679,7 @@ class TestCrashRotation:
                 units=[], last_stage="apply", reason="crash",
                 detail="", exitcode=None)
         assert len(list((tmp_path / "crashes").glob("*.json"))) == 8
-        assert sup.stats_counters["crash_reports_dropped"] == 0
+        assert sup.stats()["supervisor"]["crash_reports_dropped"] == 0
 
     def test_remote_cache_spec_does_not_nest_crash_dir(self):
         sup = Supervisor(SupervisorConfig(

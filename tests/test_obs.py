@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 import threading
 from contextlib import contextmanager
@@ -28,8 +29,8 @@ from repro.obs import (
     write_trace,
 )
 from repro.service import (
-    CompileServer, ProtocolError, Request, Supervisor,
-    SupervisorConfig, single_request, wait_ready,
+    CompileServer, ProtocolError, Supervisor, SupervisorConfig,
+    parse_compile, single_request, wait_ready,
 )
 
 DEMO = """
@@ -192,6 +193,43 @@ class TestMetrics:
         for t in threads:
             t.join()
         assert c.snapshot() == 4000
+
+    def test_total_and_split_read_counters(self):
+        m = MetricsRegistry()
+        m.counter("served", op="advise", status="ok").inc()
+        m.counter("served", op="compare", status="ok").inc(4)
+        m.counter("served", op="compare", status="degraded").inc()
+        m.histogram("served_ms", op="advise").observe(3.0)
+        assert m.total("served") == 6
+        assert m.total("served", status="ok") == 5
+        assert m.total("never_counted") == 0
+        assert m.split("served", "op") == {"advise": 1, "compare": 5}
+        assert m.split("served", "op", status="degraded") == \
+            {"compare": 1}
+
+    def test_threaded_labelled_series_accuracy(self):
+        """Servers look a labelled series up on every increment, from
+        many threads at once; no increment may be lost."""
+        m = MetricsRegistry()
+
+        def work(i: int) -> None:
+            for _ in range(2000):
+                m.counter("req", tenant=f"t{i % 2}").inc()
+
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(8)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert m.total("req") == 16000
+        assert m.split("req", "tenant") == {"t0": 8000, "t1": 8000}
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +479,7 @@ class TestApiFacade:
             "auto", "per-field", "hot-cold", "affinity"]
         # the daemon's request parser answers with the same detail
         with pytest.raises(ProtocolError) as exc:
-            Request.from_dict(
+            parse_compile(
                 {"op": "transform", "sources": [["a.c", "int x;"]],
                  "options": {"peel_mode": "weird"}})
         assert exc.value.detail["where"] == "options.peel_mode"
@@ -450,7 +488,7 @@ class TestApiFacade:
 
     def test_wire_request_unknown_field_structured_error(self):
         with pytest.raises(ProtocolError) as exc:
-            Request.from_dict(
+            parse_compile(
                 {"op": "advise", "sources": [["a.c", "int x;"]],
                  "optionz": {}})
         assert exc.value.detail["unknown_fields"] == ["optionz"]

@@ -14,9 +14,10 @@ from repro.runtime.replay import (
     capture_trace, plan_layout, precompile, replay_batch,
     replay_reference,
 )
+from repro.transform.heuristics import TransformDecision
 from repro.transform.search import (
-    Layout, LayoutOracle, bb_order, exhaustive_order,
-    run_layout_search, search_mode,
+    Layout, LayoutOracle, bb_order, decision_from_layout,
+    exhaustive_order, run_layout_search, search_mode,
 )
 from repro.workloads import ALL_WORKLOADS, get_workload
 
@@ -225,6 +226,46 @@ class TestScoreMemoization:
         assert a == b
         assert oracle.evals == 1
         assert oracle.memo_hits == 1
+
+
+class TestSearchedDecisionNotes:
+    """A searched decision's note describes the searched layout, not
+    the greedy layout it replaced."""
+
+    GREEDY = TransformDecision(
+        type_name="t", action="peel", pointer="p",
+        groups=[["a"], ["b"], ["c"], ["d"]],
+        notes=["peel via global pointer 'p' into 4 pieces"])
+
+    def test_peel_note_counts_the_searched_pieces(self):
+        d = decision_from_layout(
+            self.GREEDY, Layout((("a", "b"), ("c", "d"))), "peel", "p",
+            ["a", "b", "c", "d"])
+        assert d.groups == [["a", "b"], ["c", "d"]]
+        assert d.notes == ["peel via global pointer 'p' into 2 pieces"]
+
+    def test_split_and_reorder_notes(self):
+        live = ["a", "b", "c", "d"]
+        split = decision_from_layout(
+            self.GREEDY, Layout((("a", "b", "c"), ("d",)), True),
+            "split", None, live)
+        assert split.notes == ["split out 1 fields"]
+        reorder = decision_from_layout(
+            self.GREEDY, Layout((("d", "c", "b", "a"),)), "peel", "p",
+            live)
+        assert (reorder.action, reorder.notes) == \
+            ("reorder", ["reorder fields"])
+
+    def test_art_searched_peel_note(self):
+        sopts = SearchOptions(engine="sa", seed=1, sa_batch=4,
+                              sa_iters=6, sa_restarts=0, budget_s=0)
+        res = Compiler(CompilerOptions(search=sopts)) \
+            .compile_sources(get_workload("179.art").sources("train"))
+        d = next(d for d in res.decisions if d.type_name == "f1_neuron")
+        assert d.action == "peel"
+        assert d.notes[0] == (f"peel via global pointer {d.pointer!r} "
+                              f"into {len(d.groups)} pieces")
+        assert d.notes[1].startswith("search[sa]: ")
 
 
 class TestPipelineIntegration:

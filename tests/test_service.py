@@ -22,8 +22,9 @@ from repro.cli import main
 from repro.core import CODE_BREAKER, CODE_CACHE, CODE_DEADLINE, \
     CODE_DEGRADED, CODE_HANG, CODE_WORKER, Compiler, CompilerOptions
 from repro.service import (
-    CompileServer, ProtocolError, Request, ServiceClient, Supervisor,
-    SupervisorConfig, decode, encode, single_request, wait_ready,
+    CompileServer, ProtocolError, ServiceClient, Supervisor,
+    SupervisorConfig, decode, encode, parse_compile, single_request,
+    wait_ready,
 )
 from repro.service.breaker import CircuitBreaker
 from repro.service.worker import _type_rows
@@ -97,27 +98,27 @@ class TestProtocol:
 
     def test_request_validation(self):
         with pytest.raises(ProtocolError):
-            Request.from_dict({"op": "explode"})
+            parse_compile({"op": "explode"})
         with pytest.raises(ProtocolError):
-            Request.from_dict({"op": "analyze"})          # no sources
+            parse_compile({"op": "analyze"})          # no sources
         with pytest.raises(ProtocolError):
-            Request.from_dict({"op": "analyze",
-                               "sources": [["a.c", 42]]})
+            parse_compile({"op": "analyze",
+                           "sources": [["a.c", 42]]})
         with pytest.raises(ProtocolError):
-            Request.from_dict({"op": "analyze",
-                               "sources": [["a.c", "int x;"]],
-                               "deadline": -1})
+            parse_compile({"op": "analyze",
+                           "sources": [["a.c", "int x;"]],
+                           "deadline": -1})
         with pytest.raises(ProtocolError):
-            Request.from_dict(
+            parse_compile(
                 {"op": "analyze", "sources": [["a.c", "int x;"]],
                  "faults": [{"stage": "apply", "mode": "frobnicate"}]})
 
     def test_ladder_and_fingerprint(self):
-        req = Request.from_dict(compile_request("transform"))
+        req = parse_compile(compile_request("transform"))
         assert req.ladder() == ("full", "advisory", "legality")
-        other = Request.from_dict(compile_request("transform", "int x;"))
+        other = parse_compile(compile_request("transform", "int x;"))
         assert req.source_fingerprint() != other.source_fingerprint()
-        again = Request.from_dict(compile_request("transform"))
+        again = parse_compile(compile_request("transform"))
         assert req.source_fingerprint() == again.source_fingerprint()
 
 
@@ -288,6 +289,41 @@ class TestResilience:
             assert again["payload"]["transformed_sources"] == \
                 killed["payload"]["transformed_sources"]
 
+    def test_reply_counts_only_its_own_respawns(self):
+        """A request that never lost its worker replies ``respawns: 0``
+        even though another request's worker was killed and replaced
+        while it ran."""
+        with service(pool_size=2, max_retries=2) as (sock, _srv, sup):
+            held: dict = {}
+
+            def hold() -> None:
+                # a heartbeat-keeping hang at job receipt keeps this
+                # request on its (healthy) worker for three seconds
+                held["resp"] = single_request(sock, compile_request(
+                    "analyze",
+                    faults=[{"stage": "request", "mode": "hang",
+                             "seconds": 3.0, "silent": False}]),
+                    timeout=120)
+
+            t = threading.Thread(target=hold)
+            t.start()
+            deadline = time.monotonic() + 10
+            while sup.stats()["supervisor"]["idle_workers"] > 1 \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            killed = single_request(sock, compile_request(
+                "transform",
+                faults=[{"stage": "apply", "mode": "kill",
+                         "times": 1}]), timeout=120)
+            t.join(timeout=120)
+            assert killed["status"] == "ok"
+            assert killed["attempts"] == 2
+            assert killed["respawns"] == 1
+            assert held["resp"]["status"] == "ok"
+            assert held["resp"]["attempts"] == 1
+            assert held["resp"]["respawns"] == 0
+            assert sup.stats()["supervisor"]["respawns"] == 1
+
     def test_hang_detected_by_heartbeat_loss(self):
         with service(pool_size=1, hang_timeout=0.4) as (sock, _s, sup):
             resp = single_request(sock, compile_request(
@@ -300,7 +336,7 @@ class TestResilience:
             assert CODE_HANG in codes(resp)
             assert CODE_DEGRADED in codes(resp)
             assert resp["payload"]["table1"] == [1, 1, 1]
-            assert sup.stats_counters["hang_kills"] >= 1
+            assert sup.stats()["supervisor"]["hang_kills"] >= 1
 
     def test_deadline_expiry_with_live_heartbeat(self):
         # silent=False keeps the heartbeat beating, so only the
@@ -314,7 +350,7 @@ class TestResilience:
             assert resp["status"] == "degraded"
             assert resp["tier"] == "advisory"
             assert CODE_DEADLINE in codes(resp)
-            assert sup.stats_counters["deadline_kills"] >= 1
+            assert sup.stats()["supervisor"]["deadline_kills"] >= 1
 
     def test_simulated_oom_is_fatal_then_retried(self):
         with service(pool_size=1, max_retries=1) as (sock, _s, sup):
@@ -358,12 +394,13 @@ class TestResilience:
                 resp = single_request(sock, poisoned)
                 assert resp["status"] == "error"
                 assert resp["error"]["failures"]
-            attempts_before = sup.stats_counters["attempts"]
+            attempts_before = sup.stats()["supervisor"]["attempts"]
             tripped = single_request(sock, poisoned)
             assert tripped["status"] == "error"
             assert tripped["attempts"] == 0       # no worker touched
             assert CODE_BREAKER in codes(tripped)
-            assert sup.stats_counters["attempts"] == attempts_before
+            assert sup.stats()["supervisor"]["attempts"] \
+                == attempts_before
             assert all(f["reason"] == "breaker-open"
                        for f in tripped["error"]["failures"])
             # a different workload is unaffected

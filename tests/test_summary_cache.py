@@ -385,3 +385,45 @@ def test_fsck_missing_root_is_empty_not_an_error(tmp_path):
     report = fsck_cache(tmp_path / "never-created")
     assert report.scanned == 0 and report.corrupt == 0
     assert report.to_dict()["categories"] == {}
+
+
+# ---------------------------------------------------------------------------
+# accounting: one hit or one miss per lookup
+# ---------------------------------------------------------------------------
+
+def _damage(path: pathlib.Path, how: str) -> None:
+    if how == "checksum":
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 0xFF
+        path.write_bytes(bytes(raw))
+    elif how == "empty":
+        path.write_bytes(b"")
+    elif how == "unpickle":
+        path.write_bytes(frame_blob(b"not a pickle"))
+    elif how == "null":
+        path.write_bytes(frame_blob(pickle.dumps(None)))
+    elif how == "missing":
+        path.unlink()
+
+
+@pytest.mark.parametrize(
+    "how", ["checksum", "empty", "unpickle", "null", "missing"])
+def test_a_failed_lookup_counts_one_miss(tmp_path, how):
+    cache = SummaryCache(tmp_path / "cache")
+    key = SummaryCache.key_for("parse", "entry")
+    assert cache.store("parse", key, {"ok": True})
+    _damage(cache._path("parse", key), how)
+    assert cache.load("parse", key) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+
+
+@pytest.mark.parametrize("how", ["checksum", "empty"])
+def test_cache_service_counts_a_corrupt_lookup_once(tmp_path, how):
+    from repro.service.cacheservice import CacheStore
+    store = CacheStore(tmp_path / "cache")
+    key = SummaryCache.key_for("parse", "entry")
+    assert store.put("parse", key, pickle.dumps({"ok": True}))
+    _damage(store.cache._path("parse", key), how)
+    assert store.get("parse", key) == (None, "corrupt")
+    stats = store.stats()
+    assert (stats["hits"], stats["misses"], stats["corrupt"]) == (0, 1, 1)
