@@ -9,11 +9,11 @@ measurements backing the PR's performance claims:
   cold compile that filled the cache.  The warm path restores the whole
   front end from one content-addressed entry, so the claim is >= 5x.
 - ``parallel_speedup`` — cold compile with ``jobs=4`` versus
-  ``jobs=1`` (no cache either way): the pass-DAG scheduler running
-  parse/summarize/analysis nodes concurrently.
-- ``scheduler`` — the DAG shape behind that number: node count,
-  critical-path ms, jobs=1 vs jobs=N wall, measured speedup, and a
-  serial-vs-parallel result-parity check.
+  ``jobs=1`` (no cache either way): the parse pool parsing the units
+  in worker processes while every other step runs inline.
+- ``scheduler`` — the step log behind that number: step count, the
+  sum of the steps (``critical_path_ms``), jobs=1 vs jobs=N wall,
+  measured speedup, and a serial-vs-parallel result-parity check.
 - ``phases`` — per-phase wall time (fe/ipa/be), the hottest guarded
   passes, and the observability cost: best-of-N compile time with
   tracing disabled versus enabled (the disabled path must stay a
@@ -495,7 +495,7 @@ def main(argv=None) -> int:
             print("FAIL: warm recompile not faster than cold",
                   file=sys.stderr)
             ok = False
-        # the DAG nodes are CPU-bound; jobs=4 can only win where there
+        # the parses are CPU-bound; jobs=4 can only win where there
         # are cores to run on (width is clamped to the effective core
         # count, so a 1-core machine must at least break even)
         if pipeline["jobs_effective"] >= 2:

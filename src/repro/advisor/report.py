@@ -193,10 +193,11 @@ def phase_cost_footer(result: CompilationResult) -> str:
     hottest guarded passes (with peak-RSS growth when the compile ran
     with a tracer and per-pass profiling is available).
 
-    Phase timings are wall-clock *windows* (first node start to last
-    node end).  The pass DAG runs one node at a time, so phases never
-    overlap; percentages are taken against the scheduler's measured
-    compile wall, which also covers the time between nodes."""
+    Phase timings are wall-clock *windows* (first step start to last
+    step end).  The compile runs one step at a time, so phases never
+    overlap; percentages are taken against the ``scheduler`` block's
+    measured compile wall, which also covers the time between
+    steps."""
     lines = ["per-phase compile cost", "-" * 69]
     sched = result.scheduler or {}
     wall = sched.get("wall_ms", 0.0) / 1e3

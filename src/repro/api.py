@@ -121,6 +121,16 @@ def _reject_unknown(d: dict, known: tuple[str, ...],
                     "where": where})
 
 
+def _flag(d: dict, name: str, where: str) -> bool:
+    """A wire flag: only a JSON boolean counts, so ``"false"`` is an
+    error, never true."""
+    value = d[name]
+    if not isinstance(value, bool):
+        raise ApiError(f"{where} must be true or false, got {value!r}",
+                       detail={"where": where})
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Options
 # ---------------------------------------------------------------------------
@@ -130,7 +140,7 @@ class SearchOptions:
     """Options for the global layout search (SA + exact B&B).
 
     Immutable so one instance can be shared across request retries,
-    ladder tiers, and DAG nodes without defensive copies.  Defaults
+    ladder tiers, and compile steps without defensive copies.  Defaults
     mirror :data:`repro.transform.search.SEARCH_DEFAULTS` — the
     engine reads whichever attributes exist, so this dataclass *is*
     the knob schema.  ``engine="greedy"`` scores the greedy layout
@@ -277,6 +287,10 @@ class CompileOptions:
                    "cache", "jobs", "cycle_limit", "search")
 
     def __post_init__(self):
+        if self.jobs < 0:
+            raise ApiError(
+                f"jobs must be >= 0 (0 = one parse worker per effective "
+                f"core), got {self.jobs}", detail={"where": "options.jobs"})
         if self.peel_mode is not None \
                 and self.peel_mode not in PEEL_MODES:
             raise ApiError(
@@ -293,20 +307,16 @@ class CompileOptions:
             raise ApiError("'options' must be an object",
                            detail={"where": "options"})
         _reject_unknown(d, cls.WIRE_FIELDS, "options")
-        kwargs: dict = {}
+        kwargs: dict = {name: _flag(d, name, f"options.{name}")
+                        for name in ("relax", "verify", "cache")
+                        if name in d}
         try:
             if "scheme" in d:
                 kwargs["scheme"] = str(d["scheme"])
-            if "relax" in d:
-                kwargs["relax"] = bool(d["relax"])
             if d.get("ts") is not None:
                 kwargs["ts"] = float(d["ts"])
             if d.get("peel_mode") is not None:
                 kwargs["peel_mode"] = str(d["peel_mode"])
-            if "verify" in d:
-                kwargs["verify"] = bool(d["verify"])
-            if "cache" in d:
-                kwargs["cache"] = bool(d["cache"])
             if "jobs" in d:
                 kwargs["jobs"] = int(d["jobs"])
             if "cycle_limit" in d:
@@ -465,7 +475,8 @@ class CompileRequest:
         return cls(op=op, sources=sources, options=options,
                    id=d.get("id"), deadline=deadline,
                    max_retries=max_retries, faults=faults,
-                   trace=bool(d.get("trace", False)),
+                   trace=_flag(d, "trace", "trace") if "trace" in d
+                   else False,
                    tenant=tenant, priority=priority,
                    deadline_ms=deadline_ms)
 

@@ -38,8 +38,8 @@ from .advisor import (
     AdvisorOptions, advisor_report, classify_report, program_vcg,
 )
 from .api import (
-    LADDER, ApiError, CompileOptions, CompileReply, CompileRequest,
-    SearchOptions, Session,
+    LADDER, PRIORITY_NAMES, ApiError, CompileOptions, CompileReply,
+    CompileRequest, SearchOptions, Session,
 )
 from .core import (
     CODE_MISMATCH, CompilationResult, CompilerOptions,
@@ -573,7 +573,6 @@ def _client_request(args) -> CompileRequest:
     except (KeyError, ValueError) as exc:
         raise CliError(f"bad --inject-fault: {exc}",
                        EXIT_USAGE) from exc
-    priority = {"high": 0, "normal": 1, "low": 2}[args.priority]
     try:
         return CompileRequest(
             op=args.client_op,
@@ -584,7 +583,7 @@ def _client_request(args) -> CompileRequest:
             faults=faults,
             trace=bool(args.trace_out),
             tenant=args.tenant,
-            priority=priority,
+            priority=PRIORITY_NAMES[args.priority],
             deadline_ms=args.deadline_ms)
     except ApiError as exc:
         raise CliError(str(exc), EXIT_USAGE) from exc
@@ -703,7 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("-j", "--jobs", type=int, default=1,
                            metavar="N",
                            help="parse translation units on up to "
-                                "N pool workers (default 1 = inline; "
+                                "N pool workers, at most one per "
+                                "effective core (default 1 = inline; "
                                 "0 = one per effective core); every "
                                 "other pass runs serially")
             p.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -981,7 +981,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tenant identity for admission quotas and "
                         "fair queueing (default: anonymous)")
     p.add_argument("--priority", default="normal",
-                   choices=["high", "normal", "low"],
+                   choices=list(PRIORITY_NAMES),
                    help="queue priority lane within the tenant "
                         "(default normal)")
     p.add_argument("--deadline-ms", type=float, default=None,

@@ -14,10 +14,7 @@ from .faults import (
     CACHE_FAULTS, CACHE_FAULT_MODES, CacheFaultRegistry, CacheFaultSpec,
     inject_cache_fault,
 )
-from .dag import (
-    DagError, DagReport, DagScheduler, Node, NodeContext, PassDAG,
-    effective_cores, process_pool, shutdown_process_pool,
-)
+from .dag import effective_cores, process_pool, shutdown_process_pool
 from .fe import FEReport, UnifyError
 from .pipeline import (
     Compiler, CompilerOptions, CompilationResult, PhaseGuard,
@@ -43,9 +40,7 @@ __all__ = [
     "ProcessFaultRegistry", "ProcessFaultSpec",
     "CACHE_FAULTS", "CACHE_FAULT_MODES", "CacheFaultRegistry",
     "CacheFaultSpec", "inject_cache_fault",
-    "DagError", "DagReport", "DagScheduler", "Node", "NodeContext",
-    "PassDAG", "effective_cores", "process_pool",
-    "shutdown_process_pool",
+    "effective_cores", "process_pool", "shutdown_process_pool",
     "FEReport", "UnifyError",
     "CacheEvent", "FsckReport", "SummaryCache", "fingerprint",
     "fsck_cache", "open_cache",

@@ -2,15 +2,15 @@
 
 §2 of the paper stresses that SYZYGY's FE is "run in parallel for
 different source files" while IPA is the monolithic step.  This module
-reproduces that structure for the MiniC frontend; the pass DAG
-(:mod:`repro.core.pipeline`) is its only driver:
+reproduces that structure for the MiniC frontend; the compiler
+(:mod:`repro.core.pipeline`) is its only caller:
 
 1. **Pre-scan** every source for typedef *names* (a tiny regex pass),
    because C's grammar needs to know which identifiers are type names
    before it can parse a unit that uses a typedef from an earlier unit
    (:func:`plan_parses`).
 2. **Parse each TU in isolation** — its own token stream, its own
-   struct-tag and typedef tables.  The ``fe.parse`` DAG node submits
+   struct-tag and typedef tables.  The ``fe.parse`` step submits
    every unit's parse to the shared process pool when ``jobs > 1``
    and gathers the results in unit order, optionally backed by the
    content-addressed parse cache (:func:`parse_cached`).
@@ -20,7 +20,7 @@ reproduces that structure for the MiniC frontend; the pass DAG
    out records whose parse-time layout used placeholder sizes.
 4. **Finalize** with the ordinary shared semantic analysis, in unit
    order, exactly like the serial front end (:func:`finish_assembly`,
-   the ``fe.assemble`` node).
+   the ``fe.assemble`` step).
 
 Determinism: workers are pure functions of ``(unit name, source,
 typedef seed)``, and the unify step iterates units in submission
@@ -38,7 +38,6 @@ legacy behaviour (including its diagnostics) exactly.
 
 from __future__ import annotations
 
-import os
 import re
 import time
 from dataclasses import dataclass, field
@@ -51,7 +50,7 @@ from ..frontend.sema import SemaError, SemanticAnalyzer
 from ..frontend.typesys import (
     INT, ArrayType, FunctionType, NamedType, PointerType, RecordType,
 )
-from .dag import process_pool, shutdown_process_pool
+from .dag import effective_cores, process_pool, shutdown_process_pool
 from .summarycache import SummaryCache
 
 
@@ -370,7 +369,7 @@ def unify_units(parsed: list[ParsedUnit],
 
 
 # ---------------------------------------------------------------------------
-# Node bodies for the pass DAG's fe.parse and fe.assemble nodes
+# The fe.parse and fe.assemble steps
 # ---------------------------------------------------------------------------
 
 def legacy_assembly(sources: list[tuple[str, str]], report: FEReport,
@@ -406,10 +405,12 @@ def plan_parses(sources: list[tuple[str, str]],
 def parse_pool_width(jobs: int, n_tasks: int) -> int:
     """Workers worth using for ``n_tasks`` CPU-bound parses.
 
-    Workers beyond the core count only add serialization overhead, so
-    a 1-core machine parses inline (still through the identical
-    isolated-parse + unify path)."""
-    return min(jobs, n_tasks, os.cpu_count() or 1)
+    Workers beyond the cores this process may run on
+    (:func:`~repro.core.dag.effective_cores`, which respects CPU
+    affinity) only add serialization overhead, so a 1-core machine
+    parses inline (still through the identical isolated-parse + unify
+    path)."""
+    return min(jobs, n_tasks, effective_cores())
 
 
 def parse_cached(tasks: list[tuple], cache: SummaryCache | None = None,
@@ -418,7 +419,7 @@ def parse_cached(tasks: list[tuple], cache: SummaryCache | None = None,
     """Parse every TU through the cache: one ``(unit, key, fresh)``
     triple per task, in task order.
 
-    This is the ``fe.parse`` node body.  Each unit first probes the
+    This is the ``fe.parse`` step.  Each unit first probes the
     parse cache for a complete, error-free artifact.  The misses are
     all submitted to the shared process pool before any result is
     awaited, then gathered in unit order; at a pool width of 1
@@ -468,7 +469,7 @@ def finish_assembly(sources: list[tuple[str, str]],
                     prescans: list[list[str]], report: FEReport,
                     cache: SummaryCache | None = None
                     ) -> tuple[Program, FEReport]:
-    """The ``fe.assemble`` node body over ``fe.parse``'s ``(unit, key,
+    """The ``fe.assemble`` step over ``fe.parse``'s ``(unit, key,
     fresh)`` triples, in unit order: record per-unit stats, store
     fresh clean parses, unify the type tables, and run sema — or fall
     back to the serial FE on anything the unified path cannot

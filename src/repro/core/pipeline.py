@@ -1,28 +1,29 @@
-"""The compilation pipeline as an explicit pass DAG (§2 of the paper).
+"""The compilation pipeline: one straight line of guarded passes (§2).
 
-:class:`Compiler` mirrors the SYZYGY phase structure — **FE** (per
+:class:`Compiler` follows the SYZYGY phase structure — **FE** (per
 translation unit, parallelizable in the paper), **IPA** (summary
 aggregation, escape analysis, weight estimation, heuristics), **BE**
-(application of the planned transformations) — but the phases are no
-longer a monolith: every pass is a **node** in a
-:class:`~repro.core.dag.PassDAG` with explicit dependency edges,
-executed by :class:`~repro.core.dag.DagScheduler`:
+(application of the planned transformations) — and runs every pass as
+a named **step**, one after another on the calling thread, in a fixed
+order:
 
-- the ``fe.parse`` node fans every unit's parse out to a shared
-  process pool (``jobs`` workers) and gathers them in unit order,
-  per-TU summarize nodes (``legality[a.c]``) each probe their own
-  summary-cache entry, and the IPA merges (``legality``,
-  ``deadfields``) are barriers over their unit nodes;
-- the BE planner appends one ``apply[TypeName]`` node per transform
-  decision *while the DAG runs* (dynamic growth), chained in decision
-  order.
+- FE: ``fe.parse`` fans every unit's parse out to a shared process
+  pool (``jobs`` workers) and gathers them in unit order;
+  ``fe.assemble`` unifies them; ``lower`` and ``loops``; one
+  summarize step per unit (``legality[a.c]``, ``deadfields[a.c]``),
+  each probing its own summary-cache entry, followed by its merge
+  (``legality``, ``deadfields``); ``fe.finish`` stores a clean front
+  end in the cache;
+- IPA: ``callgraph``, ``escape``, ``pointsto`` (relaxed legality
+  only), ``weights``, ``profiles``, ``heuristics``;
+- BE: with a layout search, ``search.trace``, one ``search[T]`` per
+  eligible type and the ``search`` merge; then one ``apply[T]`` per
+  transformed decision, in decision order, ``apply`` and ``verify``.
 
-Nodes run inline in insertion order — byte-identical to the
-historical phased pipeline — and ``jobs`` only sizes the parse pool,
-so it stays an execution strategy, never a semantic knob.  Per-phase wall-clock
-timings are derived from per-node measurements (§2.5), and
-:attr:`CompilationResult.scheduler` reports the DAG shape and critical
-path of every compile.
+``jobs`` only sizes the parse pool, so it stays an execution strategy,
+never a semantic knob.  Per-phase wall-clock timings (§2.5) come from
+the step log, and :attr:`CompilationResult.scheduler` reports the
+step count, wall and step sum of every compile.
 
 The driver is **fault tolerant**: structure layout optimization is an
 optimization, so no failure inside it may take the compilation down.
@@ -31,13 +32,13 @@ wall-clock budget overrun, or a summary that fails validation demotes
 the affected struct types to "do not transform" with a recorded
 :class:`~repro.core.diagnostics.Diagnostic`, and compilation continues
 to a valid (merely more conservative) result.  Containment is
-*per node*: a crashing unit summary or a single failing ``apply[T]``
-demotes only its own slice of the graph, and the scheduler keeps
-draining the ready queue.  With ``verify_transforms`` enabled the BE
-additionally executes the original and transformed programs on the
-simulated machine and *rolls back* any decision whose application
-changes observable behaviour, bisecting the decision list to find the
-offender — the compiler cannot emit a semantics-changing layout.
+*per step*: a crashing unit summary or a single failing ``apply[T]``
+demotes only its own slice, and the later steps still run.  With
+``verify_transforms`` enabled the BE additionally executes the
+original and transformed programs on the simulated machine and *rolls
+back* any decision whose application changes observable behaviour,
+bisecting the decision list to find the offender — the compiler cannot
+emit a semantics-changing layout.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
@@ -81,7 +83,6 @@ from ..obs import (
     MetricsRegistry, NULL_TRACER, PASS_EVENTS, PassEvent, PassProfiler,
     Tracer, TracingPassObserver,
 )
-from .dag import DagScheduler, PassDAG
 from .diagnostics import (
     CODE_BUDGET, CODE_CACHE, CODE_CONTAINED, CODE_CORRUPT, CODE_PARSE,
     CODE_ROLLBACK, CODE_VERIFY, DiagnosticEngine, FatalCompilerError,
@@ -99,9 +100,9 @@ SCHEMES = ("SPBO", "ISPBO", "ISPBO.NO", "ISPBO.W", "PBO", "PPBO")
 #: legality pseudo-reason marking a type demoted by fault containment
 FAULT_REASON = "FAULT"
 
-#: sentinel a per-unit summarize node returns when its source name is
+#: sentinel a per-unit summarize step returns when its source name is
 #: absent from the assembled program (legacy-fallback sema skips, parse
-#: failures) — the merge barrier drops these entries
+#: failures) — the merge step drops these entries
 _SKIP = object()
 
 
@@ -148,8 +149,8 @@ class CompilerOptions:
     verify_cycle_factor: float = 4.0
     verify_cycle_slack: int = 1_000_000
     #: parse workers in the shared process pool, clamped to the unit
-    #: and core counts (1 = every unit parses inline); every other
-    #: node runs inline, one at a time, regardless.  The CLI/API
+    #: and effective core counts (1 = every unit parses inline); every
+    #: other step runs inline, one at a time, regardless.  The CLI/API
     #: resolve ``--jobs 0`` (auto) to
     #: :func:`repro.core.dag.effective_cores` before options are
     #: built, so here the floor stays 1.
@@ -162,8 +163,8 @@ class CompilerOptions:
     cache_dir: str | Path | None = None
     #: global layout-search options (:class:`repro.api.SearchOptions`
     #: or any object with the same attributes; None = greedy
-    #: heuristics only).  When set, the BE grows ``search.trace`` /
-    #: ``search[T]`` nodes that refine the greedy decisions through
+    #: heuristics only).  When set, the BE runs ``search.trace`` /
+    #: ``search[T]`` steps that refine the greedy decisions through
     #: the replay oracle.  BE-only like the verification knobs, so it
     #: is excluded from :meth:`fingerprint` and FE/IPA cache entries
     #: are shared across search configurations.
@@ -228,7 +229,7 @@ class CompilationResult:
     pass_profile: dict[str, dict] = field(default_factory=dict)
     #: trace id of the compile's span tree (None when tracing was off)
     trace_id: str | None = None
-    #: how the pass DAG ran: jobs, node count, wall, critical path
+    #: how the steps ran: jobs, step count, wall, step list and sum
     scheduler: dict = field(default_factory=dict)
     #: per-type layout-search stats keyed by type name, plus a
     #: ``_trace`` entry describing the captured access trace; empty
@@ -343,490 +344,66 @@ class PhaseGuard:
         return fallback()
 
 
-class _CompileGraph:
-    """Builds the pass DAG for one compilation.
+class _Run:
+    """One compile in flight.
 
-    Each node gets its own :class:`DiagnosticEngine`, pass-timing
-    fragment, and :class:`PhaseGuard`; :meth:`Compiler._run` merges
-    the per-node engines in node insertion order after the run.
+    Holds the compile's one :class:`DiagnosticEngine`, the guards that
+    write into it, the cache context of the per-unit probes, and the
+    **step log**: every step appends ``(name, phase, start, end)`` in
+    ``perf_counter`` seconds, and ``result.timings`` and
+    ``result.scheduler`` are read from it.  Guarded passes record
+    their own wall time in :attr:`pass_timings`.
     """
 
-    def __init__(self, compiler: "Compiler", *,
-                 cache: SummaryCache | None, opts_fp: str,
+    def __init__(self, opts: CompilerOptions, cache: SummaryCache | None,
                  sources: list[tuple[str, str]] | None):
-        self.c = compiler
-        self.opts = compiler.options
+        self.strict = opts.strict
+        self.diags = DiagnosticEngine()
+        self.pass_timings: dict[str, float] = {}
+        self.guard = self.guard_with(opts.phase_budget)
         self.cache = cache
-        self.opts_fp = opts_fp
         self.sources = sources
-        self.dag = PassDAG()
-        self.engines: dict[str, DiagnosticEngine] = {}
-        self.node_timings: dict[str, dict[str, float]] = {}
-        self.state: dict[str, Any] = {}
-        self.rolled_back: list[str] = []
+        self.opts_fp = opts.fingerprint()
+        #: fingerprint of the unified type/symbol interface, part of
+        #: every per-unit summary key (set by ``fe.assemble``)
+        self.iface_fp = ""
+        self.log: list[tuple[str, str, float, float]] = []
+        self.phase = ""
 
-    # -- node plumbing -----------------------------------------------------
+    def guard_with(self, budget: float | None) -> PhaseGuard:
+        return PhaseGuard(self.diags, strict=self.strict, budget=budget,
+                          timings=self.pass_timings)
 
-    def _spec(self, name: str, fn, *, deps=(), phase: str = "",
-              group: str = "", budget: float | None = None) -> dict:
-        engine = DiagnosticEngine()
-        timings: dict[str, float] = {}
-        guard = PhaseGuard(engine, strict=self.opts.strict,
-                           budget=budget, timings=timings)
-        self.engines[name] = engine
-        self.node_timings[name] = timings
-        return {"name": name,
-                "fn": lambda ctx, fn=fn, e=engine, g=guard: fn(ctx, e, g),
-                "deps": tuple(deps), "phase": phase, "group": group}
-
-    def _add(self, name: str, fn, **kw) -> None:
-        spec = self._spec(name, fn, **kw)
-        self.dag.add(spec["name"], spec["fn"], deps=spec["deps"],
-                     phase=spec["phase"], group=spec["group"])
-
-    # -- FE: parse + assemble ----------------------------------------------
-
-    def build_fe_sources(self) -> None:
-        c, opts, sources = self.c, self.opts, self.sources
-        n_units = max(len(sources), 1)
-        unit_budget = opts.phase_budget / n_units \
-            if opts.phase_budget is not None else None
-        report = FEReport(jobs=opts.jobs)
-        plan_error = ""
+    def step(self, name: str, fn: Callable[..., Any], *args) -> Any:
+        """Run ``fn(*args)`` as step ``name`` of the current phase."""
+        t0 = time.perf_counter()
         try:
-            tasks, prescans = plan_parses(sources, unit_budget)
-        except Exception as exc:                   # pragma: no cover
-            tasks, prescans = None, None
-            plan_error = f"typedef pre-scan failed: {exc}"
+            return fn(*args)
+        finally:
+            self.log.append((name, self.phase, t0, time.perf_counter()))
 
-        def parse_fn(ctx, engine, guard):
-            if tasks is None:
-                return None
-            return parse_cached(tasks, self.cache, self.opts_fp,
-                                jobs=opts.jobs)
+    def window(self, phase: str) -> float:
+        """Wall-clock window of a phase's steps (first start to last
+        end); 0.0 when the phase ran no step."""
+        spans = [(s, e) for _, p, s, e in self.log if p == phase]
+        if not spans:
+            return 0.0
+        return max(e for _, e in spans) - min(s for s, _ in spans)
 
-        def assemble(ctx, engine, guard):
-            if tasks is None:
-                program, rep = legacy_assembly(sources, report, plan_error)
-            else:
-                program, rep = finish_assembly(
-                    sources, ctx["fe.parse"], prescans, report,
-                    self.cache)
-            self.state["fe_report"] = rep
-            c._fe_report_diags(rep, engine, unit_budget)
-            c._parse_diags(program, engine)
-            if self.cache is not None:
-                self.state["iface_fp"] = c._interface_fingerprint(program)
-            return program
-
-        self._add("fe.parse", parse_fn, phase="fe", group="fe.parse")
-        self._add("fe.assemble", assemble, deps=("fe.parse",),
-                  phase="fe", group="fe.parse")
-
-    # -- FE: analyses --------------------------------------------------------
-
-    def build_fe_analyses(self, unit_names: list[str]) -> None:
-        c, opts = self.c, self.opts
-        pb = opts.phase_budget
-        self._add(
-            "lower",
-            lambda ctx, e, g: g.run(
-                "lower", lambda: lower_program(ctx["fe.assemble"]),
-                dict),
-            deps=("fe.assemble",), phase="fe", budget=pb)
-        self._add(
-            "loops",
-            lambda ctx, e, g: g.run(
-                "loops",
-                lambda: {name: find_loops(cfg)
-                         for name, cfg in ctx["lower"].items()},
-                dict),
-            deps=("lower",), phase="fe", budget=pb)
-        leg = self._unit_family(
-            "legality", unit_names, summarize=summarize_unit_legality,
-            unit_fallback=fallback_unit_legality,
-            summary_type=UnitLegality)
-        self._merge_node("legality", leg, merge=merge_unit_legality,
-                         fallback=c._fallback_legality,
-                         validate=c._validate_legality)
-        dead = self._unit_family(
-            "deadfields", unit_names, summarize=summarize_unit_usage,
-            unit_fallback=fallback_unit_usage, summary_type=UnitUsage)
-        self._merge_node("deadfields", dead, merge=merge_unit_usage,
-                         fallback=c._fallback_usage,
-                         validate=c._validate_usage)
-
-    def _unit_family(self, kind: str, unit_names: list[str], *,
-                     summarize, unit_fallback,
-                     summary_type) -> list[str]:
-        """One summarize node per unit (``legality[a.c]``), each with a
-        proportional share of the phase budget and its own summary-cache
-        probe — the FE/IPA split of §2."""
-        opts = self.opts
-        n = max(len(unit_names), 1)
-        share = opts.phase_budget / n \
-            if opts.phase_budget is not None else None
-        nodes: list[str] = []
-        counts: dict[str, int] = {}
-        for i, raw in enumerate(unit_names):
-            occ = counts.get(raw, 0)
-            counts[raw] = occ + 1
-            gname = f"{kind}[{raw}]"
-            node = gname if occ == 0 else f"{kind}[{raw}#{occ}]"
-
-            def unit_fn(ctx, engine, guard, i=i, raw=raw, occ=occ,
-                        gname=gname):
-                program = ctx["fe.assemble"]
-                u = _unit_for(program, raw, occ)
-                if u is _SKIP:
-                    return _SKIP
-                cache = self.cache
-                key = None
-                # a cache implies sources; the program's units line up
-                # with them one to one unless the FE dropped a unit
-                if cache is not None and not program.frontend_errors:
-                    key = cache.key_for(
-                        "summary", kind, raw, self.sources[i][1],
-                        self.state.get("iface_fp", ""), self.opts_fp)
-                    got = cache.load("summary", key)
-                    if isinstance(got, summary_type):
-                        return got
-                    if got is not None:
-                        cache.reject("summary", key,
-                                     "artifact has the wrong type")
-                s = guard.run(gname, lambda: summarize(u),
-                              lambda: unit_fallback(raw))
-                if key is not None and isinstance(s, summary_type) \
-                        and not s.demote_all:
-                    cache.store("summary", key, s)
-                return s
-
-            self._add(node, unit_fn, deps=("fe.assemble",), phase="fe",
-                      budget=share)
-            nodes.append(node)
-        return nodes
-
-    def _merge_node(self, kind: str, unit_nodes: list[str], *,
-                    merge, fallback, validate) -> None:
-        """The IPA merge barrier over one unit family."""
-        pb = self.opts.phase_budget
-
-        def merge_fn(ctx, engine, guard):
-            program = ctx["fe.assemble"]
-            summaries = [s for n in unit_nodes
-                         if (s := ctx[n]) is not _SKIP]
-            res = guard.run(kind, lambda: merge(program, summaries),
-                            lambda: fallback(program))
-            return validate(program, res, engine)
-
-        self._add(kind, merge_fn,
-                  deps=("fe.assemble",) + tuple(unit_nodes),
-                  phase="fe", budget=pb)
-
-    def build_fe_finish(self, fe_key: str) -> None:
-        """Store the whole-FE artifact once every FE node is clean.
-
-        Only clean front ends are cached: a contained fault or a budget
-        overrun must be recomputed (and re-reported), not replayed
-        silently from disk.  The engine snapshot below covers exactly
-        the FE nodes built before this one.  ``escape`` depends on this
-        node so the stored legality cannot be mutated mid-pickle.
-        """
-        c, cache = self.c, self.cache
-        snapshot = list(self.engines.values())
-
-        def finish_fn(ctx, engine, guard):
-            program = ctx["fe.assemble"]
-            if not program.frontend_errors \
-                    and not any(e.contained() for e in snapshot):
-                cache.store("fe", fe_key,
-                            (program, ctx["lower"], ctx["loops"],
-                             ctx["legality"], ctx["deadfields"]))
-            c._cache_diags(cache, engine)
-            return None
-
-        self._add("fe.finish", finish_fn,
-                  deps=("fe.assemble", "lower", "loops", "legality",
-                        "deadfields"),
-                  phase="fe")
-
-    # -- IPA + BE ------------------------------------------------------------
-
-    def build_ipa_be(self, has_finish: bool) -> None:
-        c, opts = self.c, self.opts
-        pb = opts.phase_budget
-        self._add(
-            "callgraph",
-            lambda ctx, e, g: g.run(
-                "callgraph",
-                lambda: build_call_graph(ctx["lower"],
-                                         ctx["fe.assemble"]),
-                lambda: CallGraph(cfgs={})),
-            deps=("fe.assemble", "lower"), phase="ipa", budget=pb)
-        # escape mutates legality (ESCP/FAULT reasons), so the whole-FE
-        # store must have happened first when a cache is in play
-        esc_deps = ("fe.assemble", "legality") \
-            + (("fe.finish",) if has_finish else ())
-        self._add(
-            "escape",
-            lambda ctx, e, g: g.run(
-                "escape",
-                lambda: analyze_escapes(ctx["fe.assemble"],
-                                        ctx["legality"]),
-                lambda: c._fallback_escape(ctx["legality"])),
-            deps=esc_deps, phase="ipa", budget=pb)
-        heur_deps = ["fe.assemble", "legality", "deadfields", "escape",
-                     "weights", "profiles"]
-        if opts.relax_legality:
-            self._add(
-                "pointsto",
-                lambda ctx, e, g: c._relax(ctx["fe.assemble"],
-                                           ctx["legality"], g, e),
-                deps=("fe.assemble", "legality", "escape"),
-                phase="ipa", budget=pb)
-            heur_deps.append("pointsto")
-        self._add(
-            "weights",
-            lambda ctx, e, g: g.run(
-                "weights",
-                lambda: c._weights(ctx["lower"], ctx["callgraph"],
-                                   ctx["loops"]),
-                lambda: ProgramWeights(scheme=opts.scheme)),
-            deps=("lower", "loops", "callgraph"), phase="ipa",
-            budget=pb)
-
-        def profiles_fn(ctx, e, g):
-            res = g.run(
-                "profiles",
-                lambda: compute_profiles(ctx["fe.assemble"],
-                                         ctx["lower"], ctx["weights"],
-                                         ctx["loops"]),
-                dict)
-            return c._validate_profiles(res, e)
-
-        self._add("profiles", profiles_fn,
-                  deps=("fe.assemble", "lower", "loops", "weights"),
-                  phase="ipa", budget=pb)
-
-        def heuristics_fn(ctx, e, g):
-            program = ctx["fe.assemble"]
-            res = g.run(
-                "heuristics",
-                lambda: decide_transforms(
-                    program, ctx["legality"], ctx["deadfields"],
-                    ctx["profiles"], ctx["weights"].scheme,
-                    opts.params),
-                list)
-            return c._validate_decisions(program, res, e)
-
-        self._add("heuristics", heuristics_fn, deps=tuple(heur_deps),
-                  phase="ipa", budget=pb)
-        if opts.search is not None:
-            def trace_fn(ctx, e, g):
-                return g.run(
-                    "search.trace",
-                    lambda: capture_trace(ctx["fe.assemble"],
-                                          entry=opts.entry),
-                    lambda: None)
-
-            self._add("search.trace", trace_fn, deps=("fe.assemble",),
-                      phase="be", budget=pb)
-            self._add("search.plan", self._search_plan_fn,
-                      deps=("fe.assemble", "heuristics", "legality",
-                            "profiles", "search.trace"),
-                      phase="be")
-        else:
-            self._add("be.plan", self._plan_fn,
-                      deps=("fe.assemble", "heuristics"), phase="be")
-
-    def _search_plan_fn(self, ctx, engine, guard):
-        """Grow the search subgraph from the captured trace: one
-        ``search[TypeName]`` node per eligible type (each replays the
-        shared read-only trace against its own candidate batches
-        within its even share of ``budget_s``), a ``search`` gather
-        node merging the refined decisions back in decision order, and
-        ``be.plan`` itself — the BE planner must be appended here
-        because a static node cannot depend on dynamically added
-        ones."""
-        opts = self.opts
-        program = ctx["fe.assemble"]
-        decisions = ctx["heuristics"]
-        legality = ctx["legality"]
-        profiles = ctx["profiles"]
-        trace = ctx["search.trace"]
-        sopts = opts.search
-        pb = opts.phase_budget
-
-        eligible = []
-        if trace is not None:
-            for d in decisions:
-                info = legality.types.get(d.type_name)
-                profile = profiles.get(d.type_name)
-                if info is None or profile is None:
-                    continue
-                if d.type_name not in trace.record_fields:
-                    continue
-                if search_mode(program, info, info.record)[0] is None:
-                    continue
-                eligible.append((d, info, profile))
-
-        budget = getattr(sopts, "budget_s", None)
-        if budget is None:
-            budget = SEARCH_DEFAULTS["budget_s"]
-        budget = float(budget)
-        share = budget / len(eligible) if eligible else 0.0
-
-        specs: list[dict] = []
-        snodes: list[str] = []
-        for d, info, profile in eligible:
-            nname = f"search[{d.type_name}]"
-
-            def search_fn(ctx2, e2, g2, d=d, info=info,
-                          profile=profile, nname=nname):
-                def body():
-                    compiled = precompile(trace, d.type_name)
-                    deadline = time.monotonic() + share \
-                        if budget > 0 else None
-                    return search_type(program, compiled, info, d,
-                                       profile, sopts,
-                                       cache=self.cache,
-                                       deadline=deadline)
-
-                return g2.run(nname, body, lambda: None)
-
-            specs.append(self._spec(nname, search_fn,
-                                    deps=("search.plan",), phase="be",
-                                    budget=pb))
-            snodes.append(nname)
-
-        def gather_fn(ctx2, e2, g2):
-            def body():
-                refined = {d.type_name: d for d in decisions}
-                stats: dict = {}
-                if trace is not None:
-                    stats["_trace"] = {
-                        "ops": len(trace), "cycles": trace.cycles,
-                        "truncated": trace.truncated,
-                    }
-                for (d, _info, _profile), n in zip(eligible, snodes):
-                    out = ctx2[n]
-                    if out is None:
-                        continue
-                    out = dict(out)
-                    refined[d.type_name] = out.pop("decision")
-                    stats[d.type_name] = out
-                return {"decisions": [refined[d.type_name]
-                                      for d in decisions],
-                        "stats": stats}
-
-            return g2.run(
-                "search", body,
-                lambda: {"decisions": decisions, "stats": {}})
-
-        specs.append(self._spec(
-            "search", gather_fn,
-            deps=tuple(snodes) if snodes else ("search.plan",),
-            phase="be", budget=pb))
-        specs.append(self._spec(
-            "be.plan", self._plan_fn,
-            deps=("fe.assemble", "heuristics", "search"), phase="be"))
-        ctx.add_nodes(specs)
-        return None
-
-    def _plan_fn(self, ctx, engine, guard):
-        """Grow the BE subgraph from the decided transforms: one
-        ``apply[TypeName]`` node per decision (chained in decision
-        order), an ``apply`` gather barrier, and ``verify``."""
-        c, opts = self.c, self.opts
-        program = ctx["fe.assemble"]
-        if opts.search is not None:
-            # the search gather already merged its refinements back in
-            # decision order; the greedy decisions are its floor
-            decisions = ctx["search"]["decisions"]
-        else:
-            decisions = ctx["heuristics"]
-        if not opts.transform:
-            return None
-        pb = opts.phase_budget
-        specs: list[dict] = []
-        prev: str | None = None
-        for d in decisions:
-            if not d.transformed:
-                continue
-            gname = f"apply[{d.type_name}]"
-            specs.append(self._spec(
-                gname, self._apply_fn(d, prev, program),
-                deps=("be.plan",) if prev is None else (prev,),
-                phase="be", budget=pb))
-            prev = gname
-        last = prev
-
-        def gather_fn(ctx2, e2, g2):
-            base = ctx2[last] if last is not None else program
-            return g2.run(
-                "apply", lambda: base,
-                lambda: c._demote_all_decisions(
-                    program, decisions,
-                    "transform application failed"))
-
-        specs.append(self._spec(
-            "apply", gather_fn,
-            deps=("be.plan",) if last is None else (last,),
-            phase="be", budget=pb))
-        if opts.verify_transforms:
-            def verify_fn(ctx2, e2, g2):
-                transformed = ctx2["apply"]
-                return g2.run(
-                    "verify",
-                    lambda: c._verify_transforms(
-                        program, decisions, transformed, e2,
-                        self.rolled_back),
-                    lambda: c._demote_all_decisions(
-                        program, decisions,
-                        "verification machinery failed; transforms "
-                        "withheld"))
-
-            specs.append(self._spec("verify", verify_fn,
-                                    deps=("apply",), phase="be",
-                                    budget=pb))
-        ctx.add_nodes(specs)
-        return None
-
-    def _apply_fn(self, d: TransformDecision, prev: str | None,
-                  program: Program):
-        c, opts = self.c, self.opts
-
-        def fn(ctx, engine, guard):
-            base = ctx[prev] if prev is not None else program
-
-            def body():
-                try:
-                    return apply_decisions(base, [d])
-                except Exception as exc:
-                    if opts.strict:
-                        raise FatalCompilerError(
-                            "apply", f"transform of {d.type_name!r} "
-                                     f"failed: {exc}",
-                            cause=exc) from exc
-                    engine.warning(
-                        "apply",
-                        f"{d.action} failed "
-                        f"({type(exc).__name__}: {exc}); "
-                        f"type left untransformed",
-                        type_name=d.type_name, code=CODE_CONTAINED,
-                        action="report a rewriter bug with this source")
-                    d.notes.append(f"contained apply failure: {exc}")
-                    d.action = "none"
-                    return base
-
-            return guard.run(f"apply[{d.type_name}]", body,
-                             lambda: base)
-
-        return fn
+    def scheduler(self, jobs: int, wall: float, restored: bool) -> dict:
+        """The ``scheduler`` block.  The steps form one chain, so the
+        critical path is every step in run order and its length is
+        their sum."""
+        return {"jobs": jobs, "nodes": len(self.log),
+                "wall_ms": round(wall * 1e3, 3),
+                "critical_path_ms": round(
+                    sum(e - s for _, _, s, e in self.log) * 1e3, 3),
+                "critical_path": [name for name, _, _, _ in self.log],
+                "restored_fe": restored}
 
 
 class Compiler:
-    """Drives one compilation through the pass DAG.
+    """Drives one compilation through its straight line of steps.
 
     ``tracer`` and ``metrics`` are the observability hooks: a
     :class:`~repro.obs.Tracer` collects a ``compile`` → phase → pass
@@ -882,10 +459,9 @@ class Compiler:
         Warm path: an unchanged ``(sources, options)`` pair restores
         the entire FE result — program, CFGs, loop nests, legality and
         usage summaries — from one cache entry (the paper's "IELF
-        files" kept between compiles), seeds the DAG with it, and runs
-        only the IPA/BE subgraph.  Cache problems of any kind degrade
-        to recomputation with a ``CODE_CACHE`` diagnostic; they never
-        fail the compile.
+        files" kept between compiles) and runs only the IPA and BE
+        steps.  Cache problems of any kind degrade to recomputation
+        with a ``CODE_CACHE`` diagnostic; they never fail the compile.
 
         The cache is bypassed while fault injection is armed so
         injected faults always exercise the real passes.
@@ -900,166 +476,385 @@ class Compiler:
                 s.set(scheme=self.options.scheme,
                       units=len(sources) if sources is not None
                       else len(program.units))
-                result = self._run(program, sources, s)
+                result = self._run(program, sources)
             return self._finalize_obs(result, profiler)
 
-    # -- the DAG driver ----------------------------------------------------
+    # -- the steps ---------------------------------------------------------
+
+    @contextmanager
+    def _phase(self, run: _Run, name: str):
+        """Open phase ``name``: its steps log under it, and the spans
+        of its guarded passes nest in its span."""
+        run.phase = name
+        with self.tracer.span(name, category=CAT_PHASE) as span:
+            yield span
 
     def _run(self, program: Program | None,
-             sources: list[tuple[str, str]] | None,
-             compile_span) -> CompilationResult:
+             sources: list[tuple[str, str]] | None) -> CompilationResult:
         opts = self.options
-        diags = DiagnosticEngine()
-        opts_fp = opts.fingerprint()
-
         cache: SummaryCache | None = None
         if sources is not None and opts.cache_dir is not None \
                 and not FAULTS:
             cache = open_cache(opts.cache_dir)
+        run = _Run(opts, cache, sources)
+        diags, guard = run.diags, run.guard
 
-        # ---- whole-FE cache probe (imperative: it decides the graph) --
-        restored = False
-        fe_probe = 0.0
-        fe_key = ""
-        seeded: dict[str, Any] = {}
+        # ---- whole-FE cache probe: a hit skips the FE phase -----------
+        fe_probe, fe_key, fe = 0.0, "", None
         if cache is not None:
             t0 = time.perf_counter()
-            fe_key = cache.key_for("fe", opts_fp, tuple(sources))
-            artifacts = self._load_fe_artifacts(cache, fe_key)
+            fe_key = cache.key_for("fe", run.opts_fp, tuple(sources))
+            fe = self._load_fe_artifacts(cache, fe_key)
             fe_probe = time.perf_counter() - t0
-            if artifacts is not None:
-                restored = True
-                program, cfgs0, nests0, legality0, usage0 = artifacts
-                seeded = {"fe.assemble": program, "lower": cfgs0,
-                          "loops": nests0, "legality": legality0,
-                          "deadfields": usage0}
+            if fe is not None:
                 diags.note("fe", "front end restored from summary "
                            "cache", code=CODE_CACHE)
                 self._cache_diags(cache, diags)
-                if self.tracer.enabled:
-                    self.tracer.add_finished(
-                        "fe", t0, t0 + fe_probe, category=CAT_PHASE,
-                        parent_id=compile_span.span_id,
-                        attrs={"restored_from_cache": True})
+                self.tracer.add_finished(
+                    "fe", t0, t0 + fe_probe, category=CAT_PHASE,
+                    attrs={"restored_from_cache": True})
+        restored = fe is not None
+        fe_report = None
 
-        # ---- build the graph ------------------------------------------
-        graph = _CompileGraph(self, cache=cache, opts_fp=opts_fp,
-                              sources=sources)
-        if restored:
-            graph.build_ipa_be(has_finish=False)
-        elif sources is not None:
-            graph.build_fe_sources()
-            graph.build_fe_analyses([name for name, _ in sources])
-            if cache is not None:
-                graph.build_fe_finish(fe_key)
-            graph.build_ipa_be(has_finish=cache is not None)
-        else:
-            self._parse_diags(program, diags)
-            seeded = {"fe.assemble": program}
-            graph.build_fe_analyses([u.name for u in program.units])
-            graph.build_ipa_be(has_finish=False)
-
-        # ---- execute ---------------------------------------------------
-        boundary_spans: dict[str, Any] = {}
-        boundary = None
-        if self.tracer.enabled:
-            def boundary(kind, name, entering):
-                if entering:
-                    boundary_spans[name] = self.tracer.start(
-                        name, category=CAT_PHASE)
+        t_run = time.perf_counter()
+        if not restored:
+            with self._phase(run, "fe"):
+                if sources is None:
+                    self._parse_diags(program, diags)
+                    unit_names = [u.name for u in program.units]
                 else:
-                    sp = boundary_spans.get(name)
-                    if sp is not None:
-                        self.tracer.finish(sp)
-        results, dreport = DagScheduler(boundary=boundary).run(
-            graph.dag, seeded=seeded)
+                    program, fe_report = self._parse(run)
+                    unit_names = [name for name, _ in sources]
+                fe = (program,) + self._fe_analyses(run, program,
+                                                    unit_names)
+                if cache is not None:
+                    run.step("fe.finish", self._fe_finish, run, fe_key,
+                             fe)
+        program, cfgs, nests, legality, usage = fe
 
-        # ---- merge per-node diagnostics + timings in builder order ----
-        pass_timings: dict[str, float] = {}
-        for node in sorted(graph.dag.nodes.values(),
-                           key=lambda n: n.order):
-            e = graph.engines.get(node.name)
-            if e is not None and len(e):
-                diags.merge(e)
-            t = graph.node_timings.get(node.name)
-            if t:
-                pass_timings.update(t)
+        with self._phase(run, "ipa") as span:
+            callgraph = run.step(
+                "callgraph", guard.run, "callgraph",
+                lambda: build_call_graph(cfgs, program),
+                lambda: CallGraph(cfgs={}))
+            escape = run.step(
+                "escape", guard.run, "escape",
+                lambda: analyze_escapes(program, legality),
+                lambda: self._fallback_escape(legality))
+            if opts.relax_legality:
+                run.step("pointsto", self._relax, program, legality,
+                         guard, diags)
+            weights = run.step(
+                "weights", guard.run, "weights",
+                lambda: self._weights(cfgs, callgraph, nests),
+                lambda: ProgramWeights(scheme=opts.scheme))
+            profiles = run.step(
+                "profiles", lambda: self._validate_profiles(guard.run(
+                    "profiles",
+                    lambda: compute_profiles(program, cfgs, weights,
+                                             nests),
+                    dict), diags))
+            decisions = run.step(
+                "heuristics", lambda: self._validate_decisions(
+                    program, guard.run(
+                        "heuristics",
+                        lambda: decide_transforms(
+                            program, legality, usage, profiles,
+                            weights.scheme, opts.params),
+                        list), diags))
+            span.set(decisions=len(decisions))
 
-        timings = {"fe": fe_probe + dreport.phase_window("fe"),
-                   "ipa": dreport.phase_window("ipa"),
-                   "be": dreport.phase_window("be")}
-
-        program_out = results["fe.assemble"]
-        decisions = results["heuristics"]
+        rolled_back: list[str] = []
         search_stats: dict = {}
-        search_out = results.get("search")
-        if search_out:
-            decisions = search_out["decisions"]
-            search_stats = search_out["stats"]
-        if "verify" in results:
-            transformed = results["verify"]
-        elif "apply" in results:
-            transformed = results["apply"]
-        else:
-            transformed = program_out
+        transformed = program
+        with self._phase(run, "be") as span:
+            if opts.search is not None:
+                decisions, search_stats = self._search(
+                    run, program, decisions, legality, profiles)
+            if opts.transform:
+                applied = transformed = self._apply(run, program,
+                                                    decisions)
+                if opts.verify_transforms:
+                    transformed = run.step(
+                        "verify", guard.run, "verify",
+                        lambda: self._verify_transforms(
+                            program, decisions, applied, diags,
+                            rolled_back),
+                        lambda: self._demote_all_decisions(
+                            program, decisions,
+                            "verification machinery failed; transforms "
+                            "withheld"))
+            span.set(transform=opts.transform,
+                     rolled_back=len(rolled_back))
+        wall = time.perf_counter() - t_run
 
-        if self.tracer.enabled:
-            self._emit_spans(graph, boundary_spans, decisions)
         if cache is not None:
             self._cache_metrics(cache)
-
-        result = CompilationResult(
-            program=program_out, options=opts, cfgs=results["lower"],
-            nests=results["loops"], callgraph=results["callgraph"],
-            legality=results["legality"], escape=results["escape"],
-            usage=results["deadfields"], weights=results["weights"],
-            profiles=results["profiles"], decisions=decisions,
-            transformed=transformed, timings=timings,
-            pass_timings=pass_timings, diagnostics=diags,
-            rolled_back=graph.rolled_back,
-            fe_report=graph.state.get("fe_report"),
+        return CompilationResult(
+            program=program, options=opts, cfgs=cfgs, nests=nests,
+            callgraph=callgraph, legality=legality, escape=escape,
+            usage=usage, weights=weights, profiles=profiles,
+            decisions=decisions, transformed=transformed,
+            timings={"fe": fe_probe + run.window("fe"),
+                     "ipa": run.window("ipa"), "be": run.window("be")},
+            pass_timings=run.pass_timings, diagnostics=diags,
+            rolled_back=rolled_back, fe_report=fe_report,
+            scheduler=run.scheduler(opts.jobs, wall, restored),
             search=search_stats)
-        result.scheduler = {"jobs": opts.jobs, **dreport.to_dict(),
-                            "restored_fe": restored}
-        return result
 
-    # -- span assembly -----------------------------------------------------
+    # -- FE steps ----------------------------------------------------------
 
-    def _emit_spans(self, graph: _CompileGraph, boundary_spans: dict,
-                    decisions) -> None:
-        """Fill in the attributes of the phase/group spans the
-        scheduler's boundary callback opened, and lay out the per-unit
-        parse spans under ``fe.parse``."""
-        opts = self.options
-        rep = graph.state.get("fe_report")
-        ps = boundary_spans.get("fe.parse")
-        if ps is not None and rep is not None:
-            ps.set(mode=rep.mode, jobs=rep.jobs,
-                   parse_cache_hits=rep.parse_cache_hits)
-            self._fe_unit_spans(rep, ps.start, ps.span_id)
-        ipa = boundary_spans.get("ipa")
-        if ipa is not None:
-            ipa.set(decisions=len(decisions))
-        be = boundary_spans.get("be")
-        if be is not None:
-            be.set(transform=opts.transform,
-                   rolled_back=len(graph.rolled_back))
+    def _parse(self, run: _Run) -> tuple[Program, FEReport]:
+        """``fe.parse`` (every unit's isolated parse, fanned out to the
+        parse pool) and ``fe.assemble`` (unification and sema, or the
+        serial fallback), under one ``fe.parse`` span."""
+        opts, sources, cache = self.options, run.sources, run.cache
+        unit_budget = opts.phase_budget / max(len(sources), 1) \
+            if opts.phase_budget is not None else None
+        report = FEReport(jobs=opts.jobs)
+        plan_error = ""
+        try:
+            tasks, prescans = plan_parses(sources, unit_budget)
+        except Exception as exc:                   # pragma: no cover
+            tasks, prescans = None, None
+            plan_error = f"typedef pre-scan failed: {exc}"
 
-    def _fe_unit_spans(self, report: FEReport, parse_t0: float,
-                       parent_id: str | None = None) -> None:
+        def parse():
+            if tasks is None:
+                return None
+            return parse_cached(tasks, cache, run.opts_fp, jobs=opts.jobs)
+
+        def assemble(parsed):
+            if tasks is None:
+                program, rep = legacy_assembly(sources, report, plan_error)
+            else:
+                program, rep = finish_assembly(sources, parsed, prescans,
+                                               report, cache)
+            self._fe_report_diags(rep, run.diags, unit_budget)
+            self._parse_diags(program, run.diags)
+            if cache is not None:
+                run.iface_fp = self._interface_fingerprint(program)
+            return program, rep
+
+        with self.tracer.span("fe.parse", category=CAT_PHASE) as span:
+            parsed = run.step("fe.parse", parse)
+            program, report = run.step("fe.assemble", assemble, parsed)
+            span.set(mode=report.mode, jobs=report.jobs,
+                     parse_cache_hits=report.parse_cache_hits)
+        self._fe_unit_spans(report, span)
+        return program, report
+
+    def _fe_analyses(self, run: _Run, program: Program,
+                     unit_names: list[str]) -> tuple:
+        """``lower``, ``loops``, then the ``legality`` and
+        ``deadfields`` unit families with their merges; returns
+        ``(cfgs, nests, legality, usage)``."""
+        guard = run.guard
+        cfgs = run.step("lower", guard.run, "lower",
+                        lambda: lower_program(program), dict)
+        nests = run.step(
+            "loops", guard.run, "loops",
+            lambda: {name: find_loops(cfg) for name, cfg in cfgs.items()},
+            dict)
+        legality = self._unit_family(
+            run, "legality", program, unit_names,
+            summarize=summarize_unit_legality,
+            unit_fallback=fallback_unit_legality,
+            summary_type=UnitLegality, merge=merge_unit_legality,
+            fallback=self._fallback_legality,
+            validate=self._validate_legality)
+        usage = self._unit_family(
+            run, "deadfields", program, unit_names,
+            summarize=summarize_unit_usage,
+            unit_fallback=fallback_unit_usage, summary_type=UnitUsage,
+            merge=merge_unit_usage, fallback=self._fallback_usage,
+            validate=self._validate_usage)
+        return cfgs, nests, legality, usage
+
+    def _unit_family(self, run: _Run, kind: str, program: Program,
+                     unit_names: list[str], *, summarize, unit_fallback,
+                     summary_type, merge, fallback, validate):
+        """One summarize step per unit (``legality[a.c]``), each with a
+        proportional share of the phase budget and its own summary-cache
+        probe, then the merge step ``kind`` over every unit's summary —
+        the FE/IPA split of §2."""
+        pb = self.options.phase_budget
+        unit_guard = run.guard_with(
+            pb / max(len(unit_names), 1) if pb is not None else None)
+        cache = run.cache
+
+        def summary(i: int, raw: str, occ: int):
+            u = _unit_for(program, raw, occ)
+            if u is _SKIP:
+                return _SKIP
+            key = None
+            # a cache implies sources; the program's units line up
+            # with them one to one unless the FE dropped a unit
+            if cache is not None and not program.frontend_errors:
+                key = cache.key_for(
+                    "summary", kind, raw, run.sources[i][1], run.iface_fp,
+                    run.opts_fp)
+                got = cache.load("summary", key)
+                if isinstance(got, summary_type):
+                    return got
+                if got is not None:
+                    cache.reject("summary", key,
+                                 "artifact has the wrong type")
+            s = unit_guard.run(f"{kind}[{raw}]", lambda: summarize(u),
+                               lambda: unit_fallback(raw))
+            if key is not None and isinstance(s, summary_type) \
+                    and not s.demote_all:
+                cache.store("summary", key, s)
+            return s
+
+        summaries = []
+        counts: dict[str, int] = {}
+        for i, raw in enumerate(unit_names):
+            occ = counts.get(raw, 0)
+            counts[raw] = occ + 1
+            name = f"{kind}[{raw}]" if occ == 0 else f"{kind}[{raw}#{occ}]"
+            s = run.step(name, summary, i, raw, occ)
+            if s is not _SKIP:
+                summaries.append(s)
+        return run.step(kind, lambda: validate(
+            program, run.guard.run(kind, lambda: merge(program, summaries),
+                                   lambda: fallback(program)),
+            run.diags))
+
+    def _fe_finish(self, run: _Run, fe_key: str, fe: tuple) -> None:
+        """Store the whole-FE artifact if the front end ran clean.
+
+        Only clean front ends are cached: a contained fault or a budget
+        overrun must be recomputed (and re-reported), not replayed
+        silently from disk.  The step runs before ``escape``, which
+        mutates the stored legality."""
+        if not fe[0].frontend_errors and not run.diags.contained():
+            run.cache.store("fe", fe_key, fe)
+        self._cache_diags(run.cache, run.diags)
+
+    # -- BE steps ----------------------------------------------------------
+
+    def _search(self, run: _Run, program: Program,
+                decisions: list[TransformDecision],
+                legality: LegalityResult,
+                profiles: dict[str, TypeProfile]) -> tuple[list, dict]:
+        """``search.trace``, one ``search[T]`` step per eligible type
+        (each replays the shared read-only trace within its even share
+        of ``budget_s``), and the ``search`` step that merges the
+        refined decisions back in decision order.  Returns
+        ``(decisions, stats)``."""
+        opts, guard = self.options, run.guard
+        sopts = opts.search
+        trace = run.step(
+            "search.trace", guard.run, "search.trace",
+            lambda: capture_trace(program, entry=opts.entry),
+            lambda: None)
+
+        eligible = []
+        if trace is not None:
+            for d in decisions:
+                info = legality.types.get(d.type_name)
+                profile = profiles.get(d.type_name)
+                if info is None or profile is None:
+                    continue
+                if d.type_name not in trace.record_fields:
+                    continue
+                if search_mode(program, info, info.record)[0] is None:
+                    continue
+                eligible.append((d, info, profile))
+
+        budget = getattr(sopts, "budget_s", None)
+        if budget is None:
+            budget = SEARCH_DEFAULTS["budget_s"]
+        budget = float(budget)
+        share = budget / len(eligible) if eligible else 0.0
+
+        def search_one(d, info, profile):
+            compiled = precompile(trace, d.type_name)
+            deadline = time.monotonic() + share if budget > 0 else None
+            return search_type(program, compiled, info, d, profile, sopts,
+                               cache=run.cache, deadline=deadline)
+
+        found = []
+        for d, info, profile in eligible:
+            name = f"search[{d.type_name}]"
+            found.append(run.step(name, guard.run, name,
+                                  partial(search_one, d, info, profile),
+                                  lambda: None))
+
+        def gather():
+            refined = {d.type_name: d for d in decisions}
+            stats: dict = {}
+            if trace is not None:
+                stats["_trace"] = {
+                    "ops": len(trace), "cycles": trace.cycles,
+                    "truncated": trace.truncated,
+                }
+            for (d, _info, _profile), out in zip(eligible, found):
+                if out is None:
+                    continue
+                out = dict(out)
+                refined[d.type_name] = out.pop("decision")
+                stats[d.type_name] = out
+            return {"decisions": [refined[d.type_name] for d in decisions],
+                    "stats": stats}
+
+        out = run.step("search", guard.run, "search", gather,
+                       lambda: {"decisions": decisions, "stats": {}})
+        return out["decisions"], out["stats"]
+
+    def _apply(self, run: _Run, program: Program,
+               decisions: list[TransformDecision]) -> Program:
+        """One ``apply[T]`` step per transformed decision, chained in
+        decision order, then the ``apply`` step."""
+        guard = run.guard
+        base = program
+        for d in [d for d in decisions if d.transformed]:
+            name = f"apply[{d.type_name}]"
+            base = run.step(name, guard.run, name,
+                            partial(self._apply_one, d, base, run.diags),
+                            lambda base=base: base)
+        return run.step(
+            "apply", guard.run, "apply", lambda: base,
+            lambda: self._demote_all_decisions(
+                program, decisions, "transform application failed"))
+
+    def _apply_one(self, d: TransformDecision, base: Program,
+                   diags: DiagnosticEngine) -> Program:
+        try:
+            return apply_decisions(base, [d])
+        except Exception as exc:
+            if self.options.strict:
+                raise FatalCompilerError(
+                    "apply", f"transform of {d.type_name!r} failed: {exc}",
+                    cause=exc) from exc
+            diags.warning(
+                "apply",
+                f"{d.action} failed ({type(exc).__name__}: {exc}); "
+                f"type left untransformed",
+                type_name=d.type_name, code=CODE_CONTAINED,
+                action="report a rewriter bug with this source")
+            d.notes.append(f"contained apply failure: {exc}")
+            d.action = "none"
+            return base
+
+    # -- observability -----------------------------------------------------
+
+    def _fe_unit_spans(self, report: FEReport, parse_span) -> None:
         """Retro-record one span per translation unit's parse.
 
         Per-TU parses may have run inside pool subprocesses, where no
         tracer exists; only their durations come back (in
         ``FEReport.unit_elapsed``), so the spans are laid out from the
-        parse phase's start on per-unit virtual tracks."""
+        ``fe.parse`` span's start on per-unit virtual tracks."""
         if not self.tracer.enabled:
             return
+        t0 = parse_span.start
         for i, (name, elapsed) in enumerate(
                 sorted(report.unit_elapsed.items())):
             self.tracer.add_finished(
-                f"parse[{name}]", parse_t0, parse_t0 + elapsed,
-                category=CAT_FE_UNIT, parent_id=parent_id,
+                f"parse[{name}]", t0, t0 + elapsed,
+                category=CAT_FE_UNIT, parent_id=parse_span.span_id,
                 tid=1_000_000 + i,
                 attrs={"unit": name,
                        "overrun": name in report.budget_overruns})

@@ -54,8 +54,8 @@ class Program:
         fail semantic analysis are dropped from the program).
 
         This is the serial front end.  The parallel one (per-unit
-        isolated parses unified afterwards) runs as the pass DAG's
-        ``fe.parse`` and ``fe.assemble`` nodes and falls back to this
+        isolated parses unified afterwards) runs as the compile's
+        ``fe.parse`` and ``fe.assemble`` steps and falls back to this
         path whenever it cannot reproduce it exactly.
         """
         prog = cls()

@@ -615,7 +615,7 @@ def run_layout_search(program, decisions, legality, profiles, opts,
                       entry: str = "main") -> tuple:
     """Search every eligible type sequentially (the in-process driver
     used by the CLI, benchmarks and tests; the pipeline runs the same
-    per-type searches as DAG nodes).  Returns ``(refined_decisions,
+    per-type searches as ``search[T]`` steps).  Returns ``(refined_decisions,
     stats)`` where stats is keyed by type name plus a ``_trace``
     entry.  The wall-clock budget is split evenly across eligible
     types."""

@@ -49,6 +49,10 @@ class TestAnalyze:
         with pytest.raises(SystemExit):
             main(["analyze", "--scheme", "MAGIC", demo_file])
 
+    def test_negative_jobs_rejected(self, demo_file, capsys):
+        assert main(["analyze", "--jobs", "-1", demo_file]) == 2
+        assert "jobs must be >= 0" in capsys.readouterr().err
+
 
 class TestRun:
     def test_executes_and_reports_cycles(self, demo_file, capsys):

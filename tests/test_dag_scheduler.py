@@ -1,29 +1,32 @@
-"""The pass-DAG scheduler engine and its pipeline integration.
+"""A compile's step order and containment, and the parse pool.
 
-Contract under test (DESIGN.md "The pass DAG"):
+Contract under test (DESIGN.md, "Step order" and "Reporting"):
 
-- the graph validates before anything runs — duplicates, unknown
-  dependency edges, and cycles are :class:`DagError`s with a witness;
-- nodes execute inline in deterministic insertion order;
-- merge barriers observe every unit node's result, dynamic nodes
-  (the BE planner's per-decision applies) obey the same validation,
-  and a failing node aborts cleanly instead of wedging the queue;
-- the ``fe.parse`` node puts every unit's parse in flight on the
+- a compile runs one straight line of named steps: FE (``fe.parse``,
+  ``fe.assemble``, ``lower``, ``loops``, each unit family and its
+  merge, ``fe.finish``), then IPA, then BE (one ``apply[T]`` per
+  transformed decision, ``apply``, ``verify``);
+- a warm compile restored from the whole-FE cache entry runs only the
+  IPA and BE steps, and same-named units run as distinct steps;
+- an uncontained failure (strict mode) aborts the compile at once,
+  with no later step run and no span left open;
+- ``CompilationResult.scheduler`` reports the step log: one chain, so
+  the critical path is every step and its length their sum;
+- the ``fe.parse`` step puts every unit's parse in flight on the
   process pool before it waits on any, and pool parsing (``jobs=4``)
   gives results identical to inline parsing (``jobs=1``);
-- PhaseGuard containment stays per-node at either width: an injected
+- PhaseGuard containment stays per step at either width: an injected
   pass fault demotes conservatively and the compile still finishes.
 """
 
 import pytest
 
-from repro.core import Compiler, CompilerOptions
+from repro.core import Compiler, CompilerOptions, FatalCompilerError
 from repro.core import fe
-from repro.core.dag import (
-    DagError, DagScheduler, PassDAG, effective_cores, process_pool,
-)
+from repro.core.dag import effective_cores, process_pool
 from repro.core.faults import inject_fault
 from repro.frontend import Program
+from repro.obs import CAT_PASS, Tracer
 from repro.transform import program_sources
 from repro.workloads import ALL_WORKLOADS
 
@@ -43,22 +46,16 @@ def result_fingerprint(result):
     )
 
 
+def steps(result) -> list[str]:
+    """The compile's steps in run order."""
+    return result.scheduler["critical_path"]
+
+
 @pytest.fixture
 def many_cores(monkeypatch):
     """Defeat the core-count clamp so the parse pool path runs even on
     a single-core machine."""
-    monkeypatch.setattr(fe.os, "cpu_count", lambda: 4)
-
-
-def diamond() -> PassDAG:
-    """a -> (b, c) -> d: the smallest graph with independent nodes."""
-    dag = PassDAG()
-    dag.add("a", lambda ctx: 1, phase="fe")
-    dag.add("b", lambda ctx: ctx["a"] + 10, deps=("a",), phase="ipa")
-    dag.add("c", lambda ctx: ctx["a"] + 100, deps=("a",), phase="ipa")
-    dag.add("d", lambda ctx: ctx["b"] + ctx["c"], deps=("b", "c"),
-            phase="be")
-    return dag
+    monkeypatch.setattr(fe, "effective_cores", lambda: 4)
 
 
 def add_pair(pair: tuple[int, int]) -> int:
@@ -78,189 +75,195 @@ def fan_out(jobs: int, pairs: list[tuple[int, int]]) -> list[int]:
     return [f.result() for f in futures]
 
 
-def pooled_diamond(jobs: int) -> PassDAG:
-    """:func:`diamond` whose independent nodes do their work on the
-    process pool of width ``jobs``."""
-    dag = PassDAG()
-    dag.add("a", lambda ctx: 1, phase="fe")
-    dag.add("b", lambda ctx: fan_out(jobs, [(ctx["a"], 10)])[0],
-            deps=("a",), phase="ipa")
-    dag.add("c", lambda ctx: fan_out(jobs, [(ctx["a"], 100)])[0],
-            deps=("a",), phase="ipa")
-    dag.add("d", lambda ctx: ctx["b"] + ctx["c"], deps=("b", "c"),
-            phase="be")
-    return dag
+#: two structs with dead fields: the heuristics transform both
+TWO_TYPES = """
+struct hot { long a; long b; long c; long d; };
+struct warm { int k; int v; int w; };
+int main() {
+  struct hot *h = (struct hot*)malloc(64 * sizeof(struct hot));
+  struct warm *w = (struct warm*)malloc(64 * sizeof(struct warm));
+  int i; long s = 0;
+  for (i = 0; i < 64; i = i + 1) { h[i].a = i; w[i].k = i; }
+  for (i = 0; i < 64; i = i + 1) { s = s + h[i].a + w[i].k; }
+  printf("%ld\\n", s);
+  return 0;
+}
+"""
+
+FE_STEPS = ("fe.parse", "fe.assemble", "fe.finish", "lower", "loops",
+            "legality", "deadfields")
+IPA_STEPS = ("callgraph", "escape", "pointsto", "weights", "profiles",
+             "heuristics")
+
+
+def phase_of(step: str) -> str:
+    base = step.split("[", 1)[0]
+    if base in FE_STEPS:
+        return "fe"
+    return "ipa" if base in IPA_STEPS else "be"
+
+
+def transform_units() -> list[tuple[str, str]]:
+    """Three units, two transformable types in the first."""
+    return [("m.c", TWO_TYPES)] + THREE_UNITS[1:]
 
 
 # ---------------------------------------------------------------------------
-# topology
+# step order
 # ---------------------------------------------------------------------------
 
 class TestTopology:
     def test_duplicate_node_rejected(self):
-        dag = PassDAG()
-        dag.add("a", lambda ctx: 1)
-        with pytest.raises(DagError, match="duplicate node 'a'"):
-            dag.add("a", lambda ctx: 2)
+        """Two units with one name (the CLI names both ``a/x.c`` and
+        ``b/x.c`` ``x.c``) run as two distinct summarize steps, and the
+        merges see both units' types."""
+        res = Compiler(CompilerOptions()).compile_sources([
+            ("x.c", "struct pa { long a; long b; };\n"
+                    "long get(struct pa *p) { return p->a; }\n"),
+            ("x.c", "struct pb { int k; int v; };\n"
+                    "int main() { return 0; }\n"),
+        ])
+        names = steps(res)
+        assert len(names) == len(set(names))
+        for kind in ("legality", "deadfields"):
+            assert names.count(f"{kind}[x.c]") == 1
+            assert names.count(f"{kind}[x.c#1]") == 1
+        assert set(res.legality.types) == {"pa", "pb"}
+        assert set(res.usage.types) == {"pa", "pb"}
 
-    def test_unknown_dependency_rejected(self):
-        dag = PassDAG()
-        dag.add("a", lambda ctx: 1, deps=("ghost",))
-        with pytest.raises(DagError, match="unknown node 'ghost'"):
-            dag.validate()
-
-    def test_seeded_names_satisfy_dependencies(self):
-        dag = PassDAG()
-        dag.add("a", lambda ctx: ctx["seeded"], deps=("seeded",))
-        dag.validate({"seeded"})          # must not raise
-        results, _ = DagScheduler().run(dag, seeded={"seeded": 7})
-        assert results["a"] == 7
-
-    def test_cycle_detected_with_witness(self):
-        dag = PassDAG()
-        dag.add("a", lambda ctx: 1, deps=("c",))
-        dag.add("b", lambda ctx: 1, deps=("a",))
-        dag.add("c", lambda ctx: 1, deps=("b",))
-        with pytest.raises(DagError) as exc:
-            dag.validate()
-        msg = str(exc.value)
-        assert "dependency cycle" in msg
-        # the witness walk names every member of the cycle
-        assert all(n in msg for n in ("a", "b", "c"))
-
-    def test_self_cycle_detected(self):
-        dag = PassDAG()
-        dag.add("a", lambda ctx: 1, deps=("a",))
-        with pytest.raises(DagError, match="cycle"):
-            dag.validate()
+    def test_seeded_names_satisfy_dependencies(self, tmp_path):
+        """A warm compile restored from the whole-FE cache entry runs
+        only the IPA and BE steps, and matches the cold compile."""
+        opts = CompilerOptions(cache_dir=str(tmp_path))
+        cold = Compiler(opts).compile_sources(transform_units())
+        warm = Compiler(opts).compile_sources(transform_units())
+        assert cold.scheduler["restored_fe"] is False
+        assert warm.scheduler["restored_fe"] is True
+        cold_steps = steps(cold)
+        assert steps(warm) == \
+            cold_steps[cold_steps.index("fe.finish") + 1:]
+        assert steps(warm)[0] == "callgraph"
+        assert {phase_of(s) for s in steps(warm)} == {"ipa", "be"}
+        assert result_fingerprint(warm) == result_fingerprint(cold)
 
     def test_topo_order_respects_deps_and_insertion(self):
-        dag = diamond()
-        order = dag.topo_order()
-        assert order == ["a", "b", "c", "d"]
-        assert order.index("a") < order.index("b")
-        assert order.index("b") < order.index("d")
-
-    def test_cycle_raises_before_any_node_runs(self):
-        ran = []
-        dag = PassDAG()
-        dag.add("a", lambda ctx: ran.append("a"), deps=("b",))
-        dag.add("b", lambda ctx: ran.append("b"), deps=("a",))
-        with pytest.raises(DagError):
-            DagScheduler().run(dag)
-        assert ran == []
+        """FE steps run before IPA steps, IPA before BE, and each merge
+        after all of its unit steps."""
+        res = Compiler(CompilerOptions(
+            relax_legality=True, verify_transforms=True)
+        ).compile_sources(transform_units())
+        names = steps(res)
+        phases = [phase_of(s) for s in names]
+        assert phases == sorted(phases, key=("fe", "ipa", "be").index)
+        assert {"pointsto", "verify"} <= set(names)
+        for kind in ("legality", "deadfields"):
+            units = [i for i, s in enumerate(names)
+                     if s.startswith(f"{kind}[")]
+            assert len(units) == 3
+            assert names.index(kind) == max(units) + 1
 
 
 # ---------------------------------------------------------------------------
-# execution: insertion order, barriers, failures
+# execution: the step list, barriers, failures
 # ---------------------------------------------------------------------------
 
 class TestExecution:
     def test_serial_executes_in_builder_order(self):
-        ran = []
-        dag = PassDAG()
-        for name in ("n0", "n1", "n2"):
-            dag.add(name, lambda ctx, n=name: ran.append(n) or n)
-        results, report = DagScheduler().run(dag)
-        assert ran == ["n0", "n1", "n2"]
-        assert results["n2"] == "n2"
+        res = Compiler(CompilerOptions(verify_transforms=True)) \
+            .compile_sources(transform_units())
+        assert steps(res) == [
+            "fe.parse", "fe.assemble", "lower", "loops",
+            "legality[m.c]", "legality[n.c]", "legality[o.c]",
+            "legality",
+            "deadfields[m.c]", "deadfields[n.c]", "deadfields[o.c]",
+            "deadfields",
+            "callgraph", "escape", "weights", "profiles", "heuristics",
+            "apply[hot]", "apply[warm]", "apply", "verify",
+        ]
+        # every step but the parse and assembly is a guarded pass
+        assert list(res.pass_timings) == steps(res)[2:]
 
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_diamond_results_identical_across_jobs(self, jobs):
-        """Node results do not depend on whether the nodes' work runs
-        inline (jobs=1) or on the process pool (jobs>1)."""
-        for dag in (diamond(), pooled_diamond(jobs)):
-            results, report = DagScheduler().run(dag)
-            assert results == {"a": 1, "b": 11, "c": 101, "d": 112}
-            assert report.node_count == 4
+        """Work does not depend on whether it runs inline (jobs=1) or
+        on the process pool (jobs>1): the diamond a -> (b, c) -> d
+        through :func:`fan_out`."""
+        a = 1
+        b, c = fan_out(jobs, [(a, 10), (a, 100)])
+        d = fan_out(jobs, [(b, c)])[0]
+        assert (a, b, c, d) == (1, 11, 101, 112)
+        pairs = [(i, i * i) for i in range(9)]
+        assert fan_out(jobs, pairs) == fan_out(1, pairs)
 
     def test_barrier_waits_for_every_unit(self):
-        """A merge node must observe all N unit results."""
+        """The ``legality`` merge of a 12-unit program covers every
+        unit's types."""
         n = 12
-        dag = PassDAG()
-        for i in range(n):
-            dag.add(f"unit{i}", lambda ctx, i=i: i, phase="fe")
-        dag.add("merge",
-                lambda ctx: sum(ctx[f"unit{i}"] for i in range(n)),
-                deps=tuple(f"unit{i}" for i in range(n)), phase="fe")
-        results, _ = DagScheduler().run(dag)
-        assert results["merge"] == sum(range(n))
+        units = [(f"u{i}.c",
+                  f"struct r{i} {{ long a; long b; }};\n"
+                  f"long get{i}(struct r{i} *p) {{ return p->a; }}\n")
+                 for i in range(n)]
+        units.append(("main.c", "int main() { return 0; }\n"))
+        res = Compiler(CompilerOptions()).compile_sources(units)
+        assert set(res.legality.types) == {f"r{i}" for i in range(n)}
+        names = steps(res)
+        assert names.index("legality") == names.index(
+            f"legality[main.c]") + 1
 
     def test_node_exception_aborts_without_wedging(self):
-        """An exception escaping a node (i.e. *not* contained by a
-        guard) re-raises in the caller; undispatched nodes are skipped
-        and the scheduler does not hang on its queue."""
-        dag = PassDAG()
-        dag.add("ok", lambda ctx: 1)
-        dag.add("boom", lambda ctx: 1 / 0, deps=("ok",))
-        dag.add("after", lambda ctx: 2, deps=("boom",))
-        with pytest.raises(ZeroDivisionError):
-            DagScheduler().run(dag)
-
-    def test_missing_dependency_edge_is_a_loud_error(self):
-        """Reading an undeclared dependency raises KeyError instead of
-        silently returning a stale value."""
-        dag = PassDAG()
-        dag.add("a", lambda ctx: 1)
-        dag.add("b", lambda ctx: ctx["zzz_never_declared"], deps=("a",))
-        with pytest.raises(KeyError, match="missing"):
-            DagScheduler().run(dag)
+        """An uncontained failure (strict mode) propagates to the
+        caller: no later step runs and no span is left open."""
+        tracer = Tracer()
+        with inject_fault("escape", mode="raise"):
+            with pytest.raises(FatalCompilerError):
+                Compiler(CompilerOptions(strict=True), tracer=tracer) \
+                    .compile_sources(transform_units())
+        spans = tracer.finished()
+        passes = [s.name for s in sorted(spans, key=lambda s: s.start)
+                  if s.category == CAT_PASS]
+        assert passes[-2:] == ["callgraph", "escape"]
+        assert "be" not in {s.name for s in spans}
+        assert tracer.current() is None
+        assert all(s.end is not None for s in spans)
+        by_name = {s.name: s for s in spans}
+        assert by_name["escape"].status == "error"
+        assert by_name["compile"].status == "error"
 
 
 class TestDynamicGrowth:
     @pytest.mark.parametrize("jobs", [1, 3])
-    def test_planner_appends_chained_nodes(self, jobs):
-        """Dynamically appended nodes chain correctly, also when their
-        work runs on the process pool of width ``jobs``."""
-        dag = PassDAG()
-        dag.add("base", lambda ctx: 10)
-
-        def plan(ctx):
-            ctx.add_nodes([
-                {"name": "apply[x]",
-                 "fn": lambda c: fan_out(jobs, [(c["base"], 1)])[0],
-                 "deps": ("base",)},
-                {"name": "apply[y]",
-                 "fn": lambda c: fan_out(
-                     jobs, [(c["apply[x]"], c["apply[x]"])])[0],
-                 "deps": ("apply[x]",)},
-            ])
-            return None
-
-        dag.add("plan", plan, deps=("base",))
-        results, report = DagScheduler().run(dag)
-        assert results["apply[y]"] == 22
-        assert report.node_count == 4     # base, plan, apply[x|y]
-
-    def test_dynamic_duplicate_rejected(self):
-        dag = PassDAG()
-        dag.add("base", lambda ctx: 1)
-        dag.add("plan", lambda ctx: ctx.add_nodes(
-            [{"name": "base", "fn": lambda c: 2}]), deps=("base",))
-        with pytest.raises(DagError, match="duplicate"):
-            DagScheduler().run(dag)
-
-    def test_dynamic_unknown_dep_rejected(self):
-        dag = PassDAG()
-        dag.add("plan", lambda ctx: ctx.add_nodes(
-            [{"name": "n", "fn": lambda c: 1, "deps": ("ghost",)}]))
-        with pytest.raises(DagError, match="unknown"):
-            DagScheduler().run(dag)
+    def test_planner_appends_chained_nodes(self, jobs, many_cores):
+        """One ``apply[T]`` step per transformed decision, in decision
+        order and right before ``apply``, at either parse width."""
+        res = Compiler(CompilerOptions(jobs=jobs)).compile_sources(
+            transform_units())
+        applied = [f"apply[{d.type_name}]"
+                   for d in res.transformed_types()]
+        assert applied == ["apply[hot]", "apply[warm]"]
+        names = steps(res)
+        assert names[-len(applied) - 1:] == applied + ["apply"]
+        want = Compiler(CompilerOptions(jobs=1)).compile_sources(
+            transform_units())
+        assert result_fingerprint(res) == result_fingerprint(want)
 
 
 class TestReport:
     def test_phase_window_and_critical_path(self):
-        _, report = DagScheduler().run(diamond())
-        assert report.phase_window("fe") > 0.0
-        assert report.phase_window("nonesuch") == 0.0
-        seconds, path = report.critical_path()
-        assert seconds > 0.0
-        # any critical path through the diamond starts at a, ends at d
-        assert path[0] == "a" and path[-1] == "d"
-        d = report.to_dict()
-        assert d["nodes"] == 4
-        assert d["wall_ms"] >= d["critical_path_ms"] * 0.0
-        assert d["critical_path"] == path
+        """The ``scheduler`` block over the step log."""
+        res = Compiler(CompilerOptions(verify_transforms=True)) \
+            .compile_sources(transform_units())
+        sched = res.scheduler
+        names = sched["critical_path"]
+        assert sched["nodes"] == len(names) == len(set(names))
+        assert names[0] == "fe.parse" and names[-1] == "verify"
+        # one chain: the critical path is every step and its length
+        # their sum, inside the wall, which also covers the time
+        # between steps
+        assert 0.0 < sched["critical_path_ms"] <= sched["wall_ms"]
+        # phase windows are disjoint slices of the same wall
+        assert all(res.timings[p] > 0.0 for p in ("fe", "ipa", "be"))
+        assert sum(res.timings.values()) \
+            <= sched["wall_ms"] / 1e3 + 1e-6
 
     def test_effective_cores_positive(self):
         assert effective_cores() >= 1

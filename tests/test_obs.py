@@ -486,6 +486,22 @@ class TestApiFacade:
         assert CompileOptions.from_dict(
             {"peel_mode": "hot-cold"}).peel_mode == "hot-cold"
 
+    @pytest.mark.parametrize("where, fields", [
+        ("options.relax", {"options": {"relax": "false"}}),
+        ("options.verify", {"options": {"verify": "no"}}),
+        ("options.cache", {"options": {"cache": "false"}}),
+        ("options.relax", {"options": {"relax": 0}}),
+        ("options.jobs", {"options": {"jobs": -1}}),
+        ("trace", {"trace": "false"}),
+    ], ids=["relax", "verify", "cache", "relax-int", "jobs", "trace"])
+    def test_wire_flags_take_only_booleans(self, where, fields):
+        """A flag's string ``"false"`` is refused, never read as true,
+        and so is a negative ``jobs`` (only 0 means auto)."""
+        wire = {"op": "analyze", "sources": [["a.c", DEMO]], **fields}
+        with pytest.raises(ApiError) as exc:
+            CompileRequest.from_dict(wire)
+        assert exc.value.detail["where"] == where
+
     def test_wire_request_unknown_field_structured_error(self):
         with pytest.raises(ProtocolError) as exc:
             parse_compile(

@@ -10,6 +10,7 @@ serial parser rather than diverge.
 """
 
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -69,7 +70,7 @@ def compile_jobs(sources, jobs):
 def many_cores(monkeypatch):
     """Defeat the core-count clamp so the pool path runs even on a
     single-core machine."""
-    monkeypatch.setattr(fe.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(fe, "effective_cores", lambda: 4)
 
 
 @pytest.mark.parametrize("workload", ALL_WORKLOADS,
@@ -173,3 +174,13 @@ def test_fallback_matches_legacy(name, many_cores):
 def test_jobs_validation():
     with pytest.raises(ValueError):
         CompilerOptions(jobs=0)
+
+
+def test_pool_width_respects_cpu_affinity(monkeypatch):
+    """``--jobs 4`` on a process pinned to one core of a 4-core
+    machine parses inline: the width follows the cores the process may
+    run on, not the machine's core count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert fe.parse_pool_width(4, 10) == 1
