@@ -155,7 +155,7 @@ def parse_unit_task(task: tuple) -> ParsedUnit:
     try:
         tokens = tokenize(text, name)
     except LexError as err:
-        pu.errors.append((err.line, str(err), "lex"))
+        pu.errors.append((err.line, err.message, "lex"))
         pu.elapsed = time.perf_counter() - t0
         return pu
     except Exception as exc:                       # pragma: no cover

@@ -280,94 +280,89 @@ class TranslationUnit(Node):
 # Traversal helpers
 # --------------------------------------------------------------------------
 
+# Each walker dispatches on ``type(node)`` through one table.  No
+# concrete node class has a subclass, so the lookup is exact; a type
+# the table does not name has no children.
+
+def _no_children(node: Node) -> list:
+    return []
+
+
+_CHILD_EXPRS = {
+    Unary: lambda e: [e.operand],
+    Binary: lambda e: [e.left, e.right],
+    Assign: lambda e: [e.target, e.value],
+    Conditional: lambda e: [e.cond, e.then, e.els],
+    Comma: lambda e: list(e.parts),
+    Call: lambda e: [e.func, *e.args],
+    Index: lambda e: [e.base, e.index],
+    Member: lambda e: [e.base],
+    Cast: lambda e: [e.operand],
+    SizeofExpr: lambda e: [e.operand],
+}
+
+
 def child_exprs(e: Expr) -> list[Expr]:
     """Direct sub-expressions of an expression node."""
-    if isinstance(e, Unary):
-        return [e.operand]
-    if isinstance(e, Binary):
-        return [e.left, e.right]
-    if isinstance(e, Assign):
-        return [e.target, e.value]
-    if isinstance(e, Conditional):
-        return [e.cond, e.then, e.els]
-    if isinstance(e, Comma):
-        return list(e.parts)
-    if isinstance(e, Call):
-        return [e.func] + list(e.args)
-    if isinstance(e, Index):
-        return [e.base, e.index]
-    if isinstance(e, Member):
-        return [e.base]
-    if isinstance(e, Cast):
-        return [e.operand]
-    if isinstance(e, SizeofExpr):
-        return [e.operand]
-    return []
+    return _CHILD_EXPRS.get(type(e), _no_children)(e)
 
 
 def walk_expr(e: Expr):
     """Yield ``e`` and every sub-expression, pre-order."""
     stack = [e]
+    pop, push = stack.pop, stack.extend
     while stack:
-        node = stack.pop()
+        node = pop()
         if node is None:
             continue
         yield node
-        stack.extend(reversed(child_exprs(node)))
+        kids = _CHILD_EXPRS.get(type(node))
+        if kids is not None:
+            push(reversed(kids(node)))
+
+
+_STMT_EXPRS = {
+    ExprStmt: lambda s: [s.expr],
+    DeclStmt: lambda s: [s.init] if s.init is not None else [],
+    If: lambda s: [s.cond],
+    While: lambda s: [s.cond],
+    DoWhile: lambda s: [s.cond],
+    For: lambda s: [e for e in (s.cond, s.step) if e is not None],
+    Return: lambda s: [s.value] if s.value is not None else [],
+}
 
 
 def stmt_exprs(s: Stmt) -> list[Expr]:
     """Direct expressions of a statement (not recursing into sub-stmts)."""
-    if isinstance(s, ExprStmt):
-        return [s.expr]
-    if isinstance(s, DeclStmt):
-        return [s.init] if s.init is not None else []
-    if isinstance(s, If):
-        return [s.cond]
-    if isinstance(s, While):
-        return [s.cond]
-    if isinstance(s, DoWhile):
-        return [s.cond]
-    if isinstance(s, For):
-        out = []
-        if s.cond is not None:
-            out.append(s.cond)
-        if s.step is not None:
-            out.append(s.step)
-        return out
-    if isinstance(s, Return):
-        return [s.value] if s.value is not None else []
-    return []
+    return _STMT_EXPRS.get(type(s), _no_children)(s)
+
+
+_CHILD_STMTS = {
+    Block: lambda s: list(s.stmts),
+    If: lambda s: [s.then] if s.els is None else [s.then, s.els],
+    While: lambda s: [s.body],
+    DoWhile: lambda s: [s.body],
+    For: lambda s: [s.body] if s.init is None else [s.init, s.body],
+}
 
 
 def child_stmts(s: Stmt) -> list[Stmt]:
     """Direct sub-statements of a statement node."""
-    if isinstance(s, Block):
-        return list(s.stmts)
-    if isinstance(s, If):
-        return [s.then] + ([s.els] if s.els is not None else [])
-    if isinstance(s, While):
-        return [s.body]
-    if isinstance(s, DoWhile):
-        return [s.body]
-    if isinstance(s, For):
-        out = []
-        if s.init is not None:
-            out.append(s.init)
-        out.append(s.body)
-        return out
-    return []
+    return _CHILD_STMTS.get(type(s), _no_children)(s)
 
 
 def walk_stmts(s: Stmt):
     """Yield ``s`` and every sub-statement, pre-order."""
     stack = [s]
+    pop, push = stack.pop, stack.extend
     while stack:
-        node = stack.pop()
+        node = pop()
         if node is None:
             continue
         yield node
-        stack.extend(reversed(child_stmts(node)))
+        kids = _CHILD_STMTS.get(type(node))
+        if kids is not None:
+            push(reversed(kids(node)))
 
 
 def function_exprs(fn: FunctionDef):

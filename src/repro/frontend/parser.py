@@ -5,7 +5,8 @@ a type environment (struct tags and typedef names) so it can distinguish
 declarations from expressions and parse casts, exactly the information a
 C parser needs.  Function pointers are supported through the
 ``ret (*name)(params)`` declarator form — they are what the paper's IND
-legality test fires on.
+legality test fires on.  Binary expressions are parsed by precedence
+climbing over :data:`BINARY_PRECEDENCE`, one loop for all ten levels.
 """
 
 from __future__ import annotations
@@ -30,6 +31,34 @@ _BASE_TYPE_KWS = frozenset({
     "void", "char", "short", "int", "long", "float", "double",
     "unsigned", "signed",
 })
+
+_QUALIFIER_KWS = frozenset({"const", "static", "extern"})
+#: keywords that start a type (and so a declaration)
+_TYPE_START_KWS = _BASE_TYPE_KWS | _QUALIFIER_KWS | {"struct"}
+
+#: C's ten binary precedence levels, loosest (1) to tightest (10); every
+#: level is left-associative.  The unparser derives its binary levels
+#: from this table.
+BINARY_PRECEDENCE = {
+    "||": 1,
+    "&&": 2,
+    "|": 3,
+    "^": 4,
+    "&": 5,
+    "==": 6, "!=": 6,
+    "<": 7, ">": 7, "<=": 7, ">=": 7,
+    "<<": 8, ">>": 8,
+    "+": 9, "-": 9,
+    "*": 10, "/": 10, "%": 10,
+}
+
+_ASSIGN_OPS = frozenset(
+    {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="})
+#: prefix operators that build a :class:`~repro.frontend.ast.Unary`
+_PREFIX_OPS = frozenset({"-", "!", "~", "*", "&", "++", "--"})
+#: operators that may follow a postfix expression
+_POSTFIX_OPS = frozenset({"[", "(", ".", "->", "++", "--"})
+_POSTFIX_UNARY = {"++": "p++", "--": "p--"}
 
 
 class Parser:
@@ -57,25 +86,31 @@ class Parser:
         return self.tokens[i]
 
     def advance(self) -> Token:
-        t = self.tok
+        t = self.tokens[self.pos]
         if t.kind != "eof":
             self.pos += 1
         return t
 
     def check(self, kind: str, text: str | None = None) -> bool:
-        t = self.tok
+        t = self.tokens[self.pos]
         return t.kind == kind and (text is None or t.text == text)
 
     def accept(self, kind: str, text: str | None = None) -> Token | None:
-        if self.check(kind, text):
-            return self.advance()
+        t = self.tokens[self.pos]
+        if t.kind == kind and (text is None or t.text == text):
+            if kind != "eof":
+                self.pos += 1
+            return t
         return None
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        if not self.check(kind, text):
+        t = self.tokens[self.pos]
+        if t.kind != kind or (text is not None and t.text != text):
             want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}", self.tok)
-        return self.advance()
+            raise ParseError(f"expected {want!r}", t)
+        if kind != "eof":
+            self.pos += 1
+        return t
 
     def error(self, msg: str) -> ParseError:
         return ParseError(msg, self.tok)
@@ -83,27 +118,31 @@ class Parser:
     # -- type recognition -----------------------------------------------
 
     def at_type(self) -> bool:
-        t = self.tok
-        if t.kind == "kw" and (t.text in _BASE_TYPE_KWS or t.text == "struct"
-                               or t.text in ("const", "static", "extern")):
-            return True
+        t = self.tokens[self.pos]
+        if t.kind == "kw":
+            return t.text in _TYPE_START_KWS
         return t.kind == "id" and t.text in self.typedefs
 
     def parse_type_specifier(self) -> Type:
         """Parse the base type: builtin combination, struct, or typedef."""
-        while self.accept("kw", "const") or self.accept("kw", "static") \
-                or self.accept("kw", "extern"):
-            pass
-        if self.check("kw", "struct"):
+        tokens = self.tokens
+        t = tokens[self.pos]
+        while t.kind == "kw" and t.text in _QUALIFIER_KWS:
+            self.pos += 1
+            t = tokens[self.pos]
+        if t.kind == "kw" and t.text == "struct":
             return self._parse_struct_specifier()
-        if self.tok.kind == "id" and self.tok.text in self.typedefs:
-            return self.typedefs[self.advance().text]
+        if t.kind == "id" and t.text in self.typedefs:
+            self.pos += 1
+            return self.typedefs[t.text]
         words: list[str] = []
-        while self.tok.kind == "kw" and self.tok.text in _BASE_TYPE_KWS:
-            words.append(self.advance().text)
+        while t.kind == "kw" and t.text in _BASE_TYPE_KWS:
+            words.append(t.text)
+            self.pos += 1
+            t = tokens[self.pos]
         if not words:
             raise self.error("expected a type")
-        return _resolve_base_type(words, self.tok)
+        return _resolve_base_type(words, t)
 
     def _parse_struct_specifier(self) -> RecordType:
         self.expect("kw", "struct")
@@ -331,9 +370,26 @@ class Parser:
         return ast.Block(line=line, stmts=stmts)
 
     def parse_statement(self) -> list[ast.Stmt]:
-        line = self.tok.line
-        if self.check("op", "{"):
-            return [self.parse_block()]
+        t = self.tokens[self.pos]
+        if t.kind == "kw":
+            stmt = self._parse_keyword_statement(t.line)
+            if stmt is not None:
+                return stmt
+        elif t.kind == "op":
+            if t.text == "{":
+                return [self.parse_block()]
+            if t.text == ";":
+                self.pos += 1
+                return []
+        if self.at_type():
+            return self.parse_decl_statement()
+        expr = self.parse_expression()
+        self.expect("op", ";")
+        return [ast.ExprStmt(line=t.line, expr=expr)]
+
+    def _parse_keyword_statement(self, line: int) -> list[ast.Stmt] | None:
+        """A statement that opens with a keyword, or None when the
+        keyword opens a declaration instead."""
         if self.accept("kw", "if"):
             self.expect("op", "(")
             cond = self.parse_expression()
@@ -392,13 +448,7 @@ class Parser:
         if self.accept("kw", "continue"):
             self.expect("op", ";")
             return [ast.Continue(line=line)]
-        if self.accept("op", ";"):
-            return []
-        if self.at_type():
-            return self.parse_decl_statement()
-        expr = self.parse_expression()
-        self.expect("op", ";")
-        return [ast.ExprStmt(line=line, expr=expr)]
+        return None
 
     def parse_decl_statement(self) -> list[ast.Stmt]:
         line = self.tok.line
@@ -427,19 +477,18 @@ class Parser:
             parts.append(self.parse_assignment())
         return ast.Comma(line=first.line, parts=parts)
 
-    _ASSIGN_OPS = frozenset(
-        {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="})
-
     def parse_assignment(self) -> ast.Expr:
         left = self.parse_conditional()
-        if self.tok.kind == "op" and self.tok.text in self._ASSIGN_OPS:
-            op = self.advance().text
+        t = self.tokens[self.pos]
+        if t.kind == "op" and t.text in _ASSIGN_OPS:
+            self.pos += 1
             right = self.parse_assignment()
-            return ast.Assign(line=left.line, op=op, target=left, value=right)
+            return ast.Assign(line=left.line, op=t.text, target=left,
+                              value=right)
         return left
 
     def parse_conditional(self) -> ast.Expr:
-        cond = self.parse_binary(0)
+        cond = self.parse_binary()
         if self.accept("op", "?"):
             then = self.parse_expression()
             self.expect("op", ":")
@@ -448,62 +497,52 @@ class Parser:
                                    els=els)
         return cond
 
-    _PRECEDENCE = [
-        ["||"],
-        ["&&"],
-        ["|"],
-        ["^"],
-        ["&"],
-        ["==", "!="],
-        ["<", ">", "<=", ">="],
-        ["<<", ">>"],
-        ["+", "-"],
-        ["*", "/", "%"],
-    ]
-
-    def parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(self._PRECEDENCE):
-            return self.parse_unary()
-        ops = self._PRECEDENCE[level]
-        left = self.parse_binary(level + 1)
-        while self.tok.kind == "op" and self.tok.text in ops:
-            op = self.advance().text
+    def parse_binary(self, min_level: int = 1) -> ast.Expr:
+        """Precedence climbing over :data:`BINARY_PRECEDENCE`: a binary
+        expression whose operators all bind at ``min_level`` or tighter.
+        The right operand of a level-``k`` operator only takes operators
+        tighter than ``k``, which makes every level left-associative."""
+        left = self.parse_unary()
+        tokens = self.tokens
+        while True:
+            t = tokens[self.pos]
+            # only operator tokens have an operator's text
+            level = BINARY_PRECEDENCE.get(t.text, 0)
+            if level < min_level:
+                return left
+            self.pos += 1
             right = self.parse_binary(level + 1)
-            left = ast.Binary(line=left.line, op=op, left=left, right=right)
-        return left
+            left = ast.Binary(line=left.line, op=t.text, left=left,
+                              right=right)
 
     def parse_unary(self) -> ast.Expr:
-        line = self.tok.line
-        if self.accept("op", "-"):
-            return ast.Unary(line=line, op="-", operand=self.parse_unary())
-        if self.accept("op", "+"):
+        t = self.tokens[self.pos]
+        if t.kind != "op":
+            if t.kind == "kw" and t.text == "sizeof":
+                return self._parse_sizeof(t.line)
+            return self.parse_postfix()
+        op = t.text
+        if op in _PREFIX_OPS:
+            self.pos += 1
+            return ast.Unary(line=t.line, op=op, operand=self.parse_unary())
+        if op == "+":
+            self.pos += 1
             return self.parse_unary()
-        if self.accept("op", "!"):
-            return ast.Unary(line=line, op="!", operand=self.parse_unary())
-        if self.accept("op", "~"):
-            return ast.Unary(line=line, op="~", operand=self.parse_unary())
-        if self.accept("op", "*"):
-            return ast.Unary(line=line, op="*", operand=self.parse_unary())
-        if self.accept("op", "&"):
-            return ast.Unary(line=line, op="&", operand=self.parse_unary())
-        if self.accept("op", "++"):
-            return ast.Unary(line=line, op="++", operand=self.parse_unary())
-        if self.accept("op", "--"):
-            return ast.Unary(line=line, op="--", operand=self.parse_unary())
-        if self.accept("kw", "sizeof"):
-            if self.check("op", "(") and self._type_follows_paren():
-                self.expect("op", "(")
-                t = self.parse_abstract_type()
-                self.expect("op", ")")
-                return ast.SizeofType(line=line, of=t)
-            return ast.SizeofExpr(line=line, operand=self.parse_unary())
-        # cast
+        if op == "(" and self._type_follows_paren():
+            self.pos += 1
+            to = self.parse_abstract_type()
+            self.expect("op", ")")
+            return ast.Cast(line=t.line, to=to, operand=self.parse_unary())
+        return self.parse_postfix()
+
+    def _parse_sizeof(self, line: int) -> ast.Expr:
+        self.pos += 1
         if self.check("op", "(") and self._type_follows_paren():
-            self.expect("op", "(")
+            self.pos += 1
             t = self.parse_abstract_type()
             self.expect("op", ")")
-            return ast.Cast(line=line, to=t, operand=self.parse_unary())
-        return self.parse_postfix()
+            return ast.SizeofType(line=line, of=t)
+        return ast.SizeofExpr(line=line, operand=self.parse_unary())
 
     def _type_follows_paren(self) -> bool:
         nxt = self.peek()
@@ -514,13 +553,18 @@ class Parser:
 
     def parse_postfix(self) -> ast.Expr:
         e = self.parse_primary()
+        tokens = self.tokens
         while True:
-            line = self.tok.line
-            if self.accept("op", "["):
+            t = tokens[self.pos]
+            if t.kind != "op" or t.text not in _POSTFIX_OPS:
+                return e
+            self.pos += 1
+            op, line = t.text, t.line
+            if op == "[":
                 idx = self.parse_expression()
                 self.expect("op", "]")
                 e = ast.Index(line=line, base=e, index=idx)
-            elif self.accept("op", "("):
+            elif op == "(":
                 args: list[ast.Expr] = []
                 if not self.check("op", ")"):
                     while True:
@@ -529,36 +573,31 @@ class Parser:
                             break
                 self.expect("op", ")")
                 e = ast.Call(line=line, func=e, args=args)
-            elif self.accept("op", "."):
+            elif op == "." or op == "->":
                 name = self.expect("id").text
-                e = ast.Member(line=line, base=e, name=name, arrow=False)
-            elif self.accept("op", "->"):
-                name = self.expect("id").text
-                e = ast.Member(line=line, base=e, name=name, arrow=True)
-            elif self.accept("op", "++"):
-                e = ast.Unary(line=line, op="p++", operand=e)
-            elif self.accept("op", "--"):
-                e = ast.Unary(line=line, op="p--", operand=e)
+                e = ast.Member(line=line, base=e, name=name,
+                               arrow=op == "->")
             else:
-                return e
+                e = ast.Unary(line=line, op=_POSTFIX_UNARY[op], operand=e)
 
     def parse_primary(self) -> ast.Expr:
-        t = self.tok
-        if t.kind == "int" or t.kind == "char":
-            self.advance()
-            return ast.IntLit(line=t.line, value=int(t.value))
-        if t.kind == "float":
-            self.advance()
-            return ast.FloatLit(line=t.line, value=float(t.value))
-        if t.kind == "str":
-            self.advance()
-            return ast.StrLit(line=t.line, value=str(t.value))
-        if t.kind == "kw" and t.text == "NULL":
-            self.advance()
-            return ast.NullLit(line=t.line)
-        if t.kind == "id":
-            self.advance()
+        t = self.tokens[self.pos]
+        kind = t.kind
+        if kind == "id":
+            self.pos += 1
             return ast.Ident(line=t.line, name=t.text)
+        if kind == "int" or kind == "char":
+            self.pos += 1
+            return ast.IntLit(line=t.line, value=int(t.value))
+        if kind == "float":
+            self.pos += 1
+            return ast.FloatLit(line=t.line, value=float(t.value))
+        if kind == "str":
+            self.pos += 1
+            return ast.StrLit(line=t.line, value=str(t.value))
+        if kind == "kw" and t.text == "NULL":
+            self.pos += 1
+            return ast.NullLit(line=t.line)
         if self.accept("op", "("):
             e = self.parse_expression()
             self.expect("op", ")")

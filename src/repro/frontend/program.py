@@ -67,7 +67,7 @@ class Program:
                 if not recover:
                     raise
                 prog.frontend_errors.append(FrontendError(
-                    unit=unit_name, line=err.line, message=str(err),
+                    unit=unit_name, line=err.line, message=err.message,
                     kind="lex"))
                 continue
             parser = Parser(tokens, unit_name, recover=recover)

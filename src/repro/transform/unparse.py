@@ -10,6 +10,7 @@ advisor uses to render suggested structure definitions.
 from __future__ import annotations
 
 from ..frontend import ast
+from ..frontend.parser import BINARY_PRECEDENCE
 from ..frontend.typesys import (
     Type, PointerType, ArrayType, FunctionType, RecordType, NamedType,
 )
@@ -45,14 +46,17 @@ def struct_definition(rec: RecordType) -> str:
     return "\n".join(lines)
 
 
-# operator precedence levels for minimal parenthesization
+# operator precedence levels for minimal parenthesization: comma,
+# assignment and ?: below the parser's binary levels, unary, postfix
+# and primary above them
+_TOP_BINARY = 3 + max(BINARY_PRECEDENCE.values())
 _PREC = {
     ",": 1, "=": 2, "+=": 2, "-=": 2, "*=": 2, "/=": 2, "%=": 2,
     "&=": 2, "|=": 2, "^=": 2, "<<=": 2, ">>=": 2,
-    "?:": 3, "||": 4, "&&": 5, "|": 6, "^": 7, "&": 8,
-    "==": 9, "!=": 9, "<": 10, ">": 10, "<=": 10, ">=": 10,
-    "<<": 11, ">>": 11, "+": 12, "-": 12, "*": 13, "/": 13, "%": 13,
-    "unary": 14, "postfix": 15, "primary": 16,
+    "?:": 3,
+    **{op: 3 + level for op, level in BINARY_PRECEDENCE.items()},
+    "unary": _TOP_BINARY + 1, "postfix": _TOP_BINARY + 2,
+    "primary": _TOP_BINARY + 3,
 }
 
 

@@ -155,3 +155,34 @@ class TestCommentsAndPositions:
 
     def test_token_repr(self):
         assert "id" in str(Token("id", "x", 1, 1))
+
+
+class TestMalformedNumbers:
+    @pytest.mark.parametrize("literal", ["0x", "0X", "1e", "2.5e+", "²"])
+    def test_raises_lex_error_at_the_literal(self, literal):
+        with pytest.raises(LexError) as info:
+            tokenize(f"int main() {{\n    int x = {literal};\n}}\n")
+        err = info.value
+        assert (err.line, err.col) == (2, 13)
+        assert err.message == f"malformed number {literal!r} at column 13"
+
+    def test_non_decimal_digit_after_digits(self):
+        with pytest.raises(LexError) as info:
+            tokenize("x = 12²;")
+        assert (info.value.line, info.value.col) == (1, 5)
+
+
+class TestLiteralsSpanningLines:
+    def test_backslash_newline_in_string_counts_a_line(self):
+        toks = tokenize('char *s = "ab\\\ncd";\nint x;')
+        lit = toks[4]
+        assert (lit.kind, lit.value, lit.line, lit.col) == \
+            ("str", "ab\ncd", 1, 11)
+        assert [(t.text, t.line, t.col) for t in toks[5:8]] == \
+            [(";", 2, 4), ("int", 3, 1), ("x", 3, 5)]
+
+    def test_backslash_newline_in_char_counts_a_line(self):
+        toks = tokenize("c = '\\\n'; d")
+        assert (toks[2].kind, toks[2].value) == ("char", 10)
+        assert [(t.text, t.line, t.col) for t in toks[3:5]] == \
+            [(";", 2, 2), ("d", 2, 4)]

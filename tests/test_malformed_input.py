@@ -3,6 +3,7 @@ reports structured errors with the right exit codes."""
 
 import pytest
 
+from repro.api import LADDER, CompileRequest, Session
 from repro.cli import main
 from repro.frontend import ParseError, Program, tokenize
 from repro.frontend.parser import Parser
@@ -16,6 +17,14 @@ int main() { printf("%d\\n", ok()); return 0; }
 """
 
 TRUNCATED = "struct s { long a;\n"
+
+STRAY_CHAR = "int x = 1 $ 2;\n"
+MALFORMED_NUMBER = "int main() { int x = 0x; return 0; }\n"
+
+
+def _errors(reply) -> list[tuple]:
+    return [(d["unit"], d["line"], d["message"])
+            for d in reply.diagnostics if d["severity"] == "error"]
 
 
 class TestParserRecovery:
@@ -97,3 +106,45 @@ class TestCliErrors:
         p.write_text(TRUNCATED)
         assert main(["analyze", str(p)]) == 1
         assert "repro: error: t.c:" in capsys.readouterr().err
+
+
+class TestLexDiagnostics:
+    """A lex error is reported like a parse error: the diagnostic
+    carries the unit and line, its message names neither."""
+
+    def test_session_diagnostic(self):
+        reply = Session().execute(CompileRequest(
+            op="analyze", sources=[("a.c", STRAY_CHAR)]))
+        assert _errors(reply) == \
+            [("a.c", 1, "unexpected character '$' at column 11")]
+
+    # compare's full tier also runs the program, and a unit with errors
+    # is dropped from it
+    @pytest.mark.parametrize("op, tier", [
+        (op, tier) for op, tiers in sorted(LADDER.items())
+        for tier in tiers if (op, tier) != ("compare", "full")])
+    def test_malformed_number_is_a_diagnostic_at_every_tier(self, op,
+                                                            tier):
+        reply = Session().execute(CompileRequest(
+            op=op, sources=[("b.c", MALFORMED_NUMBER)]), tier=tier)
+        assert _errors(reply) == \
+            [("b.c", 1, "malformed number '0x' at column 22")]
+
+    def test_cli_prints_the_location_once(self, tmp_path, capsys):
+        p = tmp_path / "a.c"
+        p.write_text(STRAY_CHAR)
+        assert main(["analyze", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert [ln for ln in err.splitlines()
+                if ln.startswith("repro: error: a.c:")] == \
+            ["repro: error: a.c:1: unexpected character '$' at column 11"]
+
+    def test_cli_malformed_number_exits_1(self, tmp_path, capsys):
+        p = tmp_path / "b.c"
+        p.write_text(MALFORMED_NUMBER)
+        assert main(["analyze", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [ln for ln in err.splitlines()
+                if ln.startswith("repro: error: b.c:")] == \
+            ["repro: error: b.c:1: malformed number '0x' at column 22"]

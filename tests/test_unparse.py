@@ -4,8 +4,8 @@ path."""
 
 from hypothesis import given, strategies as st
 
-from repro.frontend import Program
-from repro.frontend.parser import parse_expr
+from repro.frontend import Program, ast
+from repro.frontend.parser import BINARY_PRECEDENCE, parse_expr
 from repro.runtime import run_program
 from repro.transform.unparse import (
     expr_text, unit_text, program_sources, type_decl, struct_definition,
@@ -191,3 +191,38 @@ def test_expr_roundtrip_property(text):
     rendered = expr_text(e1)
     e2 = parse_expr(rendered)
     assert expr_text(e2) == rendered
+
+
+# random trees over every binary operator, the prefix and postfix
+# unary operators, assignment, ?: and comma: rendering one and parsing
+# the text back must give the same tree
+_tree_leaf = st.one_of(
+    st.integers(0, 1000).map(lambda v: ast.IntLit(line=1, value=v)),
+    _names.map(lambda n: ast.Ident(line=1, name=n)),
+)
+
+
+def _tree_nodes(children):
+    return st.one_of(
+        st.builds(lambda op, a, b: ast.Binary(line=1, op=op, left=a,
+                                              right=b),
+                  st.sampled_from(sorted(BINARY_PRECEDENCE)), children,
+                  children),
+        st.builds(lambda op, a: ast.Unary(line=1, op=op, operand=a),
+                  st.sampled_from(["-", "!", "~", "*", "&", "++", "--",
+                                   "p++", "p--"]), children),
+        st.builds(lambda op, a, b: ast.Assign(line=1, op=op, target=a,
+                                              value=b),
+                  st.sampled_from(["=", "+=", "<<=", "|="]), children,
+                  children),
+        st.builds(lambda a, b, c: ast.Conditional(line=1, cond=a, then=b,
+                                                  els=c),
+                  children, children, children),
+        st.lists(children, min_size=2, max_size=3).map(
+            lambda parts: ast.Comma(line=1, parts=parts)),
+    )
+
+
+@given(st.recursive(_tree_leaf, _tree_nodes, max_leaves=16))
+def test_tree_roundtrip_property(tree):
+    assert parse_expr(expr_text(tree)) == tree
