@@ -91,7 +91,7 @@ def check_overhead(bound_pct: float, repeats: int) -> None:
     sources = make_sources(n_units=4)
 
     def timed(tracer=None, metrics=None) -> float:
-        opts = CompilerOptions(jobs=1, cache_dir=None)
+        opts = CompilerOptions(cache_dir=None)
         t0 = time.perf_counter()
         result = Compiler(opts, tracer=tracer,
                           metrics=metrics).compile_sources(sources)

@@ -211,8 +211,7 @@ def phase_cost_footer(result: CompilationResult) -> str:
     if sched:
         lines.append(
             f"  dag  {sched.get('wall_ms', 0.0):9.1f} ms  "
-            f"(jobs={sched.get('jobs', 1)}, "
-            f"{sched.get('nodes', 0)} nodes, critical path "
+            f"({sched.get('nodes', 0)} nodes, critical path "
             f"{sched.get('critical_path_ms', 0.0):.1f} ms)")
     # equal-time passes sort by name so the footer is byte-stable
     passes = sorted(result.pass_timings.items(),

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields as dc_fields
 
-from .core.dag import effective_cores
 from .core.diagnostics import CODE_CONTAINED, CODE_MISMATCH, \
     DiagnosticEngine
 from .core.faults import ProcessFaultSpec
@@ -278,7 +277,10 @@ class CompileOptions:
     peel_mode: str | None = None       # auto|per-field|hot-cold|affinity
     verify: bool = True                # differential verification
     cache: bool = True                 # use the daemon's summary cache
-    jobs: int = 1                      # parse-pool width (0 = auto)
+    #: accepted and validated (>= 0) for clients written against the
+    #: former parse pool; it has no effect, since a compile runs on
+    #: one core
+    jobs: int = 1
     cycle_limit: int = 2_000_000_000   # simulator budget for compare
     #: global layout search (None = greedy §2.4 heuristics only)
     search: SearchOptions | None = None
@@ -288,9 +290,15 @@ class CompileOptions:
 
     def __post_init__(self):
         if self.jobs < 0:
+            raise ApiError(f"jobs must be >= 0, got {self.jobs}",
+                           detail={"where": "options.jobs"})
+        if isinstance(self.cycle_limit, bool) \
+                or not isinstance(self.cycle_limit, int) \
+                or self.cycle_limit < 1:
             raise ApiError(
-                f"jobs must be >= 0 (0 = one parse worker per effective "
-                f"core), got {self.jobs}", detail={"where": "options.jobs"})
+                f"cycle_limit must be a positive integer, got "
+                f"{self.cycle_limit!r}",
+                detail={"where": "options.cycle_limit"})
         if self.peel_mode is not None \
                 and self.peel_mode not in PEEL_MODES:
             raise ApiError(
@@ -320,7 +328,12 @@ class CompileOptions:
             if "jobs" in d:
                 kwargs["jobs"] = int(d["jobs"])
             if "cycle_limit" in d:
-                kwargs["cycle_limit"] = int(d["cycle_limit"])
+                # integral floats (2e9) are counts; any other value is
+                # refused by __post_init__, never truncated
+                limit = d["cycle_limit"]
+                kwargs["cycle_limit"] = int(limit) \
+                    if isinstance(limit, float) and limit.is_integer() \
+                    else limit
         except (TypeError, ValueError) as exc:
             raise ApiError(f"bad options value: {exc}",
                            detail={"where": "options"}) from exc
@@ -360,7 +373,6 @@ class CompileOptions:
             relax_legality=self.relax,
             transform=full,
             verify_transforms=full and self.verify,
-            jobs=self.jobs if self.jobs >= 1 else effective_cores(),
             cache_dir=cache_dir if self.cache else None,
             search=self.search)
 
@@ -695,11 +707,10 @@ def execute_tier(op: str, tier: str, sources: list[tuple[str, str]],
                 for name, text in program_sources(result.transformed)]
         elif op == "compare":
             from .runtime import run_program
-            cycle_limit = int(options.cycle_limit)
             before = run_program(result.program,
-                                 cycle_limit=cycle_limit)
+                                 cycle_limit=options.cycle_limit)
             after = run_program(result.transformed,
-                                cycle_limit=cycle_limit)
+                                cycle_limit=options.cycle_limit)
             mismatch = before.stdout != after.stdout
             if mismatch:
                 result.diagnostics.error(
@@ -760,8 +771,8 @@ class Session:
 
     def compile_sources(self, sources: list[tuple[str, str]]
                         ) -> CompilationResult:
-        """Compile ``[(unit_name, text), ...]`` through the parallel
-        front end and (when configured) the summary cache."""
+        """Compile ``[(unit_name, text), ...]`` through the front end
+        and (when configured) the summary cache."""
         return self._compiler().compile_sources(sources)
 
     def execute(self, request: CompileRequest, *,

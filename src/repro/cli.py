@@ -48,7 +48,7 @@ from .core import (
 from .frontend import Program
 from .obs import Tracer, write_trace
 from .profit import collect_feedback
-from .runtime import run_program
+from .runtime import StepLimitExceeded, run_program
 from .transform import program_sources
 from .transform.heuristics import PEEL_MODES
 
@@ -95,11 +95,11 @@ def _load_program(paths: list[str]) -> Program:
 
 def _compile(paths: list[str], options: CompilerOptions,
              trace_out: str | None = None) -> CompilationResult:
-    """Read, parse (in parallel when ``--jobs`` asks for it, through the
-    summary cache when ``--cache-dir`` names one) and compile via a
-    :class:`repro.api.Session`.  With ``trace_out``, the compile runs
-    under a tracer and the span tree is written there (Chrome
-    ``trace_event`` JSON, or JSONL for a ``.jsonl`` path)."""
+    """Read, parse and compile via a :class:`repro.api.Session`,
+    through the summary cache when ``--cache-dir`` names one.  With
+    ``trace_out``, the compile runs under a tracer and the span tree
+    is written there (Chrome ``trace_event`` JSON, or JSONL for a
+    ``.jsonl`` path)."""
     tracer = Tracer() if trace_out else None
     session = Session(options, tracer=tracer)
     result = session.compile_sources(_read_sources(paths))
@@ -130,7 +130,6 @@ def _compile_options(args) -> CompileOptions:
             peel_mode=args.peel_mode,
             verify=not getattr(args, "no_verify", False),
             cache=not args.no_cache,
-            jobs=getattr(args, "jobs", 1),
             search=None if args.search is None
             else SearchOptions.from_cli(args.search))
     except ApiError as exc:
@@ -236,9 +235,19 @@ def cmd_transform(args) -> int:
     return _report(result)
 
 
+def _run_within(program: Program, cycle_limit: int):
+    """Run ``program`` on the simulated machine; a run past
+    ``--cycle-limit`` is an error line, not a traceback."""
+    try:
+        return run_program(program, cycle_limit=cycle_limit)
+    except StepLimitExceeded as exc:
+        raise CliError(f"program ran past --cycle-limit "
+                       f"({cycle_limit:,} cycles)", EXIT_COMPILE) from exc
+
+
 def cmd_run(args) -> int:
     program = _load_program(args.files)
-    result = run_program(program, cycle_limit=args.cycle_limit)
+    result = _run_within(program, args.cycle_limit)
     sys.stdout.write(result.stdout)
     print(f"\n[exit {result.exit_code}; {result.cycles:,} cycles]")
     if args.stats:
@@ -249,9 +258,8 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     result = _compile(args.files, _options(args).options, args.trace_out)
-    before = run_program(result.program, cycle_limit=args.cycle_limit)
-    after = run_program(result.transformed,
-                        cycle_limit=args.cycle_limit)
+    before = _run_within(result.program, args.cycle_limit)
+    after = _run_within(result.transformed, args.cycle_limit)
     if before.stdout != after.stdout:
         result.diagnostics.error(
             phase="compare", code=CODE_MISMATCH,
@@ -659,6 +667,18 @@ def cmd_client(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count flag: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -699,13 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--strict", action="store_true",
                            help="abort on the first contained fault "
                                 "instead of degrading gracefully")
-            p.add_argument("-j", "--jobs", type=int, default=1,
-                           metavar="N",
-                           help="parse translation units on up to "
-                                "N pool workers, at most one per "
-                                "effective core (default 1 = inline; "
-                                "0 = one per effective core); every "
-                                "other pass runs serially")
             p.add_argument("--cache-dir", default=None, metavar="DIR",
                            help="keep per-TU summaries in DIR so "
                                 "unchanged units are not re-analyzed")
@@ -770,13 +783,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, scheme=False)
     p.add_argument("--stats", action="store_true",
                    help="print cache statistics")
-    p.add_argument("--cycle-limit", type=int, default=2_000_000_000)
+    p.add_argument("--cycle-limit", type=_positive_int,
+                   default=2_000_000_000, metavar="N",
+                   help="stop a run after N simulated cycles")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("compare",
                        help="measure original vs transformed")
     add_common(p)
-    p.add_argument("--cycle-limit", type=int, default=2_000_000_000)
+    p.add_argument("--cycle-limit", type=_positive_int,
+                   default=2_000_000_000, metavar="N",
+                   help="stop a run after N simulated cycles")
     p.add_argument("--no-verify", action="store_true",
                    help="skip differential verification of the "
                         "transformed program")

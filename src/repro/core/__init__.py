@@ -14,8 +14,7 @@ from .faults import (
     CACHE_FAULTS, CACHE_FAULT_MODES, CacheFaultRegistry, CacheFaultSpec,
     inject_cache_fault,
 )
-from .dag import effective_cores, process_pool, shutdown_process_pool
-from .fe import FEReport, UnifyError
+from .dag import effective_cores
 from .pipeline import (
     Compiler, CompilerOptions, CompilationResult, PhaseGuard,
     FAULT_REASON, SCHEMES,
@@ -40,8 +39,7 @@ __all__ = [
     "ProcessFaultRegistry", "ProcessFaultSpec",
     "CACHE_FAULTS", "CACHE_FAULT_MODES", "CacheFaultRegistry",
     "CacheFaultSpec", "inject_cache_fault",
-    "effective_cores", "process_pool", "shutdown_process_pool",
-    "FEReport", "UnifyError",
+    "effective_cores",
     "CacheEvent", "FsckReport", "SummaryCache", "fingerprint",
     "fsck_cache", "open_cache",
 ]

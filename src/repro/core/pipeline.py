@@ -7,9 +7,9 @@ aggregation, escape analysis, weight estimation, heuristics), **BE**
 a named **step**, one after another on the calling thread, in a fixed
 order:
 
-- FE: ``fe.parse`` fans every unit's parse out to a shared process
-  pool (``jobs`` workers) and gathers them in unit order;
-  ``fe.assemble`` unifies them; ``lower`` and ``loops``; one
+- FE: ``fe.parse`` runs the front end over every unit in unit order
+  (:meth:`~repro.frontend.program.Program.from_sources`, in recover
+  mode) and reports its errors; ``lower`` and ``loops``; one
   summarize step per unit (``legality[a.c]``, ``deadfields[a.c]``),
   each probing its own summary-cache entry, followed by its merge
   (``legality``, ``deadfields``); ``fe.finish`` stores a clean front
@@ -20,10 +20,9 @@ order:
   eligible type and the ``search`` merge; then one ``apply[T]`` per
   transformed decision, in decision order, ``apply`` and ``verify``.
 
-``jobs`` only sizes the parse pool, so it stays an execution strategy,
-never a semantic knob.  Per-phase wall-clock timings (§2.5) come from
-the step log, and :attr:`CompilationResult.scheduler` reports the
-step count, wall and step sum of every compile.
+Per-phase wall-clock timings (§2.5) come from the step log, and
+:attr:`CompilationResult.scheduler` reports the step count, wall and
+step sum of every compile.
 
 The driver is **fault tolerant**: structure layout optimization is an
 optimization, so no failure inside it may take the compilation down.
@@ -79,7 +78,7 @@ from ..transform.search import (
 )
 from ..runtime.replay import capture_trace, precompile
 from ..obs import (
-    CAT_COMPILE, CAT_FE_UNIT, CAT_PHASE, MetricsPassObserver,
+    CAT_COMPILE, CAT_PHASE, MetricsPassObserver,
     MetricsRegistry, NULL_TRACER, PASS_EVENTS, PassEvent, PassProfiler,
     Tracer, TracingPassObserver,
 )
@@ -88,10 +87,6 @@ from .diagnostics import (
     CODE_ROLLBACK, CODE_VERIFY, DiagnosticEngine, FatalCompilerError,
 )
 from .faults import FAULTS, InjectedFault
-from .fe import (
-    FEReport, finish_assembly, legacy_assembly, parse_cached,
-    plan_parses,
-)
 from .summarycache import SummaryCache, fingerprint, open_cache
 
 #: weight schemes the pipeline can drive transformations with
@@ -101,8 +96,8 @@ SCHEMES = ("SPBO", "ISPBO", "ISPBO.NO", "ISPBO.W", "PBO", "PPBO")
 FAULT_REASON = "FAULT"
 
 #: sentinel a per-unit summarize step returns when its source name is
-#: absent from the assembled program (legacy-fallback sema skips, parse
-#: failures) — the merge step drops these entries
+#: absent from the parsed program (a unit the front end dropped for a
+#: lex or sema error) — the merge step drops these entries
 _SKIP = object()
 
 
@@ -148,18 +143,10 @@ class CompilerOptions:
     #: transformed-run budget = original cycles * factor + slack
     verify_cycle_factor: float = 4.0
     verify_cycle_slack: int = 1_000_000
-    #: parse workers in the shared process pool, clamped to the unit
-    #: and effective core counts (1 = every unit parses inline); every
-    #: other step runs inline, one at a time, regardless.  The CLI/API
-    #: resolve ``--jobs 0`` (auto) to
-    #: :func:`repro.core.dag.effective_cores` before options are
-    #: built, so here the floor stays 1.
-    jobs: int = 1
     #: content-addressed summary cache spec (None = off): a local
     #: directory, or ``unix:PATH`` naming a shared cache-service
-    #: socket; holds per-TU parse artifacts, per-TU analysis
-    #: summaries, and whole-program FE results keyed by source +
-    #: options fingerprints
+    #: socket; holds per-TU analysis summaries and whole-program FE
+    #: results keyed by source + options fingerprints
     cache_dir: str | Path | None = None
     #: global layout-search options (:class:`repro.api.SearchOptions`
     #: or any object with the same attributes; None = greedy
@@ -176,8 +163,6 @@ class CompilerOptions:
                              f"choose from {SCHEMES}")
         if self.scheme in ("PBO", "PPBO") and self.feedback is None:
             raise ValueError(f"{self.scheme} requires a feedback file")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.search is not None:
             eng = getattr(self.search, "engine", "sa")
             if eng not in ENGINES:
@@ -187,8 +172,8 @@ class CompilerOptions:
     def fingerprint(self) -> str:
         """Hash of every option that can change FE/IPA artifacts.
 
-        Excludes ``jobs``/``cache_dir`` (execution strategy, not
-        semantics) and the verification knobs (BE-only).  Used to key
+        Excludes ``cache_dir`` (execution strategy, not semantics)
+        and the verification knobs (BE-only).  Used to key
         every cache tier, so changing any semantic option is a full
         cache miss.
         """
@@ -222,14 +207,12 @@ class CompilationResult:
         default_factory=DiagnosticEngine)
     #: type names whose transforms verification rolled back
     rolled_back: list[str] = field(default_factory=list)
-    #: how the front end ran (compile_sources only; None otherwise)
-    fe_report: FEReport | None = None
     #: per-pass profile (wall ms, peak-RSS growth, diagnostics emitted);
     #: populated only when the compile ran with tracing enabled
     pass_profile: dict[str, dict] = field(default_factory=dict)
     #: trace id of the compile's span tree (None when tracing was off)
     trace_id: str | None = None
-    #: how the steps ran: jobs, step count, wall, step list and sum
+    #: how the steps ran: step count, wall, step list and sum
     scheduler: dict = field(default_factory=dict)
     #: per-type layout-search stats keyed by type name, plus a
     #: ``_trace`` entry describing the captured access trace; empty
@@ -364,8 +347,8 @@ class _Run:
         self.cache = cache
         self.sources = sources
         self.opts_fp = opts.fingerprint()
-        #: fingerprint of the unified type/symbol interface, part of
-        #: every per-unit summary key (set by ``fe.assemble``)
+        #: fingerprint of the program's type/symbol interface, part
+        #: of every per-unit summary key (set by ``fe.parse``)
         self.iface_fp = ""
         self.log: list[tuple[str, str, float, float]] = []
         self.phase = ""
@@ -390,11 +373,11 @@ class _Run:
             return 0.0
         return max(e for _, e in spans) - min(s for s, _ in spans)
 
-    def scheduler(self, jobs: int, wall: float, restored: bool) -> dict:
+    def scheduler(self, wall: float, restored: bool) -> dict:
         """The ``scheduler`` block.  The steps form one chain, so the
         critical path is every step in run order and its length is
         their sum."""
-        return {"jobs": jobs, "nodes": len(self.log),
+        return {"nodes": len(self.log),
                 "wall_ms": round(wall * 1e3, 3),
                 "critical_path_ms": round(
                     sum(e - s for _, _, s, e in self.log) * 1e3, 3),
@@ -452,8 +435,8 @@ class Compiler:
 
     def compile_sources(self, sources: list[tuple[str, str]]
                         ) -> CompilationResult:
-        """Compile ``[(unit_name, source_text), ...]`` with the parallel
-        front end and (when ``cache_dir`` is set) the content-addressed
+        """Compile ``[(unit_name, source_text), ...]`` through the front
+        end and (when ``cache_dir`` is set) the content-addressed
         summary cache.
 
         Warm path: an unchanged ``(sources, options)`` pair restores
@@ -514,7 +497,6 @@ class Compiler:
                     "fe", t0, t0 + fe_probe, category=CAT_PHASE,
                     attrs={"restored_from_cache": True})
         restored = fe is not None
-        fe_report = None
 
         t_run = time.perf_counter()
         if not restored:
@@ -523,7 +505,7 @@ class Compiler:
                     self._parse_diags(program, diags)
                     unit_names = [u.name for u in program.units]
                 else:
-                    program, fe_report = self._parse(run)
+                    program = self._parse(run)
                     unit_names = [name for name, _ in sources]
                 fe = (program,) + self._fe_analyses(run, program,
                                                     unit_names)
@@ -598,51 +580,27 @@ class Compiler:
             timings={"fe": fe_probe + run.window("fe"),
                      "ipa": run.window("ipa"), "be": run.window("be")},
             pass_timings=run.pass_timings, diagnostics=diags,
-            rolled_back=rolled_back, fe_report=fe_report,
-            scheduler=run.scheduler(opts.jobs, wall, restored),
+            rolled_back=rolled_back,
+            scheduler=run.scheduler(wall, restored),
             search=search_stats)
 
     # -- FE steps ----------------------------------------------------------
 
-    def _parse(self, run: _Run) -> tuple[Program, FEReport]:
-        """``fe.parse`` (every unit's isolated parse, fanned out to the
-        parse pool) and ``fe.assemble`` (unification and sema, or the
-        serial fallback), under one ``fe.parse`` span."""
-        opts, sources, cache = self.options, run.sources, run.cache
-        unit_budget = opts.phase_budget / max(len(sources), 1) \
-            if opts.phase_budget is not None else None
-        report = FEReport(jobs=opts.jobs)
-        plan_error = ""
-        try:
-            tasks, prescans = plan_parses(sources, unit_budget)
-        except Exception as exc:                   # pragma: no cover
-            tasks, prescans = None, None
-            plan_error = f"typedef pre-scan failed: {exc}"
+    def _parse(self, run: _Run) -> Program:
+        """``fe.parse``: every unit through the serial front end in
+        recover mode, its errors as ``parse`` diagnostics, and, with a
+        cache, the interface fingerprint the per-unit summary keys
+        carry."""
 
         def parse():
-            if tasks is None:
-                return None
-            return parse_cached(tasks, cache, run.opts_fp, jobs=opts.jobs)
-
-        def assemble(parsed):
-            if tasks is None:
-                program, rep = legacy_assembly(sources, report, plan_error)
-            else:
-                program, rep = finish_assembly(sources, parsed, prescans,
-                                               report, cache)
-            self._fe_report_diags(rep, run.diags, unit_budget)
+            program = Program.from_sources(run.sources, recover=True)
             self._parse_diags(program, run.diags)
-            if cache is not None:
+            if run.cache is not None:
                 run.iface_fp = self._interface_fingerprint(program)
-            return program, rep
+            return program
 
-        with self.tracer.span("fe.parse", category=CAT_PHASE) as span:
-            parsed = run.step("fe.parse", parse)
-            program, report = run.step("fe.assemble", assemble, parsed)
-            span.set(mode=report.mode, jobs=report.jobs,
-                     parse_cache_hits=report.parse_cache_hits)
-        self._fe_unit_spans(report, span)
-        return program, report
+        with self.tracer.span("fe.parse", category=CAT_PHASE):
+            return run.step("fe.parse", parse)
 
     def _fe_analyses(self, run: _Run, program: Program,
                      unit_names: list[str]) -> tuple:
@@ -840,25 +798,6 @@ class Compiler:
 
     # -- observability -----------------------------------------------------
 
-    def _fe_unit_spans(self, report: FEReport, parse_span) -> None:
-        """Retro-record one span per translation unit's parse.
-
-        Per-TU parses may have run inside pool subprocesses, where no
-        tracer exists; only their durations come back (in
-        ``FEReport.unit_elapsed``), so the spans are laid out from the
-        ``fe.parse`` span's start on per-unit virtual tracks."""
-        if not self.tracer.enabled:
-            return
-        t0 = parse_span.start
-        for i, (name, elapsed) in enumerate(
-                sorted(report.unit_elapsed.items())):
-            self.tracer.add_finished(
-                f"parse[{name}]", t0, t0 + elapsed,
-                category=CAT_FE_UNIT, parent_id=parse_span.span_id,
-                tid=1_000_000 + i,
-                attrs={"unit": name,
-                       "overrun": name in report.budget_overruns})
-
     def _cache_metrics(self, cache: SummaryCache) -> None:
         if self.metrics is not None:
             self.metrics.counter("fe.cache.hit").inc(cache.hits)
@@ -873,24 +812,6 @@ class Compiler:
             diags.error("parse", fe_err.message, unit=fe_err.unit,
                         line=fe_err.line or None, code=CODE_PARSE,
                         action="fix the source and recompile")
-
-    @staticmethod
-    def _fe_report_diags(report: FEReport, diags: DiagnosticEngine,
-                         unit_budget: float | None) -> None:
-        if report.mode == "legacy" and report.fallback_reason:
-            diags.note(
-                "parse",
-                f"parallel front end fell back to the serial parser: "
-                f"{report.fallback_reason}")
-        for name in report.budget_overruns:
-            diags.warning(
-                "parse",
-                f"unit {name} exceeded its "
-                f"{unit_budget:.3f}s front-end budget share"
-                if unit_budget is not None else
-                f"unit {name} exceeded its front-end budget share",
-                unit=name, code=CODE_BUDGET,
-                action="raise phase_budget or split the unit")
 
     @staticmethod
     def _load_fe_artifacts(cache: SummaryCache, fe_key: str):

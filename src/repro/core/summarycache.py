@@ -5,8 +5,8 @@ consumes; SYZYGY keeps them on disk so an unchanged translation unit is
 never re-analyzed.  This module is that mechanism for the reproduction:
 a small content-addressed store keyed by SHA-256 of *what produced the
 artifact* — the TU source text, a fingerprint of the compiler options,
-and the cache schema version — holding pickled artifacts (parsed units,
-per-TU analysis summaries, whole-program FE results).
+and the cache schema version — holding pickled artifacts (per-TU
+analysis summaries, whole-program FE results).
 
 Design rules:
 
@@ -89,7 +89,7 @@ class CacheEvent:
     """One observable cache interaction, for diagnostics and tests."""
 
     kind: str                 # hit | miss | corrupt | store | io-error
-    category: str             # parse | summary | fe | search
+    category: str             # summary | fe | search
     key: str
     detail: str = ""
 
@@ -111,9 +111,9 @@ def fingerprint(*parts: object) -> str:
 class SummaryCache:
     """Content-addressed pickle store under one directory.
 
-    ``category`` namespaces keys (parse artifacts vs analysis summaries
-    vs whole-program FE artifacts) so unrelated artifact kinds can never
-    collide even if their key material does.
+    ``category`` namespaces keys (analysis summaries vs whole-program
+    FE artifacts) so unrelated artifact kinds can never collide even
+    if their key material does.
 
     The layout-search engine adds a ``search`` category: one
     ``{"cycles": int}`` score memo per (trace fingerprint, layout

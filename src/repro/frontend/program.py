@@ -53,10 +53,8 @@ class Program:
         error is collected into :attr:`frontend_errors` (units that
         fail semantic analysis are dropped from the program).
 
-        This is the serial front end.  The parallel one (per-unit
-        isolated parses unified afterwards) runs as the compile's
-        ``fe.parse`` and ``fe.assemble`` steps and falls back to this
-        path whenever it cannot reproduce it exactly.
+        This is the compiler's one front end: the compile's
+        ``fe.parse`` step calls it with ``recover=True``.
         """
         prog = cls()
         sema = SemanticAnalyzer(prog.symbols)

@@ -13,7 +13,7 @@ falsy check per guarded pass.
 """
 
 from .trace import (
-    CAT_COMPILE, CAT_FE_UNIT, CAT_PASS, CAT_PHASE, CAT_SERVICE,
+    CAT_COMPILE, CAT_PASS, CAT_PHASE, CAT_SERVICE,
     NULL_SPAN, NULL_TRACER, Span, Tracer, new_trace_id,
 )
 from .metrics import (
@@ -30,7 +30,7 @@ from .export import (
 )
 
 __all__ = [
-    "CAT_COMPILE", "CAT_FE_UNIT", "CAT_PASS", "CAT_PHASE",
+    "CAT_COMPILE", "CAT_PASS", "CAT_PHASE",
     "CAT_SERVICE", "NULL_SPAN", "NULL_TRACER", "Span", "Tracer",
     "new_trace_id",
     "METRICS", "Counter", "Gauge", "Histogram", "MetricsRegistry",

@@ -41,7 +41,6 @@ CAT_COMPILE = "compile"      # whole-compilation roots
 CAT_PHASE = "phase"          # fe / ipa / be
 CAT_PASS = "pass"            # individual guarded passes
 CAT_SERVICE = "service"      # request / attempt / job spans
-CAT_FE_UNIT = "fe-unit"      # per-translation-unit FE work
 
 
 def new_trace_id() -> str:
@@ -247,7 +246,8 @@ class Tracer:
                      category: str = "", parent_id: str | None = None,
                      attrs: dict | None = None, tid: int = 0) -> Span:
         """Record a span whose interval was measured elsewhere (e.g.
-        per-TU parse work done inside a pool subprocess)."""
+        the admission-queue wait before dispatch, or a front end
+        restored from the summary cache)."""
         if not self.enabled:
             return NULL_SPAN            # type: ignore[return-value]
         if parent_id is None:

@@ -33,8 +33,9 @@ Every verdict is counted once, as an ``admission.*`` series labelled
 by tenant in the server's :class:`~repro.obs.MetricsRegistry`; the
 ``fairness`` stats block is read out of those series.  Everything
 takes an injected ``clock`` so tests can script time.
-The serial in-process path (``--jobs 1`` / :class:`repro.api.Session`)
-never touches this module; admission is a service-layer concern.
+The in-process path (the local CLI commands /
+:class:`repro.api.Session`) never touches this module; admission is a
+service-layer concern.
 """
 
 from __future__ import annotations

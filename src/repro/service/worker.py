@@ -23,8 +23,8 @@ supervisor sends over a pipe.  The worker
   healthy), or ``fatal`` (the worker is dying — simulated or real OOM —
   and exits right after sending).
 
-The worker holds no state a crash can lose: parse artifacts and
-analysis summaries live in the on-disk content-addressed summary cache
+The worker holds no state a crash can lose: whole front ends and
+per-unit analysis summaries live in the on-disk content-addressed cache
 shared by the whole pool, so a respawned worker is warm immediately.
 
 Payload building is delegated to :func:`repro.api.execute_tier` — the
@@ -42,7 +42,6 @@ import traceback
 
 from ..api import CompileRequest, execute_tier
 from ..api import _type_rows  # noqa: F401  (re-exported; tests use it)
-from ..core.dag import shutdown_process_pool
 from ..core.faults import PROC_FAULTS, ProcessFault, ProcessFaultSpec
 from ..core.pipeline import PASS_EVENTS
 from ..obs import CAT_SERVICE, Tracer
@@ -210,6 +209,3 @@ def worker_main(conn, heartbeat, state, cache_dir: str | None,
                 set_stage(state, "idle")
     finally:
         PASS_EVENTS.unsubscribe(on_pass_event)
-        # drop this worker's parse pool: its children must not outlive
-        # the worker the way the worker must not outlive the daemon
-        shutdown_process_pool()

@@ -49,10 +49,6 @@ class TestAnalyze:
         with pytest.raises(SystemExit):
             main(["analyze", "--scheme", "MAGIC", demo_file])
 
-    def test_negative_jobs_rejected(self, demo_file, capsys):
-        assert main(["analyze", "--jobs", "-1", demo_file]) == 2
-        assert "jobs must be >= 0" in capsys.readouterr().err
-
 
 class TestRun:
     def test_executes_and_reports_cycles(self, demo_file, capsys):
@@ -70,6 +66,28 @@ class TestRun:
         p = tmp_path / "f.c"
         p.write_text("int main() { return 3; }")
         assert main(["run", str(p)]) == 3
+
+
+class TestCycleLimit:
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_exceeded_limit_is_one_error_line(self, command, demo_file,
+                                              capsys):
+        assert main([command, "--cycle-limit", "100", demo_file]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = [ln for ln in err.splitlines() if ln.startswith("repro:")]
+        assert lines == ["repro: error: program ran past --cycle-limit "
+                         "(100 cycles)"]
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_limit_below_one_is_a_usage_error(self, command, limit,
+                                              demo_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--cycle-limit", limit, demo_file])
+        assert exc.value.code == 2
+        assert "--cycle-limit: must be a positive integer" \
+            in capsys.readouterr().err
 
 
 class TestTransform:

@@ -1,29 +1,28 @@
-"""A compile's step order and containment, and the parse pool.
+"""A compile's step order and containment.
 
 Contract under test (DESIGN.md, "Step order" and "Reporting"):
 
 - a compile runs one straight line of named steps: FE (``fe.parse``,
-  ``fe.assemble``, ``lower``, ``loops``, each unit family and its
-  merge, ``fe.finish``), then IPA, then BE (one ``apply[T]`` per
-  transformed decision, ``apply``, ``verify``);
+  ``lower``, ``loops``, each unit family and its merge,
+  ``fe.finish``), then IPA, then BE (one ``apply[T]`` per transformed
+  decision, ``apply``, ``verify``);
 - a warm compile restored from the whole-FE cache entry runs only the
   IPA and BE steps, and same-named units run as distinct steps;
 - an uncontained failure (strict mode) aborts the compile at once,
   with no later step run and no span left open;
 - ``CompilationResult.scheduler`` reports the step log: one chain, so
   the critical path is every step and its length their sum;
-- the ``fe.parse`` step puts every unit's parse in flight on the
-  process pool before it waits on any, and pool parsing (``jobs=4``)
-  gives results identical to inline parsing (``jobs=1``);
-- PhaseGuard containment stays per step at either width: an injected
-  pass fault demotes conservatively and the compile still finishes.
+- on the 12 workloads an uncached compile, the cold compile that fills
+  the summary cache and the warm compile restored from it agree;
+- PhaseGuard containment stays per step for any number of units: an
+  injected pass fault demotes conservatively and the compile still
+  finishes.
 """
 
 import pytest
 
 from repro.core import Compiler, CompilerOptions, FatalCompilerError
-from repro.core import fe
-from repro.core.dag import effective_cores, process_pool
+from repro.core.dag import effective_cores
 from repro.core.faults import inject_fault
 from repro.frontend import Program
 from repro.obs import CAT_PASS, Tracer
@@ -51,30 +50,6 @@ def steps(result) -> list[str]:
     return result.scheduler["critical_path"]
 
 
-@pytest.fixture
-def many_cores(monkeypatch):
-    """Defeat the core-count clamp so the parse pool path runs even on
-    a single-core machine."""
-    monkeypatch.setattr(fe, "effective_cores", lambda: 4)
-
-
-def add_pair(pair: tuple[int, int]) -> int:
-    """Pool-side work of :func:`fan_out` (module level, so the fork
-    pool can pickle it)."""
-    return pair[0] + pair[1]
-
-
-def fan_out(jobs: int, pairs: list[tuple[int, int]]) -> list[int]:
-    """Sum each pair the way ``fe.parse`` parses units: every task goes
-    on the shared process pool of width ``jobs`` before any result is
-    awaited, or runs inline when the width is 1."""
-    pool = process_pool(jobs)
-    if pool is None:
-        return [add_pair(p) for p in pairs]
-    futures = [pool.submit(add_pair, p) for p in pairs]
-    return [f.result() for f in futures]
-
-
 #: two structs with dead fields: the heuristics transform both
 TWO_TYPES = """
 struct hot { long a; long b; long c; long d; };
@@ -90,8 +65,8 @@ int main() {
 }
 """
 
-FE_STEPS = ("fe.parse", "fe.assemble", "fe.finish", "lower", "loops",
-            "legality", "deadfields")
+FE_STEPS = ("fe.parse", "fe.finish", "lower", "loops", "legality",
+            "deadfields")
 IPA_STEPS = ("callgraph", "escape", "pointsto", "weights", "profiles",
              "heuristics")
 
@@ -103,9 +78,18 @@ def phase_of(step: str) -> str:
     return "ipa" if base in IPA_STEPS else "be"
 
 
-def transform_units() -> list[tuple[str, str]]:
-    """Three units, two transformable types in the first."""
-    return [("m.c", TWO_TYPES)] + THREE_UNITS[1:]
+def transform_units(n: int = 3) -> list[tuple[str, str]]:
+    """The first ``n`` of three units, two transformable types in the
+    first."""
+    return ([("m.c", TWO_TYPES)] + THREE_UNITS[1:])[:n]
+
+
+def sibling_units(n: int) -> list[tuple[str, str]]:
+    """``n`` units, each with a struct of its own."""
+    return [(f"s{i}.c", f"struct q{i} {{ long a; long b; }};\n"
+                        f"int touch{i}(struct q{i} *p) "
+                        f"{{ return (int)p->a; }}\n")
+            for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +156,7 @@ class TestExecution:
         res = Compiler(CompilerOptions(verify_transforms=True)) \
             .compile_sources(transform_units())
         assert steps(res) == [
-            "fe.parse", "fe.assemble", "lower", "loops",
+            "fe.parse", "lower", "loops",
             "legality[m.c]", "legality[n.c]", "legality[o.c]",
             "legality",
             "deadfields[m.c]", "deadfields[n.c]", "deadfields[o.c]",
@@ -180,20 +164,8 @@ class TestExecution:
             "callgraph", "escape", "weights", "profiles", "heuristics",
             "apply[hot]", "apply[warm]", "apply", "verify",
         ]
-        # every step but the parse and assembly is a guarded pass
-        assert list(res.pass_timings) == steps(res)[2:]
-
-    @pytest.mark.parametrize("jobs", [1, 2, 4])
-    def test_diamond_results_identical_across_jobs(self, jobs):
-        """Work does not depend on whether it runs inline (jobs=1) or
-        on the process pool (jobs>1): the diamond a -> (b, c) -> d
-        through :func:`fan_out`."""
-        a = 1
-        b, c = fan_out(jobs, [(a, 10), (a, 100)])
-        d = fan_out(jobs, [(b, c)])[0]
-        assert (a, b, c, d) == (1, 11, 101, 112)
-        pairs = [(i, i * i) for i in range(9)]
-        assert fan_out(jobs, pairs) == fan_out(1, pairs)
+        # every step but the parse is a guarded pass
+        assert list(res.pass_timings) == steps(res)[1:]
 
     def test_barrier_waits_for_every_unit(self):
         """The ``legality`` merge of a 12-unit program covers every
@@ -231,19 +203,18 @@ class TestExecution:
 
 
 class TestDynamicGrowth:
-    @pytest.mark.parametrize("jobs", [1, 3])
-    def test_planner_appends_chained_nodes(self, jobs, many_cores):
+    @pytest.mark.parametrize("units", [1, 3])
+    def test_planner_appends_chained_nodes(self, units):
         """One ``apply[T]`` step per transformed decision, in decision
-        order and right before ``apply``, at either parse width."""
-        res = Compiler(CompilerOptions(jobs=jobs)).compile_sources(
-            transform_units())
+        order and right before ``apply``, for one unit or three."""
+        sources = transform_units(units)
+        res = Compiler(CompilerOptions()).compile_sources(sources)
         applied = [f"apply[{d.type_name}]"
                    for d in res.transformed_types()]
         assert applied == ["apply[hot]", "apply[warm]"]
         names = steps(res)
         assert names[-len(applied) - 1:] == applied + ["apply"]
-        want = Compiler(CompilerOptions(jobs=1)).compile_sources(
-            transform_units())
+        want = Compiler().compile(Program.from_sources(sources))
         assert result_fingerprint(res) == result_fingerprint(want)
 
 
@@ -297,103 +268,45 @@ THREE_UNITS = [
 
 class TestPipelineIntegration:
     def test_scheduler_section_reported(self):
-        res = Compiler(CompilerOptions(jobs=1)).compile_sources(
-            [("m.c", SRC)])
+        res = Compiler(CompilerOptions()).compile_sources([("m.c", SRC)])
         sched = res.scheduler
-        assert set(sched) == {"jobs", "nodes", "wall_ms",
-                              "critical_path_ms", "critical_path",
-                              "restored_fe"}
-        assert sched["jobs"] == 1
+        assert set(sched) == {"nodes", "wall_ms", "critical_path_ms",
+                              "critical_path", "restored_fe"}
         assert sched["nodes"] >= 10
         assert sched["wall_ms"] > 0.0
         assert sched["critical_path_ms"] > 0.0
         assert sched["restored_fe"] is False
-        # the parse fan-out heads the critical path, the per-decision
-        # apply chain feeds its tail
+        # the parse heads the critical path, the per-decision apply
+        # chain feeds its tail
         assert sched["critical_path"][0] == "fe.parse"
-
-    def test_fe_parse_submits_every_unit_before_waiting(
-            self, monkeypatch, many_cores):
-        """The parallelism that remains: ``fe.parse`` at jobs=2 puts
-        every unit's parse on the pool before it waits on any, then
-        gathers in unit order."""
-        log: list[tuple[str, str]] = []
-        widths: list[int] = []
-
-        class Done:
-            def __init__(self, name, value):
-                self.name, self.value = name, value
-
-            def result(self):
-                log.append(("wait", self.name))
-                return self.value
-
-        class FakePool:
-            def submit(self, fn, task):
-                log.append(("submit", task[0]))
-                return Done(task[0], fn(task))
-
-        def fake_process_pool(width):
-            widths.append(width)
-            return FakePool() if width > 1 else None
-
-        monkeypatch.setattr(fe, "process_pool", fake_process_pool)
-        res = Compiler(CompilerOptions(jobs=2)).compile_sources(
-            THREE_UNITS)
-        names = [name for name, _ in THREE_UNITS]
-        assert widths == [2]
-        assert log == [("submit", n) for n in names] \
-            + [("wait", n) for n in names]
-        assert res.fe_report.mode == "unified"
-        assert res.ok
-
-    def test_fe_parse_pool_failure_parses_inline(self, monkeypatch,
-                                                 many_cores):
-        """A failing pool is torn down and the affected units parse
-        inline: the compile matches a jobs=1 compile."""
-        want = result_fingerprint(
-            Compiler(CompilerOptions(jobs=1)).compile_sources(THREE_UNITS))
-        torn_down: list[int] = []
-
-        class Broken:
-            def result(self):
-                raise RuntimeError("pool worker died")
-
-        class BrokenPool:
-            def submit(self, fn, task):
-                return Broken()
-
-        monkeypatch.setattr(fe, "process_pool", lambda width: BrokenPool())
-        monkeypatch.setattr(fe, "shutdown_process_pool",
-                            lambda: torn_down.append(1))
-        res = Compiler(CompilerOptions(jobs=2)).compile_sources(
-            THREE_UNITS)
-        assert torn_down
-        assert res.fe_report.mode == "unified"
-        assert result_fingerprint(res) == want
 
     @pytest.mark.parametrize("workload", ALL_WORKLOADS,
                              ids=[w.name for w in ALL_WORKLOADS])
     def test_workloads_serial_equals_parallel_dag(self, workload,
-                                                  many_cores):
+                                                  tmp_path):
         """The acceptance bar: the whole compile byte-identical between
-        jobs=1 (inline parses) and jobs=4 (parses on the process pool)
-        on all 12 workloads."""
+        an uncached compile, the cold compile that fills the summary
+        cache and the warm compile restored from it, on all 12
+        workloads."""
         sources = workload.sources("train")
         want = result_fingerprint(
-            Compiler(CompilerOptions(jobs=1)).compile_sources(sources))
-        got = result_fingerprint(
-            Compiler(CompilerOptions(jobs=4)).compile_sources(sources))
-        assert got == want
+            Compiler(CompilerOptions()).compile_sources(sources))
+        cached = CompilerOptions(cache_dir=str(tmp_path))
+        cold = Compiler(cached).compile_sources(sources)
+        warm = Compiler(cached).compile_sources(sources)
+        assert warm.scheduler["restored_fe"]
+        assert result_fingerprint(cold) == want
+        assert result_fingerprint(warm) == want
 
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_contained_fault_does_not_wedge(self, jobs, many_cores):
-        """PhaseGuard demotion inside a node must leave the ready
-        queue healthy: the compile finishes, conservatively."""
+    @pytest.mark.parametrize("units", [1, 4])
+    def test_contained_fault_does_not_wedge(self, units):
+        """PhaseGuard demotion inside a step must leave the rest of
+        the line healthy: the compile finishes, conservatively, for
+        one unit or four."""
+        sources = [("m.c", SRC)] + sibling_units(units - 1)
         with inject_fault("legality", mode="raise") as spec:
-            res = Compiler(CompilerOptions(jobs=jobs)).compile_sources(
-                [("m.c", SRC)])
-        assert spec.fired == 1            # merge barrier fired it once
+            res = Compiler(CompilerOptions()).compile_sources(sources)
+        assert spec.fired == 1            # the merge fired it once
         assert res.ok                     # contained, not failed
         assert res.degraded
         assert any(d.phase == "legality"
@@ -402,18 +315,21 @@ class TestPipelineIntegration:
         # every decision demoted; nothing transformed
         assert not res.transformed_types()
 
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_per_unit_fault_contained_per_node(self, jobs, many_cores):
-        """A fault in one unit's summarize node demotes that unit's
-        slice only; the sibling unit still contributes."""
-        other = ("n.c", "struct q { long a; long b; };\n"
-                        "int touch(struct q *p) { return (int)p->a; }\n")
+    @pytest.mark.parametrize("siblings", [1, 4])
+    def test_per_unit_fault_contained_per_node(self, siblings):
+        """A fault in one unit's summarize step is contained in that
+        step; every sibling unit's step still runs and its types reach
+        the merge."""
+        others = sibling_units(siblings)
         with inject_fault("legality[m.c]", mode="raise"):
-            res = Compiler(CompilerOptions(jobs=jobs)).compile_sources(
-                [("m.c", SRC), other])
+            res = Compiler(CompilerOptions()).compile_sources(
+                [("m.c", SRC)] + others)
         assert res.ok
-        assert any(d.phase == "legality[m.c]"
-                   for d in res.diagnostics.contained())
+        assert [d.phase for d in res.diagnostics.contained()] == \
+            ["legality[m.c]"]
+        assert {f"legality[{name}]" for name, _ in others} \
+            <= set(res.pass_timings)
+        assert {f"q{i}" for i in range(siblings)} <= set(res.legality.types)
 
     def test_program_path_uses_dag_too(self):
         res = Compiler().compile(Program.from_source(SRC))

@@ -1,6 +1,6 @@
 """Observability layer tests: span tracer, metrics registry, the pass
 event observer registry (``PASS_EVENTS``), pipeline span
-nesting under the parallel front end, metrics accuracy against a
+nesting, metrics accuracy against a
 scripted compile, Chrome/JSONL export, the ``repro.api`` facade, and
 trace-id propagation through a live daemon with a killed-and-retried
 worker."""
@@ -272,7 +272,7 @@ class TestObserverRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Pipeline tracing: nesting, parallel FE, metrics accuracy, profiling
+# Pipeline tracing: nesting, metrics accuracy, profiling
 # ---------------------------------------------------------------------------
 
 class TestPipelineTracing:
@@ -294,31 +294,6 @@ class TestPipelineTracing:
         assert spans["weights"].parent_id == spans["ipa"].span_id
         assert spans["apply"].parent_id == spans["be"].span_id
         assert result.trace_id == tracer.trace_id
-
-    def test_parallel_fe_unit_spans(self):
-        sources = multi_unit(4)
-        tracer = Tracer()
-        result = Compiler(CompilerOptions(jobs=4), tracer=tracer) \
-            .compile_sources(sources)
-        assert not result.diagnostics.has_errors
-        parse = tracer.by_name("fe.parse")[0]
-        assert parse.attrs["jobs"] == 4
-        unit_spans = [s for s in tracer.finished()
-                      if s.name.startswith("parse[")]
-        assert {s.name for s in unit_spans} == \
-            {f"parse[u{i}.c]" for i in range(4)}
-        for s in unit_spans:
-            assert s.parent_id == parse.span_id
-            assert s.trace_id == tracer.trace_id
-            # retro spans land on synthetic lanes, one per unit
-            assert s.tid >= 1_000_000
-        # one compile -> phase -> pass tree, no orphans, at jobs=4 too
-        spans = {s.name: s for s in tracer.finished()}
-        ids = {s.span_id for s in tracer.finished()}
-        assert [s.name for s in tracer.finished()
-                if s.parent_id not in ids] == ["compile"]
-        assert spans["legality"].parent_id == spans["fe"].span_id
-        assert spans["weights"].parent_id == spans["ipa"].span_id
 
     def test_concurrent_compiles_keep_separate_traces(self):
         """Observers keep the events published on the thread that
@@ -496,11 +471,31 @@ class TestApiFacade:
     ], ids=["relax", "verify", "cache", "relax-int", "jobs", "trace"])
     def test_wire_flags_take_only_booleans(self, where, fields):
         """A flag's string ``"false"`` is refused, never read as true,
-        and so is a negative ``jobs`` (only 0 means auto)."""
+        and so is a negative ``jobs`` (validated, though it has no
+        effect)."""
         wire = {"op": "analyze", "sources": [["a.c", DEMO]], **fields}
         with pytest.raises(ApiError) as exc:
             CompileRequest.from_dict(wire)
         assert exc.value.detail["where"] == where
+
+    @pytest.mark.parametrize("value", [0, -5, True, 4.7],
+                             ids=["zero", "negative", "bool", "fraction"])
+    def test_wire_cycle_limit_takes_only_positive_integers(self, value):
+        """``options.cycle_limit`` is a count: zero, a negative, a
+        boolean or a fraction is refused, never truncated or run."""
+        wire = {"op": "compare", "sources": [["a.c", DEMO]],
+                "options": {"cycle_limit": value}}
+        with pytest.raises(ApiError) as exc:
+            CompileRequest.from_dict(wire)
+        assert exc.value.detail["where"] == "options.cycle_limit"
+        with pytest.raises(ApiError):
+            CompileOptions(cycle_limit=value)
+
+    def test_wire_cycle_limit_accepts_integral_numbers(self):
+        for value in (1, 2e9):
+            opts = CompileOptions.from_dict({"cycle_limit": value})
+            assert opts.cycle_limit == int(value)
+            assert isinstance(opts.cycle_limit, int)
 
     def test_wire_request_unknown_field_structured_error(self):
         with pytest.raises(ProtocolError) as exc:

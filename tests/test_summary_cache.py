@@ -66,6 +66,12 @@ def cache_notes(result):
     return [d for d in result.diagnostics.by_code(CODE_CACHE)]
 
 
+def summarized(result):
+    """The per-unit summarize passes that ran: a summary-cache hit
+    skips its pass."""
+    return {name for name in result.pass_timings if "[" in name}
+
+
 # ---------------------------------------------------------------------------
 # hits and misses
 # ---------------------------------------------------------------------------
@@ -76,8 +82,9 @@ def test_warm_recompile_hits_whole_fe(cache_dir):
     assert fingerprint(warm) == fingerprint(cold)
     assert any("restored from summary cache" in d.message
                for d in cache_notes(warm))
-    # the warm path never ran the parallel parser at all
-    assert warm.fe_report is None and cold.fe_report is not None
+    # the warm path never ran the front end at all
+    assert warm.scheduler["restored_fe"]
+    assert not cold.scheduler["restored_fe"]
 
 
 def test_edited_unit_misses_only_that_unit(cache_dir):
@@ -85,16 +92,20 @@ def test_edited_unit_misses_only_that_unit(cache_dir):
     edited = [(n, t.replace("s + p->key", "s + p->key + 0", 1)
                if n == "u2.c" else t) for n, t in SOURCES]
     result = Compiler(opts(cache_dir)).compile_sources(edited)
-    # whole-FE entry missed, but u1.c and u3.c parses were reused
-    assert result.fe_report is not None
-    assert result.fe_report.parse_cache_hits == 2
+    # the whole-FE entry missed, but u1.c's and u3.c's legality and
+    # deadfields summaries were reused: only u2.c was summarized
+    assert not result.scheduler["restored_fe"]
+    assert summarized(result) == {"legality[u2.c]", "deadfields[u2.c]"}
+    assert [d.message for d in cache_notes(result)
+            if "hit(s)" in d.message] == \
+        ["summary cache: 4 hit(s), 3 miss(es)"]
 
 
 def test_changed_options_miss_everything(cache_dir):
     Compiler(opts(cache_dir)).compile_sources(SOURCES)
     result = Compiler(opts(cache_dir, scheme="SPBO")).compile_sources(SOURCES)
-    assert result.fe_report is not None
-    assert result.fe_report.parse_cache_hits == 0
+    assert not result.scheduler["restored_fe"]
+    assert len(summarized(result)) == 2 * len(SOURCES)
     summary = [d for d in cache_notes(result)
                if "hit(s)" in d.message]
     assert summary and "0 hit(s)" in summary[0].message
@@ -139,8 +150,9 @@ def test_same_named_units_keep_their_own_summaries(cache_dir):
 
 
 def test_options_fingerprint_ignores_strategy_knobs():
-    a = CompilerOptions(jobs=1, cache_dir=None).fingerprint()
-    b = CompilerOptions(jobs=8, cache_dir="/tmp/x").fingerprint()
+    a = CompilerOptions(cache_dir=None).fingerprint()
+    b = CompilerOptions(cache_dir="/tmp/x", verify_transforms=True,
+                        strict=True).fingerprint()
     c = CompilerOptions(scheme="SPBO").fingerprint()
     assert a == b
     assert a != c
@@ -257,7 +269,7 @@ def test_enospc_on_store_compiles_uncached_with_note(cache_dir):
     assert io_notes
     # nothing landed on disk: the next compile is cold, not corrupt
     cold = Compiler(opts(cache_dir)).compile_sources(SOURCES)
-    assert cold.fe_report is not None
+    assert not cold.scheduler["restored_fe"]
     assert fingerprint(cold) == fingerprint(baseline)
 
 
