@@ -136,8 +136,9 @@ def advisor_report(result: CompilationResult,
         order = order[:options.max_types]
 
     sections = []
+    decisions = result.decisions_by_type()
     for name in order:
-        d = result.decision_for(name)
+        d = decisions.get(name)
         label = "None"
         if d is not None and d.transformed:
             label = {"split": "Splitting", "peel": "Peeling",

@@ -93,60 +93,65 @@ def summarize_unit_usage(unit: ast.TranslationUnit) -> UnitUsage:
     """Count static reads/writes of struct fields inside one TU."""
     summary = UnitUsage(unit=unit.name)
     counts = summary.counts
-
-    def note(member: ast.Member, reads: int, writes: int) -> None:
-        if member.record is None:
-            return
-        key = (member.record.name, member.name)
-        c = counts.get(key)
-        if c is None:
-            c = counts[key] = [0, 0]
-        c[0] += reads
-        c[1] += writes
-
-    def scan(e: ast.Expr, as_read: bool = True) -> None:
-        if isinstance(e, ast.Assign):
-            target = e.target
-            if isinstance(target, ast.Member):
-                if e.op == "=":
-                    note(target, 0, 1)
-                else:
-                    note(target, 1, 1)     # compound: read-modify-write
-                scan(target.base)
-            else:
-                scan(target, as_read=False)
-            scan(e.value)
-            return
-        if isinstance(e, ast.Unary) and e.op in ("++", "--", "p++", "p--"):
-            if isinstance(e.operand, ast.Member):
-                note(e.operand, 1, 1)
-                scan(e.operand.base)
-            else:
-                scan(e.operand)
-            return
-        if isinstance(e, ast.Unary) and e.op == "&":
-            # &s->f is neither a read nor a write of f itself
-            if isinstance(e.operand, ast.Member):
-                scan(e.operand.base)
-            else:
-                scan(e.operand)
-            return
-        if isinstance(e, ast.Member):
-            if as_read:
-                note(e, 1, 0)
-            scan(e.base)
-            return
-        for child in ast.child_exprs(e):
-            scan(child)
-
     for fn in unit.functions():
         for s in ast.walk_stmts(fn.body):
             for e in ast.stmt_exprs(s):
-                scan(e)
+                _scan_usage(e, counts)
     for g in unit.globals():
         if g.init is not None:
-            scan(g.init)
+            _scan_usage(g.init, counts)
     return summary
+
+
+def _note_usage(member: ast.Member, counts: dict, reads: int,
+                writes: int) -> None:
+    if member.record is None:
+        return
+    key = (member.record.name, member.name)
+    c = counts.get(key)
+    if c is None:
+        c = counts[key] = [0, 0]
+    c[0] += reads
+    c[1] += writes
+
+
+def _scan_usage(e: ast.Expr, counts: dict, as_read: bool = True) -> None:
+    # module level, not a closure: a nested recursive function is a
+    # function <-> cell cycle that only the cyclic collector frees
+    if isinstance(e, ast.Assign):
+        target = e.target
+        if isinstance(target, ast.Member):
+            if e.op == "=":
+                _note_usage(target, counts, 0, 1)
+            else:
+                # compound: read-modify-write
+                _note_usage(target, counts, 1, 1)
+            _scan_usage(target.base, counts)
+        else:
+            _scan_usage(target, counts, as_read=False)
+        _scan_usage(e.value, counts)
+        return
+    if isinstance(e, ast.Unary) and e.op in ("++", "--", "p++", "p--"):
+        if isinstance(e.operand, ast.Member):
+            _note_usage(e.operand, counts, 1, 1)
+            _scan_usage(e.operand.base, counts)
+        else:
+            _scan_usage(e.operand, counts)
+        return
+    if isinstance(e, ast.Unary) and e.op == "&":
+        # &s->f is neither a read nor a write of f itself
+        if isinstance(e.operand, ast.Member):
+            _scan_usage(e.operand.base, counts)
+        else:
+            _scan_usage(e.operand, counts)
+        return
+    if isinstance(e, ast.Member):
+        if as_read:
+            _note_usage(e, counts, 1, 0)
+        _scan_usage(e.base, counts)
+        return
+    for child in ast.child_exprs(e):
+        _scan_usage(child, counts)
 
 
 def fallback_unit_usage(unit_name: str) -> UnitUsage:

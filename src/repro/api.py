@@ -28,10 +28,11 @@ answer with a structured diagnostic instead of a bare string.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field, fields as dc_fields
 
-from .core.diagnostics import CODE_CONTAINED, CODE_MISMATCH, \
-    DiagnosticEngine
+from .core.diagnostics import CODE_BUDGET, CODE_CONTAINED, \
+    CODE_MISMATCH, DiagnosticEngine
 from .core.faults import ProcessFaultSpec
 from .core.pipeline import CompilationResult, Compiler, CompilerOptions
 from .core.summarycache import fingerprint
@@ -277,9 +278,9 @@ class CompileOptions:
     peel_mode: str | None = None       # auto|per-field|hot-cold|affinity
     verify: bool = True                # differential verification
     cache: bool = True                 # use the daemon's summary cache
-    #: accepted and validated (>= 0) for clients written against the
-    #: former parse pool; it has no effect, since a compile runs on
-    #: one core
+    #: accepted and validated (an integer >= 0) for clients written
+    #: against the former parse pool; it has no effect, since a
+    #: compile runs on one core
     jobs: int = 1
     cycle_limit: int = 2_000_000_000   # simulator budget for compare
     #: global layout search (None = greedy §2.4 heuristics only)
@@ -287,18 +288,18 @@ class CompileOptions:
 
     WIRE_FIELDS = ("scheme", "relax", "ts", "peel_mode", "verify",
                    "cache", "jobs", "cycle_limit", "search")
+    #: integer fields and their least accepted value
+    _COUNTS = (("jobs", 0), ("cycle_limit", 1))
 
     def __post_init__(self):
-        if self.jobs < 0:
-            raise ApiError(f"jobs must be >= 0, got {self.jobs}",
-                           detail={"where": "options.jobs"})
-        if isinstance(self.cycle_limit, bool) \
-                or not isinstance(self.cycle_limit, int) \
-                or self.cycle_limit < 1:
-            raise ApiError(
-                f"cycle_limit must be a positive integer, got "
-                f"{self.cycle_limit!r}",
-                detail={"where": "options.cycle_limit"})
+        for name, least in self._COUNTS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) \
+                    or value < least:
+                raise ApiError(
+                    f"{name} must be an integer >= {least}, got "
+                    f"{value!r}",
+                    detail={"where": f"options.{name}"})
         if self.peel_mode is not None \
                 and self.peel_mode not in PEEL_MODES:
             raise ApiError(
@@ -325,15 +326,14 @@ class CompileOptions:
                 kwargs["ts"] = float(d["ts"])
             if d.get("peel_mode") is not None:
                 kwargs["peel_mode"] = str(d["peel_mode"])
-            if "jobs" in d:
-                kwargs["jobs"] = int(d["jobs"])
-            if "cycle_limit" in d:
-                # integral floats (2e9) are counts; any other value is
-                # refused by __post_init__, never truncated
-                limit = d["cycle_limit"]
-                kwargs["cycle_limit"] = int(limit) \
-                    if isinstance(limit, float) and limit.is_integer() \
-                    else limit
+            for name, _ in cls._COUNTS:
+                if name in d:
+                    # integral floats (2e9) are counts; any other value
+                    # is refused by __post_init__, never truncated
+                    value = d[name]
+                    kwargs[name] = int(value) \
+                        if isinstance(value, float) and value.is_integer() \
+                        else value
         except (TypeError, ValueError) as exc:
             raise ApiError(f"bad options value: {exc}",
                            detail={"where": "options"}) from exc
@@ -609,9 +609,10 @@ class CompileReply:
 def _type_rows(result: CompilationResult) -> dict:
     """Per-type legality/plan rows (the ``repro analyze`` table)."""
     rows = {}
+    decisions = result.decisions_by_type()
     for name in sorted(result.legality.types):
         info = result.legality.types[name]
-        decision = result.decision_for(name)
+        decision = decisions.get(name)
         rows[name] = {
             "status": "OK" if info.is_legal()
             else ",".join(sorted(info.invalid_reasons)),
@@ -671,7 +672,31 @@ def execute_tier(op: str, tier: str, sources: list[tuple[str, str]],
     the single payload builder: the service workers and
     :meth:`Session.execute` both call it, so a request answered
     locally and one answered by the daemon agree byte-for-byte.
+
+    The request's objects are traced by the cyclic collector once: it
+    is paused while the request runs and, after the request's graph
+    is dropped, one young collection frees it (see DESIGN.md,
+    "Request-scoped memory").  A request that finds the collector
+    already disabled — by its caller, or by an overlapping request on
+    another thread — leaves it alone.
     """
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        return _build_payload(op, tier, sources, options,
+                              cache_dir=cache_dir, tracer=tracer,
+                              metrics=metrics)
+    finally:
+        if paused:
+            gc.enable()
+            gc.collect(0)
+
+
+def _build_payload(op: str, tier: str, sources: list[tuple[str, str]],
+                   options: CompileOptions, *, cache_dir: str | None,
+                   tracer: Tracer | None,
+                   metrics: MetricsRegistry | None) -> tuple[dict, list]:
     if tier == "legality":
         return _legality_payload(sources)
 
@@ -706,26 +731,48 @@ def execute_tier(op: str, tier: str, sources: list[tuple[str, str]],
                 [name, text]
                 for name, text in program_sources(result.transformed)]
         elif op == "compare":
-            from .runtime import run_program
-            before = run_program(result.program,
-                                 cycle_limit=options.cycle_limit)
-            after = run_program(result.transformed,
-                                cycle_limit=options.cycle_limit)
-            mismatch = before.stdout != after.stdout
-            if mismatch:
-                result.diagnostics.error(
-                    phase="compare", code=CODE_MISMATCH,
-                    message="transformation changed program output")
-            payload["compare"] = {
-                "before_cycles": before.cycles,
-                "after_cycles": after.cycles,
-                "gain_pct": round(
-                    100.0 * (before.cycles / after.cycles - 1.0), 2)
-                if after.cycles else None,
-                "output": before.stdout,
-                "mismatch": mismatch,
-            }
+            compared = _compare_payload(result, options.cycle_limit)
+            if compared is not None:
+                payload["compare"] = compared
     return payload, [d.to_dict() for d in result.diagnostics]
+
+
+def _compare_payload(result: CompilationResult,
+                     cycle_limit: int) -> dict | None:
+    """Run the original and the transformed program and compare them.
+
+    A run past ``cycle_limit`` is an error diagnostic, and there is
+    nothing to compare (None)."""
+    from .runtime import StepLimitExceeded, run_program
+    runs = []
+    for program in (result.program, result.transformed):
+        try:
+            run = run_program(program, cycle_limit=cycle_limit)
+        except StepLimitExceeded:
+            result.diagnostics.error(
+                phase="compare", code=CODE_BUDGET,
+                message=f"program ran past cycle_limit "
+                        f"({cycle_limit:,} cycles)")
+            return None
+        run.machine.release()
+        # keep what is compared, not the run: its memory image is freed
+        # before the next run starts
+        runs.append((run.stdout, run.cycles))
+        del run
+    (before_out, before_cycles), (after_out, after_cycles) = runs
+    mismatch = before_out != after_out
+    if mismatch:
+        result.diagnostics.error(
+            phase="compare", code=CODE_MISMATCH,
+            message="transformation changed program output")
+    return {
+        "before_cycles": before_cycles,
+        "after_cycles": after_cycles,
+        "gain_pct": round(100.0 * (before_cycles / after_cycles - 1.0), 2)
+        if after_cycles else None,
+        "output": before_out,
+        "mismatch": mismatch,
+    }
 
 
 # ---------------------------------------------------------------------------

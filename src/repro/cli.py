@@ -48,7 +48,7 @@ from .core import (
 from .frontend import Program
 from .obs import Tracer, write_trace
 from .profit import collect_feedback
-from .runtime import StepLimitExceeded, run_program
+from .runtime import CompileError, StepLimitExceeded, run_program
 from .transform import program_sources
 from .transform.heuristics import PEEL_MODES
 
@@ -174,12 +174,13 @@ def cmd_analyze(args) -> int:
     print(f"record types: {types}  legal: {legal}  "
           f"legal under relaxation: {relaxed}")
     print()
+    decisions = result.decisions_by_type()
     for name in sorted(result.legality.types):
         info = result.legality.types[name]
         status = "OK" if info.is_legal() else \
             ",".join(sorted(info.invalid_reasons))
         attrs = " ".join(info.attributes())
-        d = result.decision_for(name)
+        d = decisions.get(name)
         plan = d.action if d is not None else "none"
         notes = "; ".join(d.notes) if d is not None else ""
         print(f"  {name:24s} [{status:>14s}] {attrs:20s} "
@@ -237,12 +238,16 @@ def cmd_transform(args) -> int:
 
 def _run_within(program: Program, cycle_limit: int):
     """Run ``program`` on the simulated machine; a run past
-    ``--cycle-limit`` is an error line, not a traceback."""
+    ``--cycle-limit``, or a program the simulator cannot compile (no
+    ``main``, say), is an error line, not a traceback."""
     try:
         return run_program(program, cycle_limit=cycle_limit)
     except StepLimitExceeded as exc:
         raise CliError(f"program ran past --cycle-limit "
                        f"({cycle_limit:,} cycles)", EXIT_COMPILE) from exc
+    except CompileError as exc:
+        raise CliError(f"cannot run the program: {exc}",
+                       EXIT_COMPILE) from exc
 
 
 def cmd_run(args) -> int:
@@ -545,13 +550,16 @@ def _render_client_payload(args, resp: dict) -> None:
                 sys.stdout.write(f"/* === {unit_name} === */\n" + text)
         return
     if resp["op"] == "compare" and tier == "full":
-        cmp_data = payload.get("compare", {})
-        print(f"output   : {cmp_data.get('output', '').strip()}")
-        print(f"before   : {cmp_data.get('before_cycles', 0):,} cycles")
-        print(f"after    : {cmp_data.get('after_cycles', 0):,} cycles")
-        gain = cmp_data.get("gain_pct")
-        if gain is not None:
-            print(f"effect   : {gain:+.2f}%")
+        # no compare block: a run went past its cycle limit, and the
+        # reply's error diagnostic says so
+        cmp_data = payload.get("compare")
+        if cmp_data:
+            print(f"output   : {cmp_data['output'].strip()}")
+            print(f"before   : {cmp_data['before_cycles']:,} cycles")
+            print(f"after    : {cmp_data['after_cycles']:,} cycles")
+            gain = cmp_data.get("gain_pct")
+            if gain is not None:
+                print(f"effect   : {gain:+.2f}%")
         return
     if "report" in payload:
         print(payload["report"])

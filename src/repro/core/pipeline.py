@@ -232,10 +232,15 @@ class CompilationResult:
                     or self.diagnostics.rollbacks())
 
     def decision_for(self, type_name: str) -> TransformDecision | None:
+        return self.decisions_by_type().get(type_name)
+
+    def decisions_by_type(self) -> dict[str, TransformDecision]:
+        """The first decision for each decided type; callers that look
+        up many types build this once."""
+        out: dict[str, TransformDecision] = {}
         for d in self.decisions:
-            if d.type_name == type_name:
-                return d
-        return None
+            out.setdefault(d.type_name, d)
+        return out
 
     def transformed_types(self) -> list[TransformDecision]:
         return [d for d in self.decisions if d.transformed]

@@ -120,14 +120,13 @@ def find_loops(cfg: FunctionCFG) -> LoopNest:
     nest = LoopNest(cfg=cfg, loops=loops)
     nest.top_level = [l for l in loops if l.parent is None]
 
-    # 3. depths
-    def set_depth(loop: Loop, depth: int) -> None:
+    # 3. depths (an explicit stack: a recursive closure would leave a
+    # reference cycle behind on every call)
+    stack = [(l, 1) for l in nest.top_level]
+    while stack:
+        loop, depth = stack.pop()
         loop.depth = depth
-        for child in loop.children:
-            set_depth(child, depth + 1)
-
-    for l in nest.top_level:
-        set_depth(l, 1)
+        stack.extend((child, depth + 1) for child in loop.children)
 
     # 4. innermost loop per block
     for b in reachable:

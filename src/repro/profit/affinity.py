@@ -22,57 +22,57 @@ import networkx as nx
 from ..frontend import ast
 from ..frontend.program import Program
 from ..frontend.typesys import RecordType
-from ..ir.cfg import FunctionCFG
+from ..ir.cfg import BasicBlock, FunctionCFG
 from ..ir.loops import LoopNest, find_loops
 from .seqaccess import loop_record_sequential
 from .weights import ProgramWeights
 
 
-def field_refs_in_expr(e: ast.Expr):
-    """Yield ``(record, field_name, kind)`` for every field reference;
+def field_refs_in_expr(e: ast.Expr) -> list[tuple[RecordType, str, str]]:
+    """List ``(record, field_name, kind)`` for every field reference;
     kind is 'read' or 'write' (compound assignments yield both)."""
     out: list[tuple[RecordType, str, str]] = []
-
-    def note(member: ast.Member, kind: str) -> None:
-        if member.record is not None:
-            out.append((member.record, member.name, kind))
-
-    def scan(node: ast.Expr) -> None:
-        if isinstance(node, ast.Assign):
-            target = node.target
-            if isinstance(target, ast.Member):
-                note(target, "write")
-                if node.op != "=":
-                    note(target, "read")
-                scan(target.base)
-            else:
-                scan(target)
-            scan(node.value)
-            return
-        if isinstance(node, ast.Unary) and \
-                node.op in ("++", "--", "p++", "p--"):
-            if isinstance(node.operand, ast.Member):
-                note(node.operand, "read")
-                note(node.operand, "write")
-                scan(node.operand.base)
-            else:
-                scan(node.operand)
-            return
-        if isinstance(node, ast.Unary) and node.op == "&":
-            if isinstance(node.operand, ast.Member):
-                scan(node.operand.base)
-            else:
-                scan(node.operand)
-            return
-        if isinstance(node, ast.Member):
-            note(node, "read")
-            scan(node.base)
-            return
-        for child in ast.child_exprs(node):
-            scan(child)
-
-    scan(e)
+    _scan_refs(e, out)
     return out
+
+
+def _scan_refs(node: ast.Expr, out: list) -> None:
+    # module level, not a closure: a nested recursive function is a
+    # function <-> cell cycle that only the cyclic collector frees
+    if isinstance(node, ast.Assign):
+        target = node.target
+        if isinstance(target, ast.Member):
+            if target.record is not None:
+                out.append((target.record, target.name, "write"))
+                if node.op != "=":
+                    out.append((target.record, target.name, "read"))
+            _scan_refs(target.base, out)
+        else:
+            _scan_refs(target, out)
+        _scan_refs(node.value, out)
+        return
+    if isinstance(node, ast.Unary) and node.op in ("++", "--", "p++", "p--"):
+        operand = node.operand
+        if isinstance(operand, ast.Member):
+            if operand.record is not None:
+                out.append((operand.record, operand.name, "read"))
+                out.append((operand.record, operand.name, "write"))
+            _scan_refs(operand.base, out)
+        else:
+            _scan_refs(operand, out)
+        return
+    if isinstance(node, ast.Unary) and node.op == "&":
+        operand = node.operand
+        _scan_refs(operand.base if isinstance(operand, ast.Member)
+                   else operand, out)
+        return
+    if isinstance(node, ast.Member):
+        if node.record is not None:
+            out.append((node.record, node.name, "read"))
+        _scan_refs(node.base, out)
+        return
+    for child in ast.child_exprs(node):
+        _scan_refs(child, out)
 
 
 @dataclass(eq=False)
@@ -163,6 +163,15 @@ def _pair(f1: str, f2: str) -> tuple[str, str]:
     return (f1, f2) if f1 <= f2 else (f2, f1)
 
 
+def _group_fields(block_refs: dict, blocks) -> dict[TypeProfile, set[str]]:
+    """The fields of each record type that ``blocks`` reference."""
+    refs: dict[TypeProfile, set[str]] = {}
+    for b in blocks:
+        for prof, fname, _ in block_refs[b]:
+            refs.setdefault(prof, set()).add(fname)
+    return refs
+
+
 class AffinityAnalyzer:
     """Builds affinity groups per function (FE) and aggregates (IPA)."""
 
@@ -197,52 +206,50 @@ class AffinityAnalyzer:
             return []
         groups: list[AffinityGroup] = []
 
+        # each block's field references, scanned once: they feed the
+        # weighted counts, every enclosing loop's group and the
+        # straight-line group
+        block_refs: dict[BasicBlock, list[tuple[TypeProfile, str, str]]] \
+            = {}
+        for b in cfg.blocks:
+            refs = block_refs[b] = []
+            for e in cfg.block_exprs(b):
+                for rec, fname, kind in field_refs_in_expr(e):
+                    prof = self.profiles.get(rec.name)
+                    if prof is not None:
+                        refs.append((prof, fname, kind))
+
         # weighted read/write counts, statement by statement
         for b in cfg.blocks:
             w = fw.block_count(b.id)
             if w <= 0.0:
                 continue
-            for e in cfg.block_exprs(b):
-                for rec, fname, kind in field_refs_in_expr(e):
-                    prof = self.profiles.get(rec.name)
-                    if prof is None:
-                        continue
-                    counts = prof.read_counts if kind == "read" \
-                        else prof.write_counts
-                    counts[fname] = counts.get(fname, 0.0) + w
+            for prof, fname, kind in block_refs[b]:
+                counts = prof.read_counts if kind == "read" \
+                    else prof.write_counts
+                counts[fname] = counts.get(fname, 0.0) + w
 
         # per-loop groups
         for loop in nest.loops:
             weight = fw.block_count(loop.header.id)
-            refs = self._refs_in_blocks(cfg, loop.blocks)
+            refs = _group_fields(block_refs, loop.blocks)
             seq_by_record = loop_record_sequential(cfg, loop) \
                 if refs else {}
-            for rec_name, fields in refs.items():
+            for prof, fields in refs.items():
                 groups.append(AffinityGroup(
-                    record=self.profiles[rec_name].record,
+                    record=prof.record,
                     fields=frozenset(fields), weight=weight,
                     origin=f"{fn_name}:loopB{loop.header.id}",
-                    sequential=seq_by_record.get(rec_name, False)))
+                    sequential=seq_by_record.get(prof.name, False)))
 
         # straight-line group, weighted by the routine entry count
         straight = set(nest.straight_line_blocks())
-        refs = self._refs_in_blocks(cfg, straight)
-        for rec_name, fields in refs.items():
+        for prof, fields in _group_fields(block_refs, straight).items():
             groups.append(AffinityGroup(
-                record=self.profiles[rec_name].record,
+                record=prof.record,
                 fields=frozenset(fields), weight=fw.entry_count,
                 origin=f"{fn_name}:straightline"))
         return groups
-
-    def _refs_in_blocks(self, cfg: FunctionCFG,
-                        blocks) -> dict[str, set[str]]:
-        refs: dict[str, set[str]] = {}
-        for b in blocks:
-            for e in cfg.block_exprs(b):
-                for rec, fname, _ in field_refs_in_expr(e):
-                    if rec.name in self.profiles:
-                        refs.setdefault(rec.name, set()).add(fname)
-        return refs
 
     # -- IPA: merging and graph construction -------------------------------
 

@@ -210,20 +210,26 @@ def propagate_call_counts(local: ProgramWeights, callgraph: CallGraph,
     for i, scc in enumerate(sccs):
         for name in scc:
             membership[name] = i
+    # call sites by callee, each list in site order, so every callee
+    # sums its incoming counts in the same order as a scan of all sites
+    sites_to: dict[str, list] = {}
+    for site in callgraph.sites:
+        sites_to.setdefault(site.callee, []).append(site)
 
     for i, scc in enumerate(sccs):
         for name in scc:
             if name == entry:
                 n_g[name] = max(n_g[name], 1.0)
         # accumulate external incoming counts
-        for site in callgraph.sites:
-            if site.callee in scc and site.caller in membership \
-                    and membership[site.caller] != i:
+        for callee in scc:
+            for site in sites_to.get(callee, ()):
+                if membership.get(site.caller, i) == i:
+                    continue
                 caller_w = local.of(site.caller)
                 if caller_w is None:
                     continue
                 e_loc = caller_w.block_count(site.block.id)
-                n_g[site.callee] = n_g.get(site.callee, 0.0) + \
+                n_g[callee] = n_g.get(callee, 0.0) + \
                     e_loc * n_g.get(site.caller, 0.0)
     return n_g
 

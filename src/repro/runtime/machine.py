@@ -233,6 +233,23 @@ class Machine:
             self.pmu.on_access(site, lat, lvl, first)
         self.memory.cells[addr] = value
 
+    def release(self) -> None:
+        """Break the reference cycles a run builds, once its stdout,
+        exit code and cycles have been read.
+
+        The fast-path closures hold the machine, and the function
+        table holds the compiled code, whose closures hold the machine
+        again.  Without this, a finished run's memory image lives until
+        the next cyclic collection; with it, reference counting frees
+        the run as soon as its last holder drops it.  Counters, output
+        and the cache hierarchy stay readable."""
+        for fn in self.func_table.values():
+            fn.blocks = []          # the block closures
+        self.func_table.clear()
+        vars(self).pop("mem_read", None)
+        vars(self).pop("mem_write", None)
+        self.profiler = None
+
     def check_budget(self) -> None:
         if self.cycles > self.cycle_limit:
             raise StepLimitExceeded(

@@ -130,14 +130,16 @@ def capture_trace(program, cache_config: CacheConfig = ITANIUM2_SCALED,
     # bound mem_read/mem_write attributes at compile time
     machine.mem_read = mem_read
     machine.mem_write = mem_write
-    compiled = CompiledProgram(program, machine)
-
     truncated = False
     exit_code: int | None = None
     try:
-        exit_code = compiled.run(entry=entry)
-    except StepLimitExceeded:
-        truncated = True
+        compiled = CompiledProgram(program, machine)
+        try:
+            exit_code = compiled.run(entry=entry)
+        except StepLimitExceeded:
+            truncated = True
+    finally:
+        machine.release()
 
     site_fields: list = []
     for info in compiled.sites:

@@ -31,11 +31,19 @@ def run_program(program, cache_config: CacheConfig = ITANIUM2_SCALED,
                 instrument: bool = False, pmu_period: int = 0,
                 cycle_limit: int = 2_000_000_000,
                 entry: str = "main") -> RunResult:
-    """Compile ``program`` against a fresh :class:`Machine` and run it."""
+    """Compile ``program`` against a fresh :class:`Machine` and run it.
+
+    The result keeps the machine and the compiled program for
+    inspection until :meth:`Machine.release`; a run that raises
+    releases them itself."""
     machine = Machine(cache_config=cache_config, instrument=instrument,
                       pmu_period=pmu_period, cycle_limit=cycle_limit)
-    compiled = CompiledProgram(program, machine)
-    code = compiled.run(entry=entry)
+    try:
+        compiled = CompiledProgram(program, machine)
+        code = compiled.run(entry=entry)
+    except BaseException:
+        machine.release()
+        raise
     return RunResult(exit_code=code, cycles=machine.cycles,
                      stdout=machine.stdout, machine=machine,
                      compiled=compiled)
@@ -80,5 +88,6 @@ def try_run_program(program, cycle_limit: int = 2_000_000_000,
         return RunOutcome(stdout="", exit_code=-1, cycles=0,
                           trap=type(exc).__name__,
                           trap_message=str(exc))
+    r.machine.release()
     return RunOutcome(stdout=r.stdout, exit_code=r.exit_code,
                       cycles=r.cycles)

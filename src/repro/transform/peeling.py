@@ -116,55 +116,51 @@ def check_peelable(program: Program, record: RecordType,
 
 
 def _pointer_uses(fn: ast.FunctionDef, pointer: str,
-                  record: RecordType):
-    """Yield descriptions of disallowed uses of the global pointer."""
-
-    def is_ptr_ident(e: ast.Expr) -> bool:
-        return isinstance(e, ast.Ident) and e.name == pointer and \
-            e.symbol is not None and e.symbol.kind == "global"
-
+                  record: RecordType) -> list[str]:
+    """Describe every disallowed use of the global pointer, in one walk
+    over the function's expressions."""
     allowed: set[int] = set()
-
-    def allow_bases(e: ast.Expr) -> None:
-        """Mark the pointer idents reachable as member-access bases."""
-        if isinstance(e, ast.Member):
-            allow_bases(e.base)
-            return
-        if isinstance(e, ast.Index):
-            allow_bases(e.base)
-            return
-        if isinstance(e, ast.Unary) and e.op == "*":
-            allow_bases(e.operand)
-            return
-        if isinstance(e, ast.Binary) and e.op in ("+", "-"):
-            allow_bases(e.left)
-            allow_bases(e.right)
-            return
-        if is_ptr_ident(e):
-            allowed.add(id(e))
-
+    uses: list[ast.Ident] = []
     for e in ast.function_exprs(fn):
-        if isinstance(e, ast.Member) and e.record is not None \
+        if _is_ptr_ident(e, pointer):
+            uses.append(e)
+        elif isinstance(e, ast.Member) and e.record is not None \
                 and e.record.name == record.name:
-            allow_bases(e.base)
+            _allow_bases(e.base, pointer, allowed)
         elif isinstance(e, ast.Assign) and e.op == "=" \
-                and is_ptr_ident(e.target):
+                and _is_ptr_ident(e.target, pointer):
             if is_alloc_cast(e.value, record):
                 allowed.add(id(e.target))
-            # else: flagged below as a stray use of the pointer
+            # else: reported below as a stray use of the pointer
         elif isinstance(e, ast.Call) and e.callee_name == "free" \
-                and len(e.args) == 1 and is_ptr_ident(e.args[0]):
+                and len(e.args) == 1 and _is_ptr_ident(e.args[0], pointer):
             allowed.add(id(e.args[0]))
-        elif isinstance(e, ast.SizeofType):
-            t = e.of.strip()
-            if t.is_record() and t.name == record.name:
-                # tolerated only inside recognized allocation sites
-                pass
+        # a sizeof of the type is tolerated only inside recognized
+        # allocation sites
+    return [f"pointer {pointer!r} used outside field access/"
+            f"alloc/free (line {e.line})"
+            for e in uses if id(e) not in allowed]
 
-    for e in ast.function_exprs(fn):
-        if is_ptr_ident(e) and id(e) not in allowed:
-            yield f"pointer {pointer!r} used outside field access/" \
-                  f"alloc/free (line {e.line})"
+
+def _is_ptr_ident(e: ast.Expr, pointer: str) -> bool:
+    return isinstance(e, ast.Ident) and e.name == pointer and \
+        e.symbol is not None and e.symbol.kind == "global"
+
+
+def _allow_bases(e: ast.Expr, pointer: str, allowed: set[int]) -> None:
+    """Mark the pointer idents reachable as member-access bases."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, (ast.Member, ast.Index)):
+            stack.append(e.base)
+        elif isinstance(e, ast.Unary) and e.op == "*":
+            stack.append(e.operand)
+        elif isinstance(e, ast.Binary) and e.op in ("+", "-"):
+            stack.append(e.left)
+            stack.append(e.right)
+        elif _is_ptr_ident(e, pointer):
+            allowed.add(id(e))
 
 
 class _PeelTransformer(Transformer):

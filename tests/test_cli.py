@@ -68,6 +68,20 @@ class TestRun:
         assert main(["run", str(p)]) == 3
 
 
+class TestProgramWithoutMain:
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_program_without_main_is_one_error_line(self, command,
+                                                     tmp_path, capsys):
+        path = tmp_path / "nomain.c"
+        path.write_text("int f() { return 1; }\n")
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = [ln for ln in err.splitlines() if ln.startswith("repro:")]
+        assert lines == ["repro: error: cannot run the program: "
+                         "no function 'main'"]
+
+
 class TestCycleLimit:
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_exceeded_limit_is_one_error_line(self, command, demo_file,

@@ -32,6 +32,7 @@ from repro.service import (
     CompileServer, ProtocolError, Supervisor, SupervisorConfig,
     parse_compile, single_request, wait_ready,
 )
+from repro.service.worker import execute_job
 
 DEMO = """
 struct item { long key; long val; long rare1; long rare2; double dead; };
@@ -490,6 +491,39 @@ class TestApiFacade:
         assert exc.value.detail["where"] == "options.cycle_limit"
         with pytest.raises(ApiError):
             CompileOptions(cycle_limit=value)
+
+    @pytest.mark.parametrize("value", [True, 4.7, "2", -1],
+                             ids=["bool", "fraction", "string",
+                                  "negative"])
+    def test_wire_jobs_takes_only_non_negative_integers(self, value):
+        """``options.jobs`` has no effect, but it is a count all the
+        same: refused, never coerced."""
+        wire = {"op": "analyze", "sources": [["a.c", DEMO]],
+                "options": {"jobs": value}}
+        with pytest.raises(ApiError) as exc:
+            CompileRequest.from_dict(wire)
+        assert exc.value.detail["where"] == "options.jobs"
+        with pytest.raises(ApiError):
+            CompileOptions(jobs=value)
+
+    @pytest.mark.parametrize("path", ["session", "worker"])
+    def test_compare_past_cycle_limit_is_a_diagnostic(self, path):
+        """A valid ``cycle_limit`` that the program outruns is an
+        answer with an error diagnostic, in process and in a worker."""
+        req = CompileRequest(op="compare", sources=[("a.c", DEMO)],
+                             options=CompileOptions(cycle_limit=100))
+        if path == "session":
+            reply = Session().execute(req)
+            assert reply.status == "ok"
+            payload, diagnostics = reply.payload, reply.diagnostics
+        else:
+            payload, diagnostics = execute_job(
+                {"request": req, "tier": "full"}, None)
+        assert "compare" not in payload
+        errors = [d for d in diagnostics if d["severity"] == "error"]
+        assert [(d["phase"], d["code"]) for d in errors] == \
+            [("compare", "budget-overrun")]
+        assert "cycle_limit (100 cycles)" in errors[0]["message"]
 
     def test_wire_cycle_limit_accepts_integral_numbers(self):
         for value in (1, 2e9):
