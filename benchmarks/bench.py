@@ -229,7 +229,7 @@ def bench_search(repeats: int) -> dict:
     from repro.runtime.replay import (
         capture_trace, plan_layout, precompile, replay_batch)
     from repro.transform import apply_decisions
-    from repro.transform.search import Layout, run_layout_search
+    from repro.transform.search import Layout, search_layouts
 
     out: dict = {"workloads": {}}
     mcf_ctx = None
@@ -242,9 +242,9 @@ def bench_search(repeats: int) -> dict:
                        "trace_cycles": trace.cycles, "types": {}}
         for engine in ("greedy", "sa", "ilp"):
             sopts = SearchOptions(engine=engine, budget_s=10.0, seed=7)
-            _, stats = run_layout_search(
+            _, stats = search_layouts(
                 res.program, res.decisions, res.legality,
-                res.profiles, sopts, trace=trace)
+                res.profiles, sopts, trace)
             for tname in sorted(stats):
                 if tname.startswith("_"):
                     continue

@@ -23,9 +23,6 @@ class EscapeResult:
     #: type name -> callee names outside the IPA scope
     escaped: dict[str, set[str]] = field(default_factory=dict)
 
-    def is_escaped(self, type_name: str) -> bool:
-        return type_name in self.escaped
-
 
 def analyze_escapes(program: Program,
                     legality: LegalityResult) -> EscapeResult:

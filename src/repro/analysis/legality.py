@@ -141,9 +141,6 @@ class LegalityResult:
     def legal_types(self, relaxed: bool = False) -> list[TypeInfo]:
         return [t for t in self.types.values() if t.is_legal(relaxed)]
 
-    def invalid_types(self, relaxed: bool = False) -> list[TypeInfo]:
-        return [t for t in self.types.values() if not t.is_legal(relaxed)]
-
     def counts(self) -> tuple[int, int, int]:
         """(total types, legal, legal-under-relaxation) — one Table 1 row."""
         total = len(self.types)

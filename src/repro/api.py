@@ -32,12 +32,13 @@ import gc
 from dataclasses import dataclass, field, fields as dc_fields
 
 from .core.diagnostics import CODE_BUDGET, CODE_CONTAINED, \
-    CODE_MISMATCH, DiagnosticEngine
+    CODE_MISMATCH, CODE_TRAP, DiagnosticEngine
 from .core.faults import ProcessFaultSpec
 from .core.pipeline import CompilationResult, Compiler, CompilerOptions
 from .core.summarycache import fingerprint
 from .frontend.program import Program
 from .obs import MetricsRegistry, NULL_TRACER, Tracer
+from .runtime.run import RunOutcome, try_run_program
 from .transform.heuristics import HeuristicParams, PEEL_MODES
 from .transform.search import ENGINES, SEARCH_DEFAULTS
 
@@ -731,48 +732,81 @@ def _build_payload(op: str, tier: str, sources: list[tuple[str, str]],
                 [name, text]
                 for name, text in program_sources(result.transformed)]
         elif op == "compare":
-            compared = _compare_payload(result, options.cycle_limit)
-            if compared is not None:
+            compared, failed = compare_result(result, options.cycle_limit)
+            if failed is None:
                 payload["compare"] = compared
+            else:
+                # nothing to compare: the reply says why, in one error
+                result.diagnostics.error(
+                    phase="compare",
+                    code=CODE_BUDGET if failed.trap == "StepLimitExceeded"
+                    else CODE_TRAP,
+                    message=run_failure(failed.trap, failed.trap_message,
+                                        options.cycle_limit))
     return payload, [d.to_dict() for d in result.diagnostics]
 
 
-def _compare_payload(result: CompilationResult,
-                     cycle_limit: int) -> dict | None:
-    """Run the original and the transformed program and compare them.
+def compare_result(result: CompilationResult, cycle_limit: int
+                   ) -> tuple[dict | None, RunOutcome | None]:
+    """Compare the original and the transformed program's runs.
 
-    A run past ``cycle_limit`` is an error diagnostic, and there is
-    nothing to compare (None)."""
-    from .runtime import StepLimitExceeded, run_program
-    runs = []
+    Each program is simulated at most once per request: a run the
+    compile recorded (:attr:`CompilationResult.runs`) is reused when
+    its cycles are within ``cycle_limit`` — the limit is checked
+    before each block, so such a run also completes under that limit
+    — and the transformed program is the original's run when it is
+    the same object.  Returns ``(block, None)``, the ``compare``
+    payload block, with an error diagnostic on ``result`` when the
+    outputs differ; or ``(None, failed)`` when a run could not
+    complete (past ``cycle_limit``, a trap, no ``main``).
+    """
+    outs: list[RunOutcome] = []
     for program in (result.program, result.transformed):
-        try:
-            run = run_program(program, cycle_limit=cycle_limit)
-        except StepLimitExceeded:
-            result.diagnostics.error(
-                phase="compare", code=CODE_BUDGET,
-                message=f"program ran past cycle_limit "
-                        f"({cycle_limit:,} cycles)")
-            return None
-        run.machine.release()
-        # keep what is compared, not the run: its memory image is freed
-        # before the next run starts
-        runs.append((run.stdout, run.cycles))
-        del run
-    (before_out, before_cycles), (after_out, after_cycles) = runs
-    mismatch = before_out != after_out
+        out = outs[0] if outs and program is result.program \
+            else result.run_of(program)
+        if out is None or out.cycles > cycle_limit:
+            out = try_run_program(program, cycle_limit=cycle_limit)
+        if not out.completed:
+            return None, out
+        outs.append(out)
+    before, after = outs
+    mismatch = before.stdout != after.stdout
     if mismatch:
         result.diagnostics.error(
             phase="compare", code=CODE_MISMATCH,
-            message="transformation changed program output")
+            message="transformation changed program output: "
+                    + _first_divergence(before.stdout, after.stdout),
+            action="rerun with verification enabled")
     return {
-        "before_cycles": before_cycles,
-        "after_cycles": after_cycles,
-        "gain_pct": round(100.0 * (before_cycles / after_cycles - 1.0), 2)
-        if after_cycles else None,
-        "output": before_out,
+        "before_cycles": before.cycles,
+        "after_cycles": after.cycles,
+        "gain_pct": round(100.0 * (before.cycles / after.cycles - 1.0), 2)
+        if after.cycles else None,
+        "output": before.stdout,
         "mismatch": mismatch,
-    }
+    }, None
+
+
+def run_failure(trap: str, message: str, cycle_limit: int,
+                limit_name: str = "cycle_limit") -> str:
+    """One line saying why a simulated run ended in ``trap`` (an
+    exception class name) instead of completing; ``limit_name`` is how
+    the caller spells the limit."""
+    if trap == "StepLimitExceeded":
+        return f"program ran past {limit_name} ({cycle_limit:,} cycles)"
+    if trap == "CompileError":
+        return f"cannot run the program: {message}"
+    return f"program trapped: {trap}: {message}"
+
+
+def _first_divergence(before: str, after: str) -> str:
+    """Where two outputs first differ: a line number and both lines."""
+    for i, (a, b) in enumerate(zip(before.splitlines(),
+                                   after.splitlines()), start=1):
+        if a != b:
+            return f"line {i}: '{a}' != '{b}'"
+    na, nb = len(before.splitlines()), len(after.splitlines())
+    return f"line {min(na, nb) + 1}: output truncated ({na} vs {nb} lines)"
 
 
 # ---------------------------------------------------------------------------

@@ -39,16 +39,13 @@ from .advisor import (
 )
 from .api import (
     LADDER, PRIORITY_NAMES, ApiError, CompileOptions, CompileReply,
-    CompileRequest, SearchOptions, Session,
+    CompileRequest, SearchOptions, Session, compare_result, run_failure,
 )
-from .core import (
-    CODE_MISMATCH, CompilationResult, CompilerOptions,
-    FatalCompilerError,
-)
+from .core import CompilationResult, CompilerOptions, FatalCompilerError
 from .frontend import Program
 from .obs import Tracer, write_trace
 from .profit import collect_feedback
-from .runtime import CompileError, StepLimitExceeded, run_program
+from .runtime import run_program
 from .transform import program_sources
 from .transform.heuristics import PEEL_MODES
 
@@ -158,15 +155,6 @@ def _report(result: CompilationResult) -> int:
     return EXIT_COMPILE if result.diagnostics.has_errors else EXIT_OK
 
 
-def _first_divergence(before: str, after: str) -> str:
-    for i, (a, b) in enumerate(zip(before.splitlines(),
-                                   after.splitlines()), start=1):
-        if a != b:
-            return f"line {i}: '{a}' != '{b}'"
-    na, nb = len(before.splitlines()), len(after.splitlines())
-    return f"line {min(na, nb) + 1}: output truncated ({na} vs {nb} lines)"
-
-
 def cmd_analyze(args) -> int:
     result = _compile(args.files, _options(args).options, args.trace_out)
 
@@ -236,23 +224,21 @@ def cmd_transform(args) -> int:
     return _report(result)
 
 
-def _run_within(program: Program, cycle_limit: int):
-    """Run ``program`` on the simulated machine; a run past
-    ``--cycle-limit``, or a program the simulator cannot compile (no
-    ``main``, say), is an error line, not a traceback."""
-    try:
-        return run_program(program, cycle_limit=cycle_limit)
-    except StepLimitExceeded as exc:
-        raise CliError(f"program ran past --cycle-limit "
-                       f"({cycle_limit:,} cycles)", EXIT_COMPILE) from exc
-    except CompileError as exc:
-        raise CliError(f"cannot run the program: {exc}",
-                       EXIT_COMPILE) from exc
+def _cannot_run(trap: str, message: str, cycle_limit: int) -> CliError:
+    """A run past ``--cycle-limit``, a trap, or a program the simulator
+    cannot compile (no ``main``, say) is one error line, not a
+    traceback."""
+    return CliError(run_failure(trap, message, cycle_limit,
+                                "--cycle-limit"), EXIT_COMPILE)
 
 
 def cmd_run(args) -> int:
     program = _load_program(args.files)
-    result = _run_within(program, args.cycle_limit)
+    try:
+        result = run_program(program, cycle_limit=args.cycle_limit)
+    except Exception as exc:        # the program's trap, not ours
+        raise _cannot_run(type(exc).__name__, str(exc),
+                          args.cycle_limit) from exc
     sys.stdout.write(result.stdout)
     print(f"\n[exit {result.exit_code}; {result.cycles:,} cycles]")
     if args.stats:
@@ -263,26 +249,29 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     result = _compile(args.files, _options(args).options, args.trace_out)
-    before = _run_within(result.program, args.cycle_limit)
-    after = _run_within(result.transformed, args.cycle_limit)
-    if before.stdout != after.stdout:
-        result.diagnostics.error(
-            phase="compare", code=CODE_MISMATCH,
-            message="transformation changed program output: "
-                    + _first_divergence(before.stdout, after.stdout),
-            action="rerun with verification enabled (drop --no-verify)")
+    compared, failed = compare_result(result, args.cycle_limit)
+    if failed is not None:
+        raise _cannot_run(failed.trap, failed.trap_message,
+                          args.cycle_limit)
+    if compared["mismatch"]:
         return _report(result)
-    gain = 100.0 * (before.cycles / after.cycles - 1.0)
-    print(f"output   : {before.stdout.strip()}")
-    print(f"before   : {before.cycles:,} cycles")
-    print(f"after    : {after.cycles:,} cycles")
-    print(f"effect   : {gain:+.2f}%")
+    _print_compare(compared)
     for d in result.transformed_types():
         print(f"  {d.type_name}: {d.action} cold={d.cold_fields} "
               f"dead={d.dead_fields}")
     if result.rolled_back:
         print(f"  rolled back: {', '.join(result.rolled_back)}")
     return _report(result)
+
+
+def _print_compare(compared: dict) -> None:
+    """The numbers of a ``compare`` payload block."""
+    print(f"output   : {compared['output'].strip()}")
+    print(f"before   : {compared['before_cycles']:,} cycles")
+    print(f"after    : {compared['after_cycles']:,} cycles")
+    gain = compared.get("gain_pct")
+    if gain is not None:
+        print(f"effect   : {gain:+.2f}%")
 
 
 def _parse_fault_flag(spec: str) -> dict:
@@ -550,16 +539,10 @@ def _render_client_payload(args, resp: dict) -> None:
                 sys.stdout.write(f"/* === {unit_name} === */\n" + text)
         return
     if resp["op"] == "compare" and tier == "full":
-        # no compare block: a run went past its cycle limit, and the
-        # reply's error diagnostic says so
-        cmp_data = payload.get("compare")
-        if cmp_data:
-            print(f"output   : {cmp_data['output'].strip()}")
-            print(f"before   : {cmp_data['before_cycles']:,} cycles")
-            print(f"after    : {cmp_data['after_cycles']:,} cycles")
-            gain = cmp_data.get("gain_pct")
-            if gain is not None:
-                print(f"effect   : {gain:+.2f}%")
+        # no compare block: a run could not complete, and the reply's
+        # error diagnostic says why
+        if payload.get("compare"):
+            _print_compare(payload["compare"])
         return
     if "report" in payload:
         print(payload["report"])

@@ -34,6 +34,7 @@ CODE_CORRUPT = "corrupt-summary"       # pass summary failed validation
 CODE_ROLLBACK = "rollback"             # transform undone by verification
 CODE_PARSE = "parse-error"             # frontend syntax/semantic error
 CODE_MISMATCH = "output-mismatch"      # compare found diverging output
+CODE_TRAP = "program-trap"            # a compared program could not run
 CODE_VERIFY = "verify"                 # verification status notes
 CODE_CACHE = "cache"                   # summary-cache events (corrupt entry
                                        # discarded, hit/miss accounting)

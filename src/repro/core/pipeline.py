@@ -16,8 +16,9 @@ order:
   end in the cache;
 - IPA: ``callgraph``, ``escape``, ``pointsto`` (relaxed legality
   only), ``weights``, ``profiles``, ``heuristics``;
-- BE: with a layout search, ``search.trace``, one ``search[T]`` per
-  eligible type and the ``search`` merge; then one ``apply[T]`` per
+- BE: with a layout search, ``search.trace`` (one traced run of the
+  original program), then the search driver's ``search[T]`` per
+  eligible type and its ``search`` merge; then one ``apply[T]`` per
   transformed decision, in decision order, ``apply`` and ``verify``.
 
 Per-phase wall-clock timings (§2.5) come from the step log, and
@@ -37,7 +38,9 @@ demotes only its own slice, and the later steps still run.  With
 original and transformed programs on the simulated machine and *rolls
 back* any decision whose application changes observable behaviour,
 bisecting the decision list to find the offender — the compiler cannot
-emit a semantics-changing layout.
+emit a semantics-changing layout.  Each completed run the BE ends with
+is recorded on :attr:`CompilationResult.runs` with the program object
+it ran, so a later compare simulates only what is missing.
 """
 
 from __future__ import annotations
@@ -73,10 +76,9 @@ from ..transform.heuristics import (
     HeuristicParams, TransformDecision, apply_decisions,
     decide_transforms,
 )
-from ..transform.search import (
-    ENGINES, SEARCH_DEFAULTS, search_mode, search_type,
-)
-from ..runtime.replay import capture_trace, precompile
+from ..transform.search import ENGINES, search_layouts
+from ..runtime.replay import capture_trace
+from ..runtime.run import RunOutcome, try_run_program
 from ..obs import (
     CAT_COMPILE, CAT_PHASE, MetricsPassObserver,
     MetricsRegistry, NULL_TRACER, PASS_EVENTS, PassEvent, PassProfiler,
@@ -95,10 +97,32 @@ SCHEMES = ("SPBO", "ISPBO", "ISPBO.NO", "ISPBO.W", "PBO", "PPBO")
 #: legality pseudo-reason marking a type demoted by fault containment
 FAULT_REASON = "FAULT"
 
+#: the function a simulated run starts in, and the root of the
+#: interprocedural weight estimate
+ENTRY = "main"
+
+#: verification cycle budget for the *original* program; the
+#: transformed budget is derived from the original's measured cycles:
+#: cycles * VERIFY_CYCLE_FACTOR + VERIFY_CYCLE_SLACK
+VERIFY_CYCLE_BASE = 200_000_000
+VERIFY_CYCLE_FACTOR = 4.0
+VERIFY_CYCLE_SLACK = 1_000_000
+
 #: sentinel a per-unit summarize step returns when its source name is
 #: absent from the parsed program (a unit the front end dropped for a
 #: lex or sema error) — the merge step drops these entries
 _SKIP = object()
+
+
+def _run_of(runs: list, program: Program) -> RunOutcome | None:
+    return next((out for p, out in runs if p is program), None)
+
+
+def _record_run(runs: list, program: Program, out: RunOutcome) -> None:
+    """Record ``out`` as ``program``'s run, if it completed and the
+    program has none yet."""
+    if out.completed and _run_of(runs, program) is None:
+        runs.append((program, out))
 
 
 def _unit_for(program: Program, name: str, occurrence: int):
@@ -125,7 +149,6 @@ class CompilerOptions:
     #: analysis proves field-sensitivity survived (§2.2's internal flag,
     #: verified instead of assumed)
     relax_legality: bool = False
-    entry: str = "main"
     #: differential rollback: execute original vs transformed on the
     #: simulated machine and roll back semantics-changing decisions
     #: (the CLI enables this by default for ``transform``/``compare``)
@@ -137,12 +160,6 @@ class CompilerOptions:
     phase_budget: float | None = None
     #: iteration budget for the points-to fixpoint solver
     pointsto_max_sweeps: int = 10_000
-    #: verification cycle budget for the *original* program; the
-    #: transformed budget is derived from the original's measured cycles
-    verify_cycle_base: int = 200_000_000
-    #: transformed-run budget = original cycles * factor + slack
-    verify_cycle_factor: float = 4.0
-    verify_cycle_slack: int = 1_000_000
     #: content-addressed summary cache spec (None = off): a local
     #: directory, or ``unix:PATH`` naming a shared cache-service
     #: socket; holds per-TU analysis summaries and whole-program FE
@@ -178,7 +195,7 @@ class CompilerOptions:
         cache miss.
         """
         return fingerprint(
-            "options", self.scheme, self.relax_legality, self.entry,
+            "options", self.scheme, self.relax_legality, ENTRY,
             sorted(asdict(self.params).items()),
             self.pointsto_max_sweeps)
 
@@ -218,6 +235,10 @@ class CompilationResult:
     #: ``_trace`` entry describing the captured access trace; empty
     #: when the compile ran without :attr:`CompilerOptions.search`
     search: dict = field(default_factory=dict)
+    #: completed simulated runs, each paired with the program object it
+    #: ran: the search trace's run of the original and the runs
+    #: verification ended with
+    runs: list[tuple[Program, RunOutcome]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -230,6 +251,11 @@ class CompilationResult:
         back — the result is valid but more conservative than planned."""
         return bool(self.diagnostics.contained()
                     or self.diagnostics.rollbacks())
+
+    def run_of(self, program: Program) -> RunOutcome | None:
+        """The recorded completed run of this very ``program`` object,
+        or None."""
+        return _run_of(self.runs, program)
 
     def decision_for(self, type_name: str) -> TransformDecision | None:
         return self.decisions_by_type().get(type_name)
@@ -552,12 +578,13 @@ class Compiler:
             span.set(decisions=len(decisions))
 
         rolled_back: list[str] = []
+        runs: list[tuple[Program, RunOutcome]] = []
         search_stats: dict = {}
         transformed = program
         with self._phase(run, "be") as span:
             if opts.search is not None:
                 decisions, search_stats = self._search(
-                    run, program, decisions, legality, profiles)
+                    run, program, decisions, legality, profiles, runs)
             if opts.transform:
                 applied = transformed = self._apply(run, program,
                                                     decisions)
@@ -566,7 +593,7 @@ class Compiler:
                         "verify", guard.run, "verify",
                         lambda: self._verify_transforms(
                             program, decisions, applied, diags,
-                            rolled_back),
+                            rolled_back, runs),
                         lambda: self._demote_all_decisions(
                             program, decisions,
                             "verification machinery failed; transforms "
@@ -587,7 +614,7 @@ class Compiler:
             pass_timings=run.pass_timings, diagnostics=diags,
             rolled_back=rolled_back,
             scheduler=run.scheduler(wall, restored),
-            search=search_stats)
+            search=search_stats, runs=runs)
 
     # -- FE steps ----------------------------------------------------------
 
@@ -700,71 +727,31 @@ class Compiler:
     def _search(self, run: _Run, program: Program,
                 decisions: list[TransformDecision],
                 legality: LegalityResult,
-                profiles: dict[str, TypeProfile]) -> tuple[list, dict]:
-        """``search.trace``, one ``search[T]`` step per eligible type
-        (each replays the shared read-only trace within its even share
-        of ``budget_s``), and the ``search`` step that merges the
-        refined decisions back in decision order.  Returns
-        ``(decisions, stats)``."""
-        opts, guard = self.options, run.guard
-        sopts = opts.search
+                profiles: dict[str, TypeProfile],
+                runs: list) -> tuple[list, dict]:
+        """``search.trace`` runs the original program once, recording
+        its accesses; the search driver then runs one ``search[T]``
+        step per eligible type (each replays the shared read-only trace
+        within its even share of ``budget_s``) and the ``search`` step
+        that merges the refined decisions back in decision order.  A
+        trace that ran to completion is recorded in ``runs`` as the
+        original's run; the trace itself is dropped on return.
+        Returns ``(decisions, stats)``."""
+        guard = run.guard
         trace = run.step(
             "search.trace", guard.run, "search.trace",
-            lambda: capture_trace(program, entry=opts.entry),
-            lambda: None)
+            lambda: capture_trace(program, entry=ENTRY), lambda: None)
+        if trace is not None and not trace.truncated:
+            _record_run(runs, program, RunOutcome(
+                stdout=trace.stdout, exit_code=trace.exit_code,
+                cycles=trace.cycles))
 
-        eligible = []
-        if trace is not None:
-            for d in decisions:
-                info = legality.types.get(d.type_name)
-                profile = profiles.get(d.type_name)
-                if info is None or profile is None:
-                    continue
-                if d.type_name not in trace.record_fields:
-                    continue
-                if search_mode(program, info, info.record)[0] is None:
-                    continue
-                eligible.append((d, info, profile))
+        def step(name, fn, fallback):
+            return run.step(name, guard.run, name, fn, fallback)
 
-        budget = getattr(sopts, "budget_s", None)
-        if budget is None:
-            budget = SEARCH_DEFAULTS["budget_s"]
-        budget = float(budget)
-        share = budget / len(eligible) if eligible else 0.0
-
-        def search_one(d, info, profile):
-            compiled = precompile(trace, d.type_name)
-            deadline = time.monotonic() + share if budget > 0 else None
-            return search_type(program, compiled, info, d, profile, sopts,
-                               cache=run.cache, deadline=deadline)
-
-        found = []
-        for d, info, profile in eligible:
-            name = f"search[{d.type_name}]"
-            found.append(run.step(name, guard.run, name,
-                                  partial(search_one, d, info, profile),
-                                  lambda: None))
-
-        def gather():
-            refined = {d.type_name: d for d in decisions}
-            stats: dict = {}
-            if trace is not None:
-                stats["_trace"] = {
-                    "ops": len(trace), "cycles": trace.cycles,
-                    "truncated": trace.truncated,
-                }
-            for (d, _info, _profile), out in zip(eligible, found):
-                if out is None:
-                    continue
-                out = dict(out)
-                refined[d.type_name] = out.pop("decision")
-                stats[d.type_name] = out
-            return {"decisions": [refined[d.type_name] for d in decisions],
-                    "stats": stats}
-
-        out = run.step("search", guard.run, "search", gather,
-                       lambda: {"decisions": decisions, "stats": {}})
-        return out["decisions"], out["stats"]
+        return search_layouts(program, decisions, legality, profiles,
+                              self.options.search, trace,
+                              cache=run.cache, step=step)
 
     def _apply(self, run: _Run, program: Program,
                decisions: list[TransformDecision]) -> Program:
@@ -1058,14 +1045,12 @@ class Compiler:
         if scheme == "SPBO":
             return estimate_spbo(cfgs, nests)
         if scheme == "ISPBO":
-            return estimate_ispbo(cfgs, callgraph, nests,
-                                  entry=opts.entry)
+            return estimate_ispbo(cfgs, callgraph, nests, entry=ENTRY)
         if scheme == "ISPBO.NO":
             return estimate_ispbo(cfgs, callgraph, nests, exponent=1.0,
-                                  entry=opts.entry)
+                                  entry=ENTRY)
         if scheme == "ISPBO.W":
-            return estimate_ispbo_w(cfgs, callgraph, nests,
-                                    entry=opts.entry)
+            return estimate_ispbo_w(cfgs, callgraph, nests, entry=ENTRY)
         raise ValueError(f"unknown scheme {scheme!r}")
 
     # -- differential rollback --------------------------------------------
@@ -1074,26 +1059,33 @@ class Compiler:
                            decisions: list[TransformDecision],
                            transformed: Program,
                            diags: DiagnosticEngine,
-                           rolled_back: list[str]) -> Program:
+                           rolled_back: list[str],
+                           runs: list) -> Program:
         """Execute original vs transformed with a bounded cycle budget;
         on any divergence or trap, bisect the decision list, roll back
-        the offending decision(s), and re-apply the rest."""
-        from ..runtime.run import try_run_program
-        opts = self.options
+        the offending decision(s), and re-apply the rest.
+
+        The original's run is taken from ``runs`` (the search trace's)
+        when its cycles are within :data:`VERIFY_CYCLE_BASE`: the limit
+        is checked before each block, so that run also completes,
+        identically, under the budget.  The completed runs the check
+        ends with — the original's and the returned program's — are
+        recorded in ``runs``."""
         active = [d for d in decisions if d.transformed]
         if not active:
             return transformed
-        base = try_run_program(program,
-                               cycle_limit=opts.verify_cycle_base,
-                               entry=opts.entry)
+        base = _run_of(runs, program)
+        if base is None or base.cycles > VERIFY_CYCLE_BASE:
+            base = try_run_program(program, cycle_limit=VERIFY_CYCLE_BASE,
+                                   entry=ENTRY)
         if base.trap == "StepLimitExceeded":
             diags.warning(
                 "verify",
                 f"original program exceeds the "
-                f"{opts.verify_cycle_base:,}-cycle verification "
+                f"{VERIFY_CYCLE_BASE:,}-cycle verification "
                 f"budget; verification inconclusive, transforms kept",
                 code=CODE_VERIFY,
-                action="raise verify_cycle_base to verify this program")
+                action="verify the program on a smaller input")
             return transformed
         if base.trap is not None:
             diags.note(
@@ -1101,16 +1093,11 @@ class Compiler:
                 f"original program not executable ({base.trap}); "
                 f"differential verification skipped", code=CODE_VERIFY)
             return transformed
-        budget = int(base.cycles * opts.verify_cycle_factor) \
-            + opts.verify_cycle_slack
+        _record_run(runs, program, base)
+        budget = int(base.cycles * VERIFY_CYCLE_FACTOR) + VERIFY_CYCLE_SLACK
 
-        def outcome_of(prog: Program):
-            return try_run_program(prog, cycle_limit=budget,
-                                   entry=opts.entry)
-
-        def equivalent(out) -> bool:
-            return (out.trap is None and out.stdout == base.stdout
-                    and out.exit_code == base.exit_code)
+        def outcome_of(prog: Program) -> RunOutcome:
+            return try_run_program(prog, cycle_limit=budget, entry=ENTRY)
 
         def prefix_fails(k: int) -> bool:
             if k == 0:
@@ -1119,11 +1106,11 @@ class Compiler:
                 prog = apply_decisions(program, active[:k])
             except Exception:
                 return True
-            return not equivalent(outcome_of(prog))
+            return not base.same_behaviour(outcome_of(prog))
 
         current = transformed
         out = outcome_of(current)
-        while not equivalent(out):
+        while not base.same_behaviour(out):
             if not active:
                 # identity compile still diverges: the divergence is
                 # not caused by any decision (should be impossible on
@@ -1172,5 +1159,5 @@ class Compiler:
                 active = []
                 current = program
             out = outcome_of(current)
+        _record_run(runs, current, out)
         return current
-

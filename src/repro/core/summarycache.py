@@ -266,10 +266,6 @@ class SummaryCache:
         quarantine_entry(self.root, self._path(category, key),
                          category, key)
 
-    def corrupt_events(self) -> list[CacheEvent]:
-        with self.lock:
-            return [e for e in self.events if e.kind == "corrupt"]
-
     def drain_events(self) -> list[CacheEvent]:
         """Return and clear accumulated events (one compile's worth)."""
         with self.lock:

@@ -346,11 +346,6 @@ _CHILD_STMTS = {
 }
 
 
-def child_stmts(s: Stmt) -> list[Stmt]:
-    """Direct sub-statements of a statement node."""
-    return _CHILD_STMTS.get(type(s), _no_children)(s)
-
-
 def walk_stmts(s: Stmt):
     """Yield ``s`` and every sub-statement, pre-order."""
     stack = [s]

@@ -21,10 +21,6 @@ class Symbol:
     uid: int = -1
 
     @property
-    def is_global(self) -> bool:
-        return self.kind == "global"
-
-    @property
     def is_function(self) -> bool:
         return self.kind == "func"
 

@@ -297,10 +297,6 @@ class Tracer:
     def by_name(self, name: str) -> list[Span]:
         return [s for s in self.finished() if s.name == name]
 
-    def children_of(self, span: Span) -> list[Span]:
-        return [s for s in self.finished()
-                if s.parent_id == span.span_id]
-
 
 #: the shared disabled tracer — the default everywhere tracing is off
 NULL_TRACER = Tracer(enabled=False)

@@ -144,11 +144,6 @@ class TypeProfile:
                 out[f.name] = 100.0 * w / peak
         return out
 
-    def hotness_from_affinity(self, fname: str) -> float:
-        """The paper's alternative definition: sum of incident affinity
-        edge weights in the graph."""
-        return sum(w for pair, w in self.affinity.items() if fname in pair)
-
     def affinity_graph(self) -> nx.Graph:
         g = nx.Graph()
         for f in self.record.fields:

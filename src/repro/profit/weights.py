@@ -55,9 +55,6 @@ class FunctionWeights:
     def block_count(self, block_id: int) -> float:
         return self.block.get(block_id, 0.0)
 
-    def edge_count(self, src: int, dst: int) -> float:
-        return self.edge.get((src, dst), 0.0)
-
     def scaled(self, factor: float) -> "FunctionWeights":
         return FunctionWeights(
             name=self.name,

@@ -53,11 +53,12 @@ def run_program(program, cache_config: CacheConfig = ITANIUM2_SCALED,
 class RunOutcome:
     """Observable behaviour of one execution, trap included.
 
-    The differential verifier compares these: two programs are
-    output-equivalent when their stdout and exit code match and neither
-    trapped.  ``trap`` holds the exception class name when the
-    interpreter faulted (codegen error, invalid free, cycle-budget
-    exhaustion, ...) instead of exiting."""
+    The differential verifier compares these (:meth:`same_behaviour`:
+    two programs are output-equivalent when their stdout and exit code
+    match and neither trapped), and the compare reuses the completed
+    ones a compile recorded.  ``trap`` holds the exception class name
+    when the interpreter faulted (codegen error, invalid free,
+    cycle-budget exhaustion, ...) instead of exiting."""
 
     stdout: str
     exit_code: int

@@ -35,7 +35,7 @@ from .breaker import (
 )
 from .cacheservice import (
     CACHE_OPS, CacheServer, CacheStore, RemoteCache, parse_budget,
-    serve_cache, wait_cache_ready,
+    serve_cache,
 )
 from .requests import (
     COMPILE_OPS, CONTROL_OPS, LADDER, OPS, ProtocolError, STATUS_BUSY, STATUS_DEADLINE_EXCEEDED, STATUS_DEGRADED,
@@ -65,7 +65,7 @@ __all__ = [
     "TokenBucket",
     "CircuitBreaker", "STATE_CLOSED", "STATE_HALF_OPEN", "STATE_OPEN",
     "CACHE_OPS", "CacheServer", "CacheStore", "RemoteCache",
-    "parse_budget", "serve_cache", "wait_cache_ready",
+    "parse_budget", "serve_cache",
     "COMPILE_OPS", "CONTROL_OPS", "LADDER", "OPS", "ProtocolError",
     "STATUS_BUSY", "STATUS_DEADLINE_EXCEEDED",
     "STATUS_DEGRADED", "STATUS_ERROR", "STATUS_OK", "STATUS_REJECTED",

@@ -40,7 +40,6 @@ from __future__ import annotations
 import base64
 import binascii
 import threading
-import time
 from collections import OrderedDict
 from pathlib import Path
 
@@ -413,13 +412,6 @@ class RemoteCache(SummaryCache):
         self._call({"op": "cache.drop", "category": category,
                     "key": key})
 
-    def service_stats(self) -> dict | None:
-        """The service's stats block, or None if unreachable."""
-        resp = self._call({"op": "cache.stats"})
-        if resp is None or resp.get("status") != "ok":
-            return None
-        return resp.get("stats")
-
 
 def serve_cache(socket_path: str, root: str | Path,
                 budget: str | int | None = None,
@@ -429,23 +421,7 @@ def serve_cache(socket_path: str, root: str | Path,
     return CacheServer(socket_path, store, **wire)
 
 
-def wait_cache_ready(socket_path: str, timeout: float = 10.0) -> bool:
-    """Poll until the cache service answers pings (or timeout)."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        try:
-            with ServiceClient(socket_path, timeout=1.0,
-                               reconnects=0) as client:
-                resp = client.request({"op": "ping"})
-            if resp.get("pong"):
-                return True
-        except (OSError, ConnectionError, ProtocolError):
-            pass
-        time.sleep(0.05)
-    return False
-
-
 __all__ = [
     "CACHE_OPS", "CacheServer", "CacheStore", "RemoteCache",
-    "parse_budget", "serve_cache", "wait_cache_ready",
+    "parse_budget", "serve_cache",
 ]

@@ -19,15 +19,15 @@ from .heuristics import (
 from .search import (
     Layout, LayoutOracle, SEARCH_DEFAULTS, ENGINES, anneal, bb_order,
     exhaustive_order, order_cost, layout_from_decision,
-    decision_from_layout, search_mode, search_type, run_layout_search,
+    decision_from_layout, search_layouts, search_mode, search_type,
 )
 from .common import layout_fingerprint
 
 __all__ = [
     "Layout", "LayoutOracle", "SEARCH_DEFAULTS", "ENGINES", "anneal",
     "bb_order", "exhaustive_order", "order_cost",
-    "layout_from_decision", "decision_from_layout", "search_mode",
-    "search_type", "run_layout_search", "layout_fingerprint",
+    "layout_from_decision", "decision_from_layout", "search_layouts",
+    "search_mode", "search_type", "layout_fingerprint",
     "transform_blockers",
     "TransformError", "extract_alloc_count", "is_alloc_cast",
     "Transformer", "retype",

@@ -32,12 +32,12 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import partial
 from itertools import permutations
 
 from ..runtime.replay import (
-    AccessTrace, CompiledTrace, capture_trace, plan_layout, precompile,
-    replay_batch,
+    AccessTrace, CompiledTrace, plan_layout, precompile, replay_batch,
 )
 from .common import layout_fingerprint
 from .heuristics import TransformDecision, transform_blockers
@@ -609,45 +609,65 @@ def search_type(program, compiled: CompiledTrace, info, decision,
     return stats
 
 
-def run_layout_search(program, decisions, legality, profiles, opts,
-                      cache=None, trace: AccessTrace | None = None,
-                      cycle_limit: int = 2_000_000_000,
-                      entry: str = "main") -> tuple:
-    """Search every eligible type sequentially (the in-process driver
-    used by the CLI, benchmarks and tests; the pipeline runs the same
-    per-type searches as ``search[T]`` steps).  Returns ``(refined_decisions,
-    stats)`` where stats is keyed by type name plus a ``_trace``
-    entry.  The wall-clock budget is split evenly across eligible
-    types."""
-    if trace is None:
-        trace = capture_trace(program, cycle_limit=cycle_limit,
-                              entry=entry)
+def _unguarded(name: str, fn, fallback):
+    return fn()
+
+
+def search_layouts(program, decisions, legality, profiles, opts,
+                   trace: AccessTrace | None, cache=None,
+                   step=_unguarded) -> tuple:
+    """The one search driver: search every eligible type against the
+    captured ``trace`` and merge the refined decisions back in
+    decision order.  Returns ``(refined_decisions, stats)``, stats
+    keyed by type name plus a ``_trace`` entry when there is a trace.
+
+    A type is eligible when it has legality and profile facts, the
+    trace saw it, and :func:`search_mode` allows it; ``None`` for the
+    trace leaves every decision as it is.  The wall-clock budget is
+    split evenly across eligible types.  ``step(name, fn, fallback)``
+    runs one ``search[T]`` search and then the ``search`` merge; the
+    default calls ``fn``, and the pipeline passes its guarded steps.
+    """
     eligible = []
-    for d in decisions:
-        info = legality.types.get(d.type_name)
-        profile = profiles.get(d.type_name)
-        if info is None or profile is None:
-            continue
-        if d.type_name not in trace.record_fields:
-            continue
-        if search_mode(program, info, info.record)[0] is None:
-            continue
-        eligible.append((d, info, profile))
+    if trace is not None:
+        for d in decisions:
+            info = legality.types.get(d.type_name)
+            profile = profiles.get(d.type_name)
+            if info is None or profile is None:
+                continue
+            if d.type_name not in trace.record_fields:
+                continue
+            if search_mode(program, info, info.record)[0] is None:
+                continue
+            eligible.append((d, info, profile))
 
     budget = float(_opt(opts, "budget_s"))
-    share = budget / len(eligible) if eligible else budget
-    stats: dict = {"_trace": {
-        "ops": len(trace), "cycles": trace.cycles,
-        "truncated": trace.truncated,
-    }}
-    refined = {d.type_name: d for d in decisions}
-    for d, info, profile in eligible:
+    share = budget / len(eligible) if eligible else 0.0
+
+    def search_one(d, info, profile):
         compiled = precompile(trace, d.type_name)
         deadline = time.monotonic() + share if budget > 0 else None
-        out = search_type(program, compiled, info, d, profile, opts,
-                          cache=cache, deadline=deadline)
-        if out is None:
-            continue
-        refined[d.type_name] = out.pop("decision")
-        stats[d.type_name] = out
-    return [refined[d.type_name] for d in decisions], stats
+        return search_type(program, compiled, info, d, profile, opts,
+                           cache=cache, deadline=deadline)
+
+    found = [step(f"search[{d.type_name}]",
+                  partial(search_one, d, info, profile), lambda: None)
+             for d, info, profile in eligible]
+
+    def merge():
+        refined = {d.type_name: d for d in decisions}
+        stats: dict = {}
+        if trace is not None:
+            stats["_trace"] = {
+                "ops": len(trace), "cycles": trace.cycles,
+                "truncated": trace.truncated,
+            }
+        for (d, _info, _profile), out in zip(eligible, found):
+            if out is None:
+                continue
+            out = dict(out)
+            refined[d.type_name] = out.pop("decision")
+            stats[d.type_name] = out
+        return [refined[d.type_name] for d in decisions], stats
+
+    return step("search", merge, lambda: (decisions, {}))

@@ -82,6 +82,35 @@ class TestProgramWithoutMain:
                          "no function 'main'"]
 
 
+#: programs the simulator cannot run to completion -> why, as the CLI
+#: says it
+UNRUNNABLE = {
+    "no-main": ("int f() { return 1; }\n",
+                "cannot run the program: no function 'main'"),
+    "invalid-free": ("int main() { int *p = 0; free(p+1); return 0; }\n",
+                     "program trapped: MemoryError_: invalid free of 0x4"),
+    "divide-by-zero": ("int main() { int z = 0; printf(\"%d\\n\", 5 / z);"
+                       " return 0; }\n",
+                       "program trapped: ZeroDivisionError: integer "
+                       "division or modulo by zero"),
+}
+
+
+class TestProgramThatTraps:
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("program", ["invalid-free", "divide-by-zero"])
+    def test_trap_is_one_error_line(self, command, program, tmp_path,
+                                    capsys):
+        source, reason = UNRUNNABLE[program]
+        path = tmp_path / "trap.c"
+        path.write_text(source)
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = [ln for ln in err.splitlines() if ln.startswith("repro:")]
+        assert lines == [f"repro: error: {reason}"]
+
+
 class TestCycleLimit:
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_exceeded_limit_is_one_error_line(self, command, demo_file,

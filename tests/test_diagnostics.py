@@ -3,7 +3,8 @@ error reporting (``--strict``, ``--no-verify``, exit codes)."""
 
 import pytest
 
-from repro.cli import OptionBundle, _first_divergence, _options, main
+from repro.api import _first_divergence
+from repro.cli import OptionBundle, _options, main
 from repro.core import (
     CODE_CONTAINED, CODE_ROLLBACK, CompilerOptions, Diagnostic,
     DiagnosticEngine, FatalCompilerError, SourceLoc, inject_fault,

@@ -34,6 +34,8 @@ from repro.service import (
 )
 from repro.service.worker import execute_job
 
+from .test_cli import UNRUNNABLE
+
 DEMO = """
 struct item { long key; long val; long rare1; long rare2; double dead; };
 struct item *tab;
@@ -524,6 +526,27 @@ class TestApiFacade:
         assert [(d["phase"], d["code"]) for d in errors] == \
             [("compare", "budget-overrun")]
         assert "cycle_limit (100 cycles)" in errors[0]["message"]
+
+    @pytest.mark.parametrize("path", ["session", "worker"])
+    @pytest.mark.parametrize("program", sorted(UNRUNNABLE))
+    def test_compare_of_a_program_that_cannot_run_is_a_diagnostic(
+            self, program, path):
+        """A program with no ``main``, or one that traps, is an answer
+        with one error diagnostic and no compare block, in process and
+        in a worker — never a raise that a daemon would retry."""
+        source, reason = UNRUNNABLE[program]
+        req = CompileRequest(op="compare", sources=[("a.c", source)])
+        if path == "session":
+            reply = Session().execute(req)
+            assert reply.status == "ok"
+            payload, diagnostics = reply.payload, reply.diagnostics
+        else:
+            payload, diagnostics = execute_job(
+                {"request": req, "tier": "full"}, None)
+        assert "compare" not in payload
+        errors = [d for d in diagnostics if d["severity"] == "error"]
+        assert [(d["phase"], d["message"]) for d in errors] == \
+            [("compare", reason)]
 
     def test_wire_cycle_limit_accepts_integral_numbers(self):
         for value in (1, 2e9):

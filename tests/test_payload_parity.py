@@ -8,6 +8,12 @@ isolated-parse front end used to hand to the serial parser.  The
 digests were taken while that front end still existed, with its one
 extra diagnostic (the note saying it fell back to the serial parser)
 left out; everything else a client sees must stay byte-identical.
+
+``compare`` digests, taken while a verified compare still simulated
+each program up to three times, pin the compare that reuses the runs
+a compile recorded: greedy and seeded-SA compares of the three search
+workloads (search stats minus their wall-clock ``elapsed_s``), and
+the CLI demo program with verification off.
 """
 
 import hashlib
@@ -15,9 +21,11 @@ import json
 
 import pytest
 
-from repro.api import CompileRequest, Session
-from repro.workloads import ALL_WORKLOADS
+from repro.api import CompileOptions, CompileRequest, SearchOptions, \
+    Session
+from repro.workloads import ALL_WORKLOADS, get_workload
 
+from .test_cli import DEMO
 from .test_parallel_fe import FALLBACK_PROGRAMS, MULTI_TU
 
 
@@ -43,6 +51,10 @@ def _sources(name: str) -> list[tuple[str, str]]:
 
 def _digest(reply) -> str:
     payload = {k: v for k, v in reply.payload.items() if k != "timings"}
+    if "search" in payload:
+        payload["search"] = {
+            name: {k: v for k, v in stats.items() if k != "elapsed_s"}
+            for name, stats in payload["search"].items()}
     blob = json.dumps({"payload": payload,
                        "diagnostics": reply.diagnostics}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -233,3 +245,49 @@ def test_every_program_and_op_is_pinned():
     assert set(PAYLOAD_DIGESTS) == {
         (name, op) for name in PROGRAMS
         for op in ("analyze", "advise", "transform")}
+
+
+#: perfbench ``optimize``'s fixed search effort, seed 1
+SEEDED_SA = SearchOptions(engine="sa", budget_s=0, seed=1, sa_batch=2,
+                          sa_iters=2, sa_restarts=0)
+
+#: (program, mode) -> (sources, options) of each pinned compare
+COMPARES = {
+    **{(f"{name}/train", "greedy"):
+       (get_workload(name).sources("train"), CompileOptions())
+       for name in ("181.mcf", "179.art", "moldyn")},
+    **{(f"{name}/train", "seeded-sa"):
+       (get_workload(name).sources("train"),
+        CompileOptions(search=SEEDED_SA, cache=False))
+       for name in ("181.mcf", "179.art", "moldyn")},
+    ("demo", "no-verify"): ([("demo.c", DEMO)],
+                            CompileOptions(verify=False)),
+}
+
+COMPARE_DIGESTS = {
+    ("179.art/train", "greedy"):
+        "2b642a214901a4648e8897c8fb23abf4ce22a69cca6565ef43a37edef9b19516",
+    ("179.art/train", "seeded-sa"):
+        "a1f611ff7ae4c54497f833fef6e7451cbb2ad7a9a948f78e5c4761a62625bd84",
+    ("181.mcf/train", "greedy"):
+        "21de856b46c7d416335c59678754e964a5924f33701f149986dee037c984e81e",
+    ("181.mcf/train", "seeded-sa"):
+        "47be500c445486162cbd6e0c6cdb42b4d47cbdd85a14f3c4836361ecb7902e6b",
+    ("demo", "no-verify"):
+        "1573affe4e9cbbf346a893c447e423908123438e116b32a2b8ab4751121b3bce",
+    ("moldyn/train", "greedy"):
+        "e7e518fe904c1f72cae82ee3ba3d37e21b9e3704ece01880183d7bc6ea64650a",
+    ("moldyn/train", "seeded-sa"):
+        "bf3c91e7f2d27f28ad151fc76515a0831d29f15c86f6cc5e77320612e9acdc4d",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("program, mode", sorted(COMPARE_DIGESTS))
+def test_compare_payload_and_diagnostics_pinned(program, mode):
+    sources, options = COMPARES[(program, mode)]
+    reply = Session().execute(CompileRequest(op="compare",
+                                             sources=sources,
+                                             options=options))
+    assert reply.ok
+    assert _digest(reply) == COMPARE_DIGESTS[(program, mode)]

@@ -17,7 +17,7 @@ from repro.runtime.replay import (
 from repro.transform.heuristics import TransformDecision
 from repro.transform.search import (
     Layout, LayoutOracle, bb_order, decision_from_layout,
-    exhaustive_order, run_layout_search, search_mode,
+    exhaustive_order, search_layouts, search_mode,
 )
 from repro.workloads import ALL_WORKLOADS, get_workload
 
@@ -47,8 +47,8 @@ def mcf_trace(mcf_res):
 def _search(res, trace, **kw):
     opts = SearchOptions(**{"engine": "sa", "seed": 3, "sa_iters": 6,
                             "sa_restarts": 1, "budget_s": 60.0, **kw})
-    return run_layout_search(res.program, res.decisions, res.legality,
-                            res.profiles, opts, trace=trace)
+    return search_layouts(res.program, res.decisions, res.legality,
+                          res.profiles, opts, trace)
 
 
 class TestTraceCapture:
@@ -203,9 +203,9 @@ class TestScoreMemoization:
                              sa_restarts=0, budget_s=60.0)
 
         def once():
-            _, stats = run_layout_search(
+            _, stats = search_layouts(
                 mcf_res.program, mcf_res.decisions, mcf_res.legality,
-                mcf_res.profiles, opts, cache=cache, trace=mcf_trace)
+                mcf_res.profiles, opts, mcf_trace, cache=cache)
             return {t: s for t, s in stats.items()
                     if not t.startswith("_")}
 

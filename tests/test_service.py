@@ -30,6 +30,8 @@ from repro.service.breaker import CircuitBreaker
 from repro.service.worker import _type_rows
 from repro.workloads import ALL_WORKLOADS
 
+from .test_cli import UNRUNNABLE
+
 DEMO = """
 struct item { long key; long val; long rare1; long rare2; double dead; };
 struct item *tab;
@@ -222,6 +224,19 @@ class TestServiceBasics:
             assert resp["status"] == "ok"      # the tier was served
             assert any(d["severity"] == "error"
                        for d in resp["diagnostics"])
+
+    def test_program_trap_is_served_as_a_diagnostic(self):
+        """A compare whose program traps is served at the full tier on
+        the first attempt: no retry, no breaker failure, no degraded
+        tier."""
+        source, reason = UNRUNNABLE["invalid-free"]
+        with service(max_retries=2) as (sock, _server, _sup):
+            resp = single_request(sock, compile_request("compare", source))
+        assert (resp["status"], resp["tier"], resp["attempts"]) == \
+            ("ok", "full", 1)
+        assert "compare" not in resp["payload"]
+        assert [(d["phase"], d["message"]) for d in resp["diagnostics"]
+                if d["severity"] == "error"] == [("compare", reason)]
 
     def test_load_shedding_busy_response(self):
         with service(queue_max=0, pool_size=1, hang_timeout=0.4,
