@@ -607,20 +607,23 @@ class CompileReply:
 # Tier execution — shared by Session.execute and the service workers
 # ---------------------------------------------------------------------------
 
-def _type_rows(result: CompilationResult) -> dict:
-    """Per-type legality/plan rows (the ``repro analyze`` table)."""
+def type_rows(legality, decisions: dict | None = None) -> dict:
+    """Per-type legality rows, with each type's plan and notes when
+    ``decisions`` (by type name) are given: the ``repro analyze``
+    table of a payload's ``types``."""
     rows = {}
-    decisions = result.decisions_by_type()
-    for name in sorted(result.legality.types):
-        info = result.legality.types[name]
-        decision = decisions.get(name)
-        rows[name] = {
+    for name, info in sorted(legality.types.items()):
+        row = rows[name] = {
             "status": "OK" if info.is_legal()
             else ",".join(sorted(info.invalid_reasons)),
             "attrs": list(info.attributes()),
-            "plan": decision.action if decision is not None else "none",
-            "notes": list(decision.notes) if decision is not None else [],
         }
+        if decisions is not None:
+            decision = decisions.get(name)
+            row["plan"] = decision.action if decision is not None \
+                else "none"
+            row["notes"] = list(decision.notes) if decision is not None \
+                else []
     return rows
 
 
@@ -650,13 +653,8 @@ def _legality_payload(sources: list[tuple[str, str]]
                 unit=unit.name, code=CODE_CONTAINED)
             summaries.append(fallback_unit_legality(unit.name))
     legality = merge_unit_legality(program, summaries)
-    rows = {
-        name: {"status": "OK" if info.is_legal()
-               else ",".join(sorted(info.invalid_reasons)),
-               "attrs": list(info.attributes())}
-        for name, info in sorted(legality.types.items())
-    }
-    payload = {"table1": list(legality.counts()), "types": rows}
+    payload = {"table1": list(legality.counts()),
+               "types": type_rows(legality)}
     return payload, [d.to_dict() for d in diags]
 
 
@@ -704,16 +702,23 @@ def _build_payload(op: str, tier: str, sources: list[tuple[str, str]],
     copts = options.compiler_options(tier, cache_dir)
     result = Compiler(copts, tracer=tracer,
                       metrics=metrics).compile_sources(sources)
+    timings = {k: round(v, 4) for k, v in result.timings.items()}
     payload: dict = {
         "table1": list(result.table1_row()),
-        "types": _type_rows(result),
-        "timings": {k: round(v, 4) for k, v in result.timings.items()},
+        "types": type_rows(result.legality, result.decisions_by_type()),
+        "timings": timings,
     }
     if result.search:
         # per-type search stats (JSON-ready: the refined decisions
-        # themselves already live in the ordinary decision rows)
-        payload["search"] = {k: dict(v) if isinstance(v, dict) else v
-                             for k, v in sorted(result.search.items())}
+        # themselves already live in the ordinary decision rows); a
+        # search's wall clock is timed in ``timings`` as ``search[T]``,
+        # so the rest of a seeded search's payload repeats
+        payload["search"] = {}
+        for name, stats in sorted(result.search.items()):
+            stats = dict(stats)
+            if "elapsed_s" in stats:
+                timings[f"search[{name}]"] = stats.pop("elapsed_s")
+            payload["search"][name] = stats
 
     if op == "advise":
         from .advisor import advisor_report

@@ -40,6 +40,7 @@ from .advisor import (
 from .api import (
     LADDER, PRIORITY_NAMES, ApiError, CompileOptions, CompileReply,
     CompileRequest, SearchOptions, Session, compare_result, run_failure,
+    type_rows,
 )
 from .core import CompilationResult, CompilerOptions, FatalCompilerError
 from .frontend import Program
@@ -157,23 +158,23 @@ def _report(result: CompilationResult) -> int:
 
 def cmd_analyze(args) -> int:
     result = _compile(args.files, _options(args).options, args.trace_out)
+    _print_types(result.table1_row(),
+                 type_rows(result.legality, result.decisions_by_type()))
+    return _report(result)
 
-    types, legal, relaxed = result.table1_row()
+
+def _print_types(table1, rows: dict) -> None:
+    """The ``repro analyze`` table: Table 1's counts, then one line per
+    payload ``types`` row (a ``legality``-tier row has no plan)."""
+    types, legal, relaxed = table1
     print(f"record types: {types}  legal: {legal}  "
           f"legal under relaxation: {relaxed}")
     print()
-    decisions = result.decisions_by_type()
-    for name in sorted(result.legality.types):
-        info = result.legality.types[name]
-        status = "OK" if info.is_legal() else \
-            ",".join(sorted(info.invalid_reasons))
-        attrs = " ".join(info.attributes())
-        d = decisions.get(name)
-        plan = d.action if d is not None else "none"
-        notes = "; ".join(d.notes) if d is not None else ""
-        print(f"  {name:24s} [{status:>14s}] {attrs:20s} "
-              f"plan={plan:5s} {notes}")
-    return _report(result)
+    for name, row in sorted(rows.items()):
+        print(f"  {name:24s} [{row['status']:>14s}] "
+              f"{' '.join(row['attrs']):20s} "
+              f"plan={row.get('plan', '-'):5s} "
+              f"{'; '.join(row.get('notes', []))}")
 
 
 def cmd_advise(args) -> int:
@@ -350,7 +351,7 @@ def cmd_serve(args) -> int:
 
 def cmd_drain(args) -> int:
     """Ask a daemon (shard, router, or cache service) to drain."""
-    from .service import ProtocolError, single_request
+    from .service import ProtocolError, ServiceClient, single_request
     try:
         resp = single_request(args.socket, {"op": "drain"},
                               timeout=args.timeout, reconnects=0)
@@ -365,20 +366,19 @@ def cmd_drain(args) -> int:
     print(f"repro: draining {args.socket} "
           f"(in-flight={resp.get('in_flight', 0)})", file=sys.stderr)
     if args.wait:
-        import socket as socketlib
         import time
         deadline = time.monotonic() + args.wait
         while time.monotonic() < deadline:
+            # exited means nothing listens on the path any more; a
+            # server too busy to answer or accept is still running
             try:
-                probe = socketlib.socket(socketlib.AF_UNIX,
-                                         socketlib.SOCK_STREAM)
-                probe.settimeout(1.0)
-                probe.connect(args.socket)
-                probe.close()
-            except OSError:
+                ServiceClient(args.socket, timeout=1.0).connect().close()
+            except (ConnectionRefusedError, FileNotFoundError):
                 print("repro: drained; daemon exited",
                       file=sys.stderr)
                 return EXIT_OK
+            except OSError:
+                pass
             time.sleep(0.1)
         raise CliError(
             f"daemon still serving after {args.wait:.0f}s drain wait",
@@ -546,16 +546,8 @@ def _render_client_payload(args, resp: dict) -> None:
         return
     if "report" in payload:
         print(payload["report"])
-        return
-    table1 = payload.get("table1")
-    if table1:
-        print(f"record types: {table1[0]}  legal: {table1[1]}  "
-              f"legal under relaxation: {table1[2]}")
-    for name, row in sorted(payload.get("types", {}).items()):
-        attrs = " ".join(row.get("attrs", []))
-        print(f"  {name:24s} [{row.get('status', '?'):>14s}] "
-              f"{attrs:20s} plan={row.get('plan', '-'):5s} "
-              f"{'; '.join(row.get('notes', []))}")
+    elif "table1" in payload:
+        _print_types(payload["table1"], payload["types"])
 
 
 def _client_request(args) -> CompileRequest:

@@ -38,7 +38,7 @@ from .cacheservice import (
     serve_cache,
 )
 from .requests import (
-    COMPILE_OPS, CONTROL_OPS, LADDER, OPS, ProtocolError, STATUS_BUSY, STATUS_DEADLINE_EXCEEDED, STATUS_DEGRADED,
+    COMPILE_OPS, CONTROL_OPS, LADDER, ProtocolError, STATUS_BUSY, STATUS_DEADLINE_EXCEEDED, STATUS_DEGRADED,
     STATUS_ERROR, STATUS_OK, STATUS_REJECTED, TIERS,
     busy_response, deadline_response, decode, encode, error_response,
     parse_compile, parse_control, rejected_response, response,
@@ -48,7 +48,7 @@ from .router import (
     ShardSpec, ShardState,
 )
 from .server import (
-    CompileServer, IDEMPOTENT_OPS, LineServer, ServiceClient,
+    CompileServer, IDEMPOTENT_OPS, LineServer, ServiceClient, ping,
     single_request, wait_ready,
 )
 from .supervisor import Supervisor, SupervisorConfig
@@ -66,7 +66,7 @@ __all__ = [
     "CircuitBreaker", "STATE_CLOSED", "STATE_HALF_OPEN", "STATE_OPEN",
     "CACHE_OPS", "CacheServer", "CacheStore", "RemoteCache",
     "parse_budget", "serve_cache",
-    "COMPILE_OPS", "CONTROL_OPS", "LADDER", "OPS", "ProtocolError",
+    "COMPILE_OPS", "CONTROL_OPS", "LADDER", "ProtocolError",
     "STATUS_BUSY", "STATUS_DEADLINE_EXCEEDED",
     "STATUS_DEGRADED", "STATUS_ERROR", "STATUS_OK", "STATUS_REJECTED",
     "TIERS",
@@ -76,7 +76,7 @@ __all__ = [
     "ClusterConfig", "Farm", "FarmProc", "Router", "RouterPeer",
     "RouterServer", "ShardSpec", "ShardState",
     "CompileServer", "IDEMPOTENT_OPS", "LineServer", "ServiceClient",
-    "single_request", "wait_ready",
+    "ping", "single_request", "wait_ready",
     "Supervisor", "SupervisorConfig",
     "BoundedLineReader", "DEFAULT_IDLE_TIMEOUT",
     "DEFAULT_MAX_CONNECTIONS", "DEFAULT_MAX_REPLY_BYTES",

@@ -8,9 +8,9 @@ the compile daemons:
 
 - :class:`CacheServer` — a :class:`~repro.service.server.LineServer`
   owning the on-disk store, serving content-addressed ``cache.get`` /
-  ``cache.put`` (blobs travel base64-encoded), plus ``cache.drop``,
-  ``cache.stats``, and the standard control ops (``ping`` / ``drain``
-  / ``shutdown``).
+  ``cache.put`` (blobs travel base64-encoded) and ``cache.drop``; the
+  control ops (``ping`` / ``stats`` / ``drain`` / ``shutdown``) are
+  the ones every server answers.
 - :class:`CacheStore` — the server-side store: the local
   ``SummaryCache`` plus an **LRU index with a byte budget**.  A put
   that pushes the store past ``budget_bytes`` evicts least-recently
@@ -45,11 +45,11 @@ from pathlib import Path
 
 from ..core.summarycache import QUARANTINE_DIR, SummaryCache
 from ..obs import MetricsRegistry
-from .requests import ProtocolError, error_response
+from .requests import ProtocolError
 from .server import LineServer, ServiceClient
 
 #: wire ops the cache service adds on top of the control ops
-CACHE_OPS = ("cache.get", "cache.put", "cache.drop", "cache.stats")
+CACHE_OPS = ("cache.get", "cache.put", "cache.drop")
 
 #: wire fields a cache op may carry
 _CACHE_FIELDS = ("op", "id", "category", "key", "blob")
@@ -219,67 +219,15 @@ class CacheStore:
 class CacheServer(LineServer):
     """The cache service's socket front door."""
 
-    WORK_OPS = ("cache.get", "cache.put", "cache.drop")
+    WORK_OPS = CACHE_OPS
 
     def __init__(self, socket_path: str, store: CacheStore, **wire):
         super().__init__(socket_path, metrics=store.metrics, **wire)
         self.store = store
 
-    def handle_request(self, raw: dict) -> dict:
-        req_id = raw.get("id")
-        op = raw.get("op")
-        if op == "ping":
-            return {"id": req_id, "op": "ping", "status": "ok",
-                    "pong": True, "draining": self.draining,
-                    "role": "cache"}
-        if op == "shutdown":
-            return {"id": req_id, "op": "shutdown", "status": "ok"}
-        if op == "drain":
-            status = self.begin_drain()
-            return {"id": req_id, "op": "drain", "status": "ok",
-                    **status}
-        if op == "stats" or op == "cache.stats":
-            return {"id": req_id, "op": op, "status": "ok",
-                    "stats": self.stats()}
-        if op not in CACHE_OPS:
-            return error_response(
-                req_id, op or "(unknown)",
-                f"unknown op {op!r}; expected one of "
-                f"{', '.join(CACHE_OPS)} or a control op",
-                detail={"op": op, "known_ops": list(CACHE_OPS)})
-        try:
-            category, key = self._validate(raw, op)
-        except ProtocolError as exc:
-            return error_response(req_id, op, str(exc),
-                                  detail=exc.detail or None)
-        if op == "cache.get":
-            blob, kind = self.store.get(category, key)
-            resp = {"id": req_id, "op": op, "status": "ok",
-                    "found": blob is not None, "kind": kind}
-            if blob is not None:
-                resp["blob"] = base64.b64encode(blob).decode("ascii")
-            return resp
-        if op == "cache.put":
-            try:
-                blob = base64.b64decode(raw.get("blob") or "",
-                                        validate=True)
-            except (binascii.Error, TypeError):
-                return error_response(
-                    req_id, op, "'blob' must be base64",
-                    detail={"where": "blob"})
-            if not blob:
-                return error_response(
-                    req_id, op, "'blob' must be a non-empty payload",
-                    detail={"where": "blob"})
-            stored = self.store.put(category, key, blob)
-            return {"id": req_id, "op": op, "status": "ok",
-                    "stored": stored}
-        assert op == "cache.drop"
-        return {"id": req_id, "op": op, "status": "ok",
-                "dropped": self.store.drop(category, key)}
-
-    @staticmethod
-    def _validate(raw: dict, op: str) -> tuple[str, str]:
+    def parse_work(self, raw: dict) -> tuple:
+        """``(id, op, category, key, blob)``; ``blob`` is the decoded
+        payload of a ``cache.put``, else None."""
         unknown = sorted(set(raw) - set(_CACHE_FIELDS))
         if unknown:
             raise ProtocolError(
@@ -301,21 +249,39 @@ class CacheServer(LineServer):
             raise ProtocolError(
                 "'key' must be a content-hash string",
                 detail={"where": "key"})
-        return category, key
+        blob = None
+        if raw["op"] == "cache.put":
+            try:
+                blob = base64.b64decode(raw.get("blob") or "",
+                                        validate=True)
+            except (binascii.Error, TypeError):
+                raise ProtocolError("'blob' must be base64",
+                                    detail={"where": "blob"}) from None
+            if not blob:
+                raise ProtocolError(
+                    "'blob' must be a non-empty payload",
+                    detail={"where": "blob"})
+        return raw.get("id"), raw["op"], category, key, blob
 
-    def stats(self) -> dict:
-        return {
-            "server": {
-                "role": "cache",
-                "in_flight": self.in_flight,
-                "draining": self.draining,
-                "uptime_s": self.uptime_s(),
-                "socket": self.socket_path,
-            },
-            "connections": self.connection_stats(),
-            "cache": self.store.stats(),
-            "metrics": self.metrics.snapshot(),
-        }
+    def serve(self, work: tuple) -> dict:
+        req_id, op, category, key, blob = work
+        resp = {"id": req_id, "op": op, "status": "ok"}
+        if op == "cache.get":
+            found, kind = self.store.get(category, key)
+            resp.update(found=found is not None, kind=kind)
+            if found is not None:
+                resp["blob"] = base64.b64encode(found).decode("ascii")
+        elif op == "cache.put":
+            resp["stored"] = self.store.put(category, key, blob)
+        else:
+            resp["dropped"] = self.store.drop(category, key)
+        return resp
+
+    def ping_fields(self) -> dict:
+        return {"role": "cache"}
+
+    def own_stats(self) -> dict:
+        return {"server": {"role": "cache"}, "cache": self.store.stats()}
 
 
 # ---------------------------------------------------------------------------

@@ -48,15 +48,14 @@ from ..api import (
     STATUS_REJECTED, TIERS,
 )
 
-#: control operations (daemon-level; no sources, no ladder)
+#: control operations every server answers (no sources, no ladder)
 CONTROL_OPS = ("ping", "stats", "trace", "drain", "shutdown")
-OPS = COMPILE_OPS + CONTROL_OPS
 
 #: wire fields a control request may carry
 _CONTROL_FIELDS = ("op", "id", "trace_id")
 
 __all__ = [
-    "COMPILE_OPS", "CONTROL_OPS", "OPS", "LADDER", "TIERS",
+    "COMPILE_OPS", "CONTROL_OPS", "LADDER", "TIERS",
     "STATUS_OK", "STATUS_DEGRADED", "STATUS_BUSY", "STATUS_ERROR",
     "STATUS_REJECTED", "STATUS_DEADLINE_EXCEEDED",
     "ProtocolError", "encode", "decode", "parse_compile",
@@ -83,13 +82,7 @@ def parse_compile(d: dict) -> CompileRequest:
     :meth:`repro.api.CompileRequest.from_dict` does the validation, so
     the wire protocol and the in-process API can never drift apart;
     its :class:`~repro.api.ApiError` comes back as a
-    :class:`ProtocolError` with the same structured detail.  An op the
-    daemon does not serve at all is named against every op it does."""
-    if isinstance(d, dict) and d.get("op") not in OPS:
-        op = d.get("op")
-        raise ProtocolError(
-            f"unknown op {op!r}; expected one of {', '.join(OPS)}",
-            detail={"op": op, "known_ops": list(OPS)})
+    :class:`ProtocolError` with the same structured detail."""
     try:
         return CompileRequest.from_dict(d)
     except ApiError as exc:

@@ -59,14 +59,17 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..api import CompileRequest
 from ..core.summarycache import fingerprint
 from ..obs import MetricsRegistry
 from .admission import ANON_TENANT, TokenBucket
 from .requests import (
     COMPILE_OPS, ProtocolError, STATUS_DEGRADED, STATUS_OK,
-    deadline_response, error_response, rejected_response,
+    deadline_response, error_response, parse_compile, rejected_response,
 )
-from .server import LineServer, ServiceClient, single_request, wait_ready
+from .server import (
+    LineServer, ServiceClient, ping, single_request, wait_ready,
+)
 
 #: dispatch outcomes that trigger failover to the next-ranked shard.
 #: ``rejected`` and ``deadline_exceeded`` are deliberately absent:
@@ -101,7 +104,6 @@ _ROUTER_COUNTS = (
     ("ejections", "router.ejections", {}),
     ("readmissions", "router.readmissions", {}),
     ("rejected", "router.rejected", {}),
-    ("deadline_refused", "router.deadline_exceeded", {}),
     ("deadline_refused", "router.completed",
      {"status": "deadline_exceeded"}),
     ("retries_denied", "router.retries_denied", {}),
@@ -114,7 +116,6 @@ _TENANT_COUNTS = (
     ("completed", "router.completed", {"status": STATUS_DEGRADED}),
     ("rejected", "router.rejected", {}),
     ("rejected", "router.completed", {"status": "rejected"}),
-    ("deadline_exceeded", "router.deadline_exceeded", {}),
     ("deadline_exceeded", "router.completed",
      {"status": "deadline_exceeded"}),
     ("retries_denied", "router.retries_denied", {}),
@@ -377,29 +378,22 @@ class Router:
             if not force and not shard.healthy \
                     and now < shard.ejected_until:
                 return False
-        try:
-            resp = single_request(
-                shard.spec.socket, {"op": "ping"},
-                timeout=PROBE_TIMEOUT, reconnects=0)
-            ok = bool(resp.get("pong"))
-            draining = bool(resp.get("draining"))
-        except (OSError, ConnectionError, ProtocolError):
-            ok, draining = False, False
-        if ok:
-            was_down = not shard.available()
-            if draining:
-                with shard.lock:
-                    # answering pings but refusing work: suspend
-                    # without counting a failure
-                    shard.draining = True
-                    shard.consecutive_failures = 0
-                return False
-            shard.readmit()
-            if was_down:
-                self._count("router.readmissions")
-            return True
-        self._note_shard_failure(shard)
-        return False
+        resp = ping(shard.spec.socket, PROBE_TIMEOUT)
+        if resp is None:
+            self._note_shard_failure(shard)
+            return False
+        if resp.get("draining"):
+            with shard.lock:
+                # answering pings but refusing work: suspend without
+                # counting a failure
+                shard.draining = True
+                shard.consecutive_failures = 0
+            return False
+        was_down = not shard.available()
+        shard.readmit()
+        if was_down:
+            self._count("router.readmissions")
+        return True
 
     def _note_shard_failure(self, shard: ShardState) -> None:
         backoff = min(PROBE_BACKOFF_CAP,
@@ -457,32 +451,23 @@ class Router:
 
     # -- dispatch -----------------------------------------------------------
 
-    def dispatch(self, raw: dict) -> dict:
+    def dispatch(self, raw: dict, deadline_ms: float | None = None,
+                 tenant: str | None = None) -> dict:
         """Route one compile request; failover and hedge as needed.
 
-        Admission happens *before* routing: a tenant over its quota is
-        rejected on arrival with an honest ``retry_after``; a request
-        whose ``deadline_ms`` budget is already gone is answered
-        ``deadline_exceeded`` without burning a shard.  The budget is
+        ``raw`` is the request each shard gets, as the client sent it;
+        ``deadline_ms`` and ``tenant`` are its validated budget and
+        tenant (:meth:`RouterServer.parse_work`).  Admission happens
+        *before* routing: a tenant over its quota is rejected on
+        arrival with an honest ``retry_after``.  The budget is
         deducted for elapsed router time at every (re)dispatch, and
         failover/hedging spend the tenant's retry budget.
 
         Returns the winning shard's response with a ``route`` block
         attached, or a structured error if every shard is gone."""
-        tenant = str(raw.get("tenant") or ANON_TENANT)
+        tenant = tenant or ANON_TENANT
         arrival = time.monotonic()
         self._count("router.requests", tenant=tenant)
-        deadline_ms = raw.get("deadline_ms")
-        if not isinstance(deadline_ms, (int, float)) \
-                or isinstance(deadline_ms, bool):
-            deadline_ms = None
-        if deadline_ms is not None and deadline_ms <= 0:
-            self._count("router.deadline_exceeded", tenant=tenant)
-            return deadline_response(
-                raw.get("id"), raw.get("op") or "(unknown)",
-                message="deadline budget already exhausted on "
-                        "arrival at the router",
-                reason="expired_on_arrival")
         if self.tenant_rate > 0:
             bucket = self._bucket(self._tenant_buckets, tenant,
                                   self.tenant_rate, self.tenant_burst,
@@ -721,12 +706,11 @@ class Router:
             "router": self._read(_ROUTER_COUNTS),
             "fairness": self.fairness(),
             "shards": {s.name: s.snapshot() for s in self.shards},
-            "metrics": self.metrics.snapshot(),
         }
         if self.cluster.cache_socket:
             try:
                 resp = single_request(
-                    self.cluster.cache_socket, {"op": "cache.stats"},
+                    self.cluster.cache_socket, {"op": "stats"},
                     timeout=2.0, reconnects=0)
                 if resp.get("status") == "ok":
                     out["cache"] = resp.get("stats")
@@ -811,14 +795,7 @@ class RouterServer(LineServer):
 
     def _probe_peers_once(self) -> None:
         for peer in self.peers:
-            try:
-                resp = single_request(
-                    peer.socket, {"op": "ping"},
-                    timeout=self.peer_timeout, reconnects=0)
-                ok = bool(resp.get("pong"))
-            except (OSError, ConnectionError, ProtocolError):
-                ok = False
-            if ok:
+            if ping(peer.socket, self.peer_timeout) is not None:
                 peer.consecutive_failures = 0
                 peer.healthy = True
             else:
@@ -841,65 +818,49 @@ class RouterServer(LineServer):
                              name="router-takeover-probe").start()
         self._active = active
 
-    def handle_request(self, raw: dict) -> dict:
-        req_id = raw.get("id")
-        op = raw.get("op")
-        if op == "ping":
-            return {"id": req_id, "op": "ping", "status": "ok",
-                    "pong": True, "draining": self.draining,
-                    "role": "router", "rank": self.rank,
-                    "active": self._active,
-                    "shards": sum(1 for s in self.router.shards
-                                  if s.available())}
-        if op == "shutdown":
-            return {"id": req_id, "op": "shutdown", "status": "ok"}
-        if op == "drain":
-            status = self.begin_drain()
-            return {"id": req_id, "op": "drain", "status": "ok",
-                    **status}
-        if op == "stats":
-            return {"id": req_id, "op": "stats", "status": "ok",
-                    "stats": self.stats()}
-        if op == "trace":
-            return self._forward_trace(raw)
-        if op in COMPILE_OPS:
-            return self.router.dispatch(raw)
-        return error_response(
-            req_id, op or "(unknown)",
-            f"unknown op {op!r}", detail={"op": op})
+    def parse_work(self, raw: dict) -> tuple[dict, CompileRequest]:
+        # the daemon's own validator: a malformed request is refused
+        # here once, not failed over to every shard; the shards get
+        # the request as the client sent it
+        return raw, parse_compile(raw)
 
-    def _forward_trace(self, raw: dict) -> dict:
+    def serve(self, work: tuple[dict, CompileRequest]) -> dict:
+        raw, req = work
+        return self.router.dispatch(raw, req.deadline_ms, req.tenant)
+
+    def trace(self, req_id, trace_id: str | None) -> dict:
         """A trace lives on whichever shard served the request; ask
         them all and return the first hit."""
         for shard in self.router.shards:
             try:
                 resp = single_request(
-                    shard.spec.socket, raw,
+                    shard.spec.socket,
+                    {"op": "trace", "id": req_id, "trace_id": trace_id},
                     timeout=PROBE_TIMEOUT, reconnects=0)
             except (OSError, ConnectionError, ProtocolError):
                 continue
             if resp.get("status") == "ok":
                 resp["route"] = {"shard": shard.name}
                 return resp
-        return error_response(
-            raw.get("id"), "trace",
-            "no shard holds the requested trace")
+        return error_response(req_id, "trace",
+                              "no shard holds the requested trace")
 
-    def stats(self) -> dict:
+    def ping_fields(self) -> dict:
+        return {"role": "router", "rank": self.rank,
+                "active": self._active,
+                "shards": sum(1 for s in self.router.shards
+                              if s.available())}
+
+    def own_stats(self) -> dict:
         out = self.router.stats()
-        fairness = out.get("fairness") or {}
+        fairness = out["fairness"]
         out["server"] = {
             "role": "router",
-            "in_flight": self.in_flight,
             # the router has no queue of its own: its "queue" is the
             # set of dispatches waiting on shards right now
-            "queue_depth": fairness.get("in_flight", 0),
-            "oldest_age_s": fairness.get("oldest_age_s"),
-            "draining": self.draining,
-            "uptime_s": self.uptime_s(),
-            "socket": self.socket_path,
+            "queue_depth": fairness["in_flight"],
+            "oldest_age_s": fairness["oldest_age_s"],
         }
-        out["connections"] = self.connection_stats()
         out["ha"] = {
             "rank": self.rank,
             "active": self._active,

@@ -35,6 +35,14 @@ room.  Quota rejections answer ``rejected``; requests whose
 ``deadline_exceeded``; requests that expire while queued are evicted
 with ``deadline_exceeded`` instead of dispatched.
 
+Every request takes one path, :meth:`LineServer.handle_request`:
+validate, then answer a control op (``ping`` / ``stats`` / ``trace``
+/ ``drain`` / ``shutdown``) or an unknown op, then pass a work op
+through the server's one validator to its handler.  So a control op
+means the same thing at every tier, and each server brings only what
+differs: its work ops, validator and handler, its ``trace`` answer,
+its extra ``ping`` fields and its own stats blocks.
+
 Every server counts into one :class:`~repro.obs.MetricsRegistry`
 (:attr:`LineServer.metrics`): each event it counts is one series
 there, and each counter of its ``stats`` blocks is read back out of
@@ -105,12 +113,16 @@ class _Conn:
 
 
 class LineServer:
-    """Accept loop, line framing, and the drain lifecycle.
+    """Accept loop, line framing, the drain lifecycle, and the one
+    request path.
 
-    Subclasses implement :meth:`handle_request` (one raw request dict
-    -> one response dict) and set :attr:`WORK_OPS` to the ops that
-    count as in-flight *work* — control ops are always served, even
-    while draining, so health checks and stats stay answerable.
+    :meth:`handle_request` answers the control ops and unknown ops
+    itself and hands each work op — one of :attr:`WORK_OPS`, counted
+    as in-flight *work* and refused while draining — through
+    :meth:`parse_work` to :meth:`serve`.  Control ops are always
+    served, even while draining, so health checks and stats stay
+    answerable.  A subclass overrides those two, and where it differs
+    :meth:`trace`, :meth:`ping_fields` and :meth:`own_stats`.
     ``metrics`` is the server's one registry (a fresh one by default);
     connection events count there as ``wire.conn{event=...}``."""
 
@@ -413,29 +425,97 @@ class LineServer:
     def _handle_versioned(self, raw: dict) -> dict:
         req_id = raw.get("id")
         op = raw.get("op")
-        if op in self.WORK_OPS:
+        work = op in self.WORK_OPS
+        if work:
             if self.draining:
                 return busy_response(
                     req_id, op,
                     message="server draining; request not accepted",
                     reason="draining")
             self._work_begin()
-            try:
-                return self._handle_raw(raw, req_id, op)
-            finally:
-                self._work_end()
-        return self._handle_raw(raw, req_id, op)
-
-    def _handle_raw(self, raw: dict, req_id, op) -> dict:
         try:
             return self.handle_request(raw)
         except Exception as exc:      # the daemon must never die here
             return error_response(
                 req_id, op or "(unknown)",
                 f"internal error: {type(exc).__name__}: {exc}")
+        finally:
+            if work:
+                self._work_end()
 
     def handle_request(self, raw: dict) -> dict:
+        """One request: validate it, then answer a control op or an
+        unknown op here, or serve a work op."""
+        req_id = raw.get("id")
+        op = raw.get("op")
+        try:
+            if op in CONTROL_OPS:
+                return self._control(op, req_id, parse_control(raw))
+            if op not in self.WORK_OPS:
+                known = [*self.WORK_OPS, *CONTROL_OPS]
+                raise ProtocolError(
+                    f"unknown op {op!r}; expected one of "
+                    f"{', '.join(known)}",
+                    detail={"op": op, "known_ops": known})
+            work = self.parse_work(raw)
+        except ProtocolError as exc:
+            return error_response(req_id, op or "(unknown)", str(exc),
+                                  detail=exc.detail or None)
+        return self.serve(work)
+
+    def _control(self, op: str, req_id, trace_id: str | None) -> dict:
+        if op == "trace":
+            return self.trace(req_id, trace_id)
+        resp = {"id": req_id, "op": op, "status": "ok"}
+        if op == "ping":
+            resp.update(pong=True, draining=self.draining,
+                        **self.ping_fields())
+        elif op == "drain":
+            resp.update(self.begin_drain())
+        elif op == "stats":
+            resp["stats"] = self.stats()
+        # shutdown: the connection loop stops the server on this reply
+        return resp
+
+    def parse_work(self, raw: dict):
+        """The server's one validator for a work op: what :meth:`serve`
+        takes, or a :class:`ProtocolError` the client is answered."""
         raise NotImplementedError
+
+    def serve(self, work) -> dict:
+        """Answer one validated work request."""
+        raise NotImplementedError
+
+    def trace(self, req_id, trace_id: str | None) -> dict:
+        """The ``trace`` answer; a server that keeps no traces has none
+        to give."""
+        what = f"trace {trace_id!r}" if trace_id \
+            else "no traces recorded yet"
+        return error_response(req_id, "trace", f"unknown trace: {what}")
+
+    def ping_fields(self) -> dict:
+        """What this server's ``ping`` reply adds to ``pong`` and
+        ``draining``."""
+        return {}
+
+    def own_stats(self) -> dict:
+        """This server's own ``stats`` blocks; a ``server`` entry adds
+        keys to the shared ``server`` block."""
+        return {}
+
+    def stats(self) -> dict:
+        """The ``stats`` reply: the server's own blocks, the shared
+        ``server`` keys, and the ``connections`` and ``metrics``
+        blocks."""
+        out = self.own_stats()
+        out["server"] = {"in_flight": self.in_flight,
+                         "draining": self.draining,
+                         "uptime_s": self.uptime_s(),
+                         "socket": self.socket_path,
+                         **out.get("server", {})}
+        out["connections"] = self.connection_stats()
+        out["metrics"] = self.metrics.snapshot()
+        return out
 
     def uptime_s(self) -> float:
         return round(time.monotonic() - self._started_at, 2)
@@ -555,42 +635,17 @@ class CompileServer(LineServer):
             item, service_s=time.monotonic() - now)
         _box_put(box, resp)
 
-    def handle_request(self, raw: dict) -> dict:
-        req_id = raw.get("id")
-        op = raw.get("op")
-        try:
-            if op in CONTROL_OPS:
-                return self._control(op, req_id, parse_control(raw))
-            req = parse_compile(raw)
-        except ProtocolError as exc:
-            return error_response(req_id, op or "(unknown)", str(exc),
-                                  detail=exc.detail or None)
-        return self._admit_and_wait(req)
+    parse_work = staticmethod(parse_compile)
 
-    def _control(self, op: str, req_id, trace_id: str | None) -> dict:
-        if op == "ping":
-            return {"id": req_id, "op": "ping", "status": "ok",
-                    "pong": True, "draining": self.draining}
-        if op == "shutdown":
-            return {"id": req_id, "op": "shutdown", "status": "ok"}
-        if op == "drain":
-            status = self.begin_drain()
-            return {"id": req_id, "op": "drain", "status": "ok",
-                    **status}
-        if op == "stats":
-            return {"id": req_id, "op": "stats", "status": "ok",
-                    "stats": self.stats()}
+    def trace(self, req_id, trace_id: str | None) -> dict:
         stored = self.supervisor.get_trace(trace_id)
         if stored is None:
-            what = f"trace {trace_id!r}" if trace_id \
-                else "no traces recorded yet"
-            return error_response(
-                req_id, "trace", f"unknown trace: {what}")
+            return super().trace(req_id, trace_id)
         trace_id, spans = stored
         return {"id": req_id, "op": "trace", "status": "ok",
                 "trace_id": trace_id, "spans": spans}
 
-    def _admit_and_wait(self, req: CompileRequest) -> dict:
+    def serve(self, req: CompileRequest) -> dict:
         """Admission -> fair queue -> block on the reply box."""
         now = time.monotonic()
         budget_s = None if req.deadline_ms is None \
@@ -634,10 +689,11 @@ class CompileServer(LineServer):
 
     # -- stats -------------------------------------------------------------
 
-    def stats(self) -> dict:
+    def own_stats(self) -> dict:
         m = self.metrics
-        with self._lock:
-            server = {
+        queue = self.admission.queue
+        return {
+            "server": {
                 # every dispatched request completes; shed counts the
                 # full-queue and displaced busy replies, deadline
                 # refusals the hopeless arrivals and queue expiries
@@ -647,21 +703,14 @@ class CompileServer(LineServer):
                                             reason="hopeless")
                 + m.total("admission.deadline_evicted"),
                 "queue_max": self.queue_max,
-                "queue_depth": self.admission.queue.depth(),
-                "oldest_age_s": self.admission.queue.oldest_age_s(),
-                "in_flight": self._in_flight,
+                "queue_depth": queue.depth(),
+                "oldest_age_s": queue.oldest_age_s(),
                 "dispatching": self._dispatching,
-                "draining": self.draining,
-                "uptime_s": round(
-                    time.monotonic() - self._started_at, 2),
-                "socket": self.socket_path,
                 "effective_cores": effective_cores(),
-            }
-        out = {"server": server,
-               "connections": self.connection_stats(),
-               "fairness": self.admission.fairness()}
-        out.update(self.supervisor.stats())
-        return out
+            },
+            "fairness": self.admission.fairness(),
+            **self.supervisor.stats(),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +724,7 @@ class CompileServer(LineServer):
 #: *restarted* daemon the first send never reached.
 IDEMPOTENT_OPS = frozenset(COMPILE_OPS) | {
     "ping", "stats", "trace", "drain",
-    "cache.get", "cache.put", "cache.drop", "cache.stats",
+    "cache.get", "cache.put", "cache.drop",
 }
 
 
@@ -848,17 +897,23 @@ def single_request(socket_path: str, payload: dict,
         return client.request(payload)
 
 
+def ping(socket_path: str, timeout: float) -> dict | None:
+    """One liveness probe: the server's ``ping`` reply, or None when
+    nothing answers it with a pong within ``timeout`` seconds."""
+    try:
+        resp = single_request(socket_path, {"op": "ping"},
+                              timeout=timeout, reconnects=0)
+    except (OSError, ConnectionError, ProtocolError):
+        return None
+    return resp if resp.get("pong") else None
+
+
 def wait_ready(socket_path: str, timeout: float = 10.0,
                interval: float = 0.05) -> bool:
-    """Poll the daemon with pings until it answers (or timeout)."""
+    """Ping the server until it answers (or ``timeout`` passes)."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        try:
-            resp = single_request(socket_path, {"op": "ping"},
-                                  timeout=interval * 10, reconnects=0)
-            if resp.get("pong"):
-                return True
-        except (OSError, ConnectionError, ProtocolError):
-            pass
+        if ping(socket_path, timeout=interval * 10) is not None:
+            return True
         time.sleep(interval)
     return False

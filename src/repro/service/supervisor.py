@@ -750,5 +750,4 @@ class Supervisor:
             traces = list(self._traces)
         return {"supervisor": counters,
                 "breaker": self.breaker.snapshot(),
-                "metrics": self.metrics.snapshot(),
                 "traces": traces}

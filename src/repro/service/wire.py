@@ -70,7 +70,7 @@ class OversizedReplyError(ApiError, ProtocolError):
     public failure type, with machine-readable ``detail``) and a
     :class:`~repro.service.requests.ProtocolError` (so every existing
     ``except ProtocolError`` containment path — the router's shard
-    attempts, ``RemoteCache``, ``wait_ready`` — treats it as the
+    attempts, ``RemoteCache``, ``ping`` — treats it as the
     connection-level failure it is)."""
 
 

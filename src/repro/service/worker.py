@@ -41,7 +41,6 @@ import time
 import traceback
 
 from ..api import CompileRequest, execute_tier
-from ..api import _type_rows  # noqa: F401  (re-exported; tests use it)
 from ..core.faults import PROC_FAULTS, ProcessFault, ProcessFaultSpec
 from ..core.pipeline import PASS_EVENTS
 from ..obs import CAT_SERVICE, Tracer

@@ -33,14 +33,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.core import inject_cache_fault
 from repro.core.summarycache import SummaryCache
 from repro.service import (
     COMPILE_OPS, CacheServer, CacheStore, ClusterConfig, Farm,
-    LineServer, RemoteCache, Router, RouterPeer, RouterServer,
-    ServiceClient, ShardSpec, Supervisor, SupervisorConfig,
-    busy_response, error_response, parse_budget, response,
-    single_request, wait_ready,
+    LineServer, ProtocolError, RemoteCache, Router, RouterPeer,
+    RouterServer, ServiceClient, ShardSpec, Supervisor,
+    SupervisorConfig, busy_response, error_response, parse_budget,
+    parse_compile, response, single_request, wait_ready,
 )
 
 # AF_UNIX socket paths are limited to ~107 bytes; pytest tmp_path can
@@ -423,6 +424,102 @@ class TestRouterServer:
             for s in shards:
                 s.shutdown()
 
+    @pytest.mark.parametrize("bad", [
+        {**REQ, "bogus": 1},
+        {**REQ, "sources": []},
+        {**REQ, "options": {"cycle_limit": 0}},
+    ], ids=["unknown-field", "no-sources", "zero-cycle-limit"])
+    def test_malformed_request_is_refused_not_failed_over(self, bad):
+        """A client's mistake is answered at the front door with the
+        daemon's own refusal: no shard sees it, and it spends no
+        failover or retry budget."""
+        tmp = _tmpdir()
+        cluster = make_cluster(tmp, 2)
+        # shards that refuse every request, as a daemon refuses these
+        shards = start_shards(cluster, behavior="error")
+        server = RouterServer(os.path.join(tmp, "router.sock"),
+                              Router(cluster))
+        server.start()
+        try:
+            with pytest.raises(ProtocolError) as refusal:
+                parse_compile(bad)
+            resp = single_request(server.socket_path, bad)
+            assert resp["status"] == "error"
+            assert resp["error"] == {"message": str(refusal.value),
+                                     **refusal.value.detail}
+            assert "route" not in resp
+            counts = server.router.stats()["router"]
+            assert counts["failovers"] == 0
+            assert counts["exhausted"] == 0
+            assert all(s.dispatched == 0 for s in server.router.shards)
+        finally:
+            server.shutdown()
+            for s in shards:
+                s.shutdown()
+
+
+    def test_router_routes_on_the_validated_budget(self):
+        """The router routes on the request its front door validated:
+        a budget the daemon's schema reads as a number ("500") is one
+        at the router too, so the shard gets it as a float less the
+        router's own time."""
+        tmp = _tmpdir()
+        cluster = make_cluster(tmp, 1)
+        received = []
+
+        class RecordingShard(FakeShard):
+            def handle_request(self, raw):
+                if raw.get("op") in COMPILE_OPS:
+                    received.append(raw)
+                return super().handle_request(raw)
+
+        shard = RecordingShard(cluster.shards[0].socket, "s0")
+        shard.start()
+        server = RouterServer(os.path.join(tmp, "router.sock"),
+                              Router(cluster))
+        server.start()
+        try:
+            resp = single_request(server.socket_path,
+                                  {**REQ, "deadline_ms": "500"})
+            assert resp["status"] == "ok"
+            budget = received[0]["deadline_ms"]
+            assert isinstance(budget, float)
+            assert 0 < budget < 500
+        finally:
+            server.shutdown()
+            shard.shutdown()
+
+
+class TestDrainWait:
+    def test_waits_for_the_listener_not_for_a_pong(self, capsys):
+        """``repro drain --wait`` reports the daemon gone only once
+        nothing listens on its socket: a server too loaded to answer a
+        ping within a second is still finishing its in-flight work."""
+        sock = os.path.join(_tmpdir(), "slow.sock")
+
+        class SlowPingShard(FakeShard):
+            def handle_request(self, raw):
+                if raw.get("op") == "ping":
+                    time.sleep(1.5)
+                return super().handle_request(raw)
+
+        shard = SlowPingShard(sock, "s0", delay=2.0)
+        shard.start()
+        try:
+            work = threading.Thread(target=single_request,
+                                    args=(sock, dict(REQ)),
+                                    kwargs={"timeout": 30})
+            work.start()
+            deadline = time.monotonic() + 5
+            while shard.in_flight == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert main(["drain", "--socket", sock, "--wait", "20"]) == 0
+            assert shard.served == 1      # finished before the exit
+            assert "daemon exited" in capsys.readouterr().err
+            work.join(timeout=10)
+        finally:
+            shard.shutdown()
+
 
 # ---------------------------------------------------------------------------
 # client reconnect
@@ -619,7 +716,7 @@ class TestCacheService:
     def test_stats_op_reports_budget_and_counters(self, cache_service):
         server, _ = cache_service
         stats = single_request(server.socket_path,
-                               {"op": "cache.stats"})["stats"]
+                               {"op": "stats"})["stats"]
         assert stats["server"]["role"] == "cache"
         assert "hits" in stats["cache"]
         assert "budget_bytes" in stats["cache"]

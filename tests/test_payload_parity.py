@@ -51,10 +51,6 @@ def _sources(name: str) -> list[tuple[str, str]]:
 
 def _digest(reply) -> str:
     payload = {k: v for k, v in reply.payload.items() if k != "timings"}
-    if "search" in payload:
-        payload["search"] = {
-            name: {k: v for k, v in stats.items() if k != "elapsed_s"}
-            for name, stats in payload["search"].items()}
     blob = json.dumps({"payload": payload,
                        "diagnostics": reply.diagnostics}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()

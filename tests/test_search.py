@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.api import ApiError, CompileOptions, CompileRequest, \
-    SearchOptions
+    SearchOptions, Session
 from repro.core import Compiler, CompilerOptions
 from repro.core.summarycache import SummaryCache
 from repro.frontend import Program
@@ -20,6 +20,8 @@ from repro.transform.search import (
     exhaustive_order, search_layouts, search_mode,
 )
 from repro.workloads import ALL_WORKLOADS, get_workload
+
+from .test_cli import DEMO
 
 MCF = get_workload("181.mcf")
 
@@ -109,6 +111,23 @@ class TestSeededDeterminism:
             [(d.type_name, d.action, d.hot_order, d.cold_fields)
              for d in d2]
         assert strip[0]["_trace"] == strip[1]["_trace"]
+
+    def test_searched_payload_repeats_outside_timings(self):
+        """A search's wall clock is timed in ``timings``, the payload's
+        one wall-clock block; the rest of a seeded search's payload is
+        the same on every run."""
+        search = SearchOptions(engine="sa", budget_s=0, seed=7,
+                               sa_batch=2, sa_iters=2, sa_restarts=0)
+        request = CompileRequest(
+            op="advise", sources=[("demo.c", DEMO)],
+            options=CompileOptions(search=search))
+        first, second = (Session().execute(request).payload
+                         for _ in range(2))
+        assert "search[item]" in first["timings"]
+        assert "elapsed_s" not in first["search"]["item"]
+        first.pop("timings")
+        second.pop("timings")
+        assert first == second
 
     def test_different_seed_may_differ_but_never_worse(
             self, mcf_res, mcf_trace):

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import type_rows
 from repro.cli import main
 from repro.core import CODE_BREAKER, CODE_CACHE, CODE_DEADLINE, \
     CODE_DEGRADED, CODE_HANG, CODE_WORKER, Compiler, CompilerOptions
@@ -27,7 +28,6 @@ from repro.service import (
     wait_ready,
 )
 from repro.service.breaker import CircuitBreaker
-from repro.service.worker import _type_rows
 from repro.workloads import ALL_WORKLOADS
 
 from .test_cli import UNRUNNABLE
@@ -519,6 +519,15 @@ class TestCliService:
         assert "record types: 1" in out
         assert "plan=peel" in out
 
+    def test_client_analyze_prints_the_local_table(self, daemon,
+                                                   demo_file, capsys):
+        sock, _ = daemon
+        assert main(["analyze", demo_file]) == 0
+        local = capsys.readouterr().out
+        assert main(["client", "analyze", demo_file,
+                     "--socket", sock]) == 0
+        assert capsys.readouterr().out == local
+
     def test_client_transform_writes_output(self, daemon, demo_file,
                                             tmp_path, capsys):
         sock, _ = daemon
@@ -621,7 +630,8 @@ class TestParity:
         direct = Compiler(CompilerOptions(transform=False)) \
             .compile_sources(sources)
         assert resp["payload"]["table1"] == list(direct.table1_row())
-        assert resp["payload"]["types"] == _type_rows(direct)
+        assert resp["payload"]["types"] == \
+            type_rows(direct.legality, direct.decisions_by_type())
 
     @pytest.mark.parametrize("name", ["181.mcf", "179.art"])
     def test_transform_parity(self, parity_service, name):

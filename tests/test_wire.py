@@ -27,9 +27,10 @@ import pytest
 
 from repro.api import ApiError
 from repro.service import (
-    CacheServer, CacheStore, ClusterConfig, CompileServer, LineServer,
-    ProtocolError, Router, RouterServer, ServiceClient, ShardSpec,
-    Supervisor, SupervisorConfig, encode, single_request, wait_ready,
+    CONTROL_OPS, CacheServer, CacheStore, ClusterConfig, CompileServer,
+    LineServer, ProtocolError, Router, RouterServer, ServiceClient,
+    ShardSpec, Supervisor, SupervisorConfig, encode, single_request,
+    wait_ready,
 )
 from repro.service.wire import (
     BoundedLineReader, OversizedReplyError, PROTOCOL_VERSION,
@@ -198,6 +199,38 @@ class TestGarbagePeers:
         assert block == srv.connection_stats() or \
             block["max_connections"] == srv.max_connections
 
+    # the control-op contract is one code path, so every server kind
+    # refuses a bad control request the same way
+
+    @pytest.mark.parametrize("op", ["ping", "stats"])
+    def test_control_op_with_unknown_field_is_refused(self, server, op):
+        _, path = server
+        resp = single_request(path, {"op": op, "bogus": 1})
+        assert resp["status"] == "error"
+        assert resp["error"]["unknown_fields"] == ["bogus"]
+        assert resp["error"]["where"] == "request"
+
+    def test_non_string_trace_id_is_refused(self, server):
+        _, path = server
+        resp = single_request(path, {"op": "trace", "trace_id": 5})
+        assert resp["status"] == "error"
+        assert resp["error"]["message"] == "'trace_id' must be a string"
+        assert resp["error"]["where"] == "trace_id"
+
+    def test_trace_is_a_control_op(self, server):
+        _, path = server
+        resp = single_request(path, {"op": "trace", "trace_id": "nope"})
+        assert resp["status"] == "error"
+        assert "unknown op" not in resp["error"]["message"]
+
+    def test_unknown_op_lists_work_and_control_ops(self, server):
+        srv, path = server
+        resp = single_request(path, {"op": "explode", "id": 4})
+        assert resp["status"] == "error"
+        assert resp["id"] == 4
+        assert resp["error"]["known_ops"] == \
+            [*srv.WORK_OPS, *CONTROL_OPS]
+
 
 # ---------------------------------------------------------------------------
 # Idle timeout: half-open peers, including the pre-first-byte window
@@ -209,9 +242,12 @@ class TestIdleTimeout:
         used to hold its connection thread until process exit."""
         with make_server("cache", idle_timeout=0.4) as (srv, path):
             s = raw_conn(path)        # say nothing
+            # eviction first: "open" already reads 0 in the moment
+            # before the server has accepted this connection
+            assert wait_for(
+                lambda: srv.connection_stats()["evicted_idle"] >= 1)
             assert wait_for(
                 lambda: srv.connection_stats()["open"] == 0)
-            assert srv.connection_stats()["evicted_idle"] >= 1
             # the server closed its end: our recv sees EOF
             s.settimeout(3.0)
             assert s.recv(1) == b""
