@@ -26,15 +26,20 @@ measurements:
   slowdowns.  The committed baseline throughput was measured at the
   growth seed (commit dd3011c) on the same container class.
 - ``search`` — the global layout search: greedy vs seeded-SA vs ILP
-  replay cycles per searched type on mcf/art/moldyn, and the batched
+  replay cycles per searched type on mcf/art/moldyn, each workload's
+  trace length and its op count per searched type once ``precompile``
+  has folded the accesses that cannot miss, and the batched
   cost-oracle economics (ms per candidate, batched vs one-at-a-time).
   The ``--check`` gates assert SA <= greedy everywhere and a >= 3x
   per-candidate advantage for batched trace replay.
 
 Absolute times vary across machines; ``--check`` gates on orderings
 and ratios (warm < cold, searched <= greedy, batched oracle >= 3x,
-admission and wire overhead < 2%) and on the exact mcf cycle count.  Run locally with no arguments to regenerate the
-JSON, or ``--units N`` to scale the synthetic program.
+admission and wire overhead < 2%) and exactly on what the simulator
+computes for mcf/train: the cycle count, the output/stats hash and
+the folded op count of the ``node`` trace.  Run locally with no
+arguments to regenerate the JSON, or ``--units N`` to scale the
+synthetic program.
 """
 
 from __future__ import annotations
@@ -64,6 +69,14 @@ ROOT = Path(__file__).resolve().parent.parent
 #: simulator cycles/second at the growth seed (commit dd3011c),
 #: measured on the reference container with the same mcf/train run
 SEED_SIMULATOR_CYC_PER_SEC = 17.3e6
+
+#: what the simulator computes on mcf/train, gated exactly: its
+#: cycles, the hash of its exit code, stdout and cache stats, and the
+#: ops of its ``node`` trace left after ``precompile`` folds the
+#: accesses that cannot miss
+MCF_CYCLES = 15_640_398
+MCF_OUTPUT_STATS_HASH = "7eea731a44519fd7"
+MCF_NODE_FOLDED_OPS = 365_793
 
 
 def make_sources(n_units: int = 10, structs_per_unit: int = 140,
@@ -238,7 +251,7 @@ def bench_search(repeats: int) -> dict:
         res = Compiler(CompilerOptions(transform=False)) \
             .compile_sources(wl.sources("train"))
         trace = capture_trace(res.program)
-        entry: dict = {"trace_ops": len(trace),
+        entry: dict = {"trace_ops": len(trace), "folded_ops": {},
                        "trace_cycles": trace.cycles, "types": {}}
         for engine in ("greedy", "sa", "ilp"):
             sopts = SearchOptions(engine=engine, budget_s=10.0, seed=7)
@@ -249,6 +262,9 @@ def bench_search(repeats: int) -> dict:
                 if tname.startswith("_"):
                     continue
                 s = stats[tname]
+                if tname not in entry["folded_ops"]:
+                    entry["folded_ops"][tname] = len(
+                        precompile(trace, tname).ops)
                 row = entry["types"].setdefault(tname, {})
                 row[f"{engine}_cycles"] = s["greedy_cycles"] \
                     if engine == "greedy" else s["best_cycles"]
@@ -451,11 +467,24 @@ def main(argv=None) -> int:
             print("FAIL: warm recompile not faster than cold",
                   file=sys.stderr)
             ok = False
-        if simulator["cycles"] != 15_640_398:
+        if simulator["cycles"] != MCF_CYCLES:
             print(f"FAIL: mcf/train cycle count changed "
-                  f"({simulator['cycles']:,} != 15,640,398): the "
+                  f"({simulator['cycles']:,} != {MCF_CYCLES:,}): the "
                   f"simulator fast path altered semantics",
                   file=sys.stderr)
+            ok = False
+        if simulator["output_stats_hash"] != MCF_OUTPUT_STATS_HASH:
+            print(f"FAIL: mcf/train output/stats hash changed "
+                  f"({simulator['output_stats_hash']} != "
+                  f"{MCF_OUTPUT_STATS_HASH}): the simulator's output "
+                  f"or cache stats altered", file=sys.stderr)
+            ok = False
+        folded = search["workloads"].get("181.mcf", {}) \
+            .get("folded_ops", {}).get("node")
+        if folded != MCF_NODE_FOLDED_OPS:
+            print(f"FAIL: mcf/train node trace folds to {folded} ops "
+                  f"(!= {MCF_NODE_FOLDED_OPS:,}): precompile's fold "
+                  f"rule changed", file=sys.stderr)
             ok = False
         for wname, entry in search["workloads"].items():
             for tname, row in entry["types"].items():

@@ -2,7 +2,7 @@
 
 from .memory import Memory, MemoryError_, Allocation
 from .cache import (
-    CacheConfig, CacheLevelConfig, CacheHierarchy, CacheLevel,
+    CacheConfig, CacheLevelConfig, CacheHierarchy,
     ITANIUM2_FULL, ITANIUM2_SCALED,
 )
 from .machine import (
@@ -20,7 +20,7 @@ __all__ = [
     "AccessTrace", "CompiledTrace", "LayoutPlan",
     "capture_trace", "precompile", "plan_layout", "replay_batch",
     "Memory", "MemoryError_", "Allocation",
-    "CacheConfig", "CacheLevelConfig", "CacheHierarchy", "CacheLevel",
+    "CacheConfig", "CacheLevelConfig", "CacheHierarchy",
     "ITANIUM2_FULL", "ITANIUM2_SCALED",
     "Machine", "PMU", "EdgeProfiler", "SiteInfo", "FieldSample",
     "ExitProgram", "StepLimitExceeded",

@@ -11,11 +11,17 @@ workloads (10^5..10^7 accesses) cross the same capacity boundaries the
 paper's native runs crossed; pass :data:`ITANIUM2_FULL` for the real
 sizes.  An optional stride prefetcher supports the §2.4 stride-hint
 ablation.
+
+The LRU walk is written once, as the source :func:`emit_walk` emits:
+:class:`CacheHierarchy` compiles it, once per config, into its
+``access``, and the replay oracle (:mod:`repro.runtime.replay`) into
+its batched loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -30,6 +36,14 @@ class CacheLevelConfig:
     @property
     def num_sets(self) -> int:
         return max(self.size // (self.ways * self.line_size), 1)
+
+    @property
+    def line_bits(self) -> int:
+        bits = self.line_size.bit_length() - 1
+        if self.line_size != 1 << bits:
+            raise ValueError(f"{self.name}: line size {self.line_size} "
+                             f"is not a power of two")
+        return bits
 
 
 @dataclass(frozen=True)
@@ -46,6 +60,12 @@ class CacheConfig:
                                 l.ways * l.line_size))
             for l in self.levels)
         return replace(self, levels=levels)
+
+    def path(self, is_float) -> tuple[int, ...]:
+        """Indices of the levels an access walks, first level first:
+        an FP access skips the ``fp_bypass`` levels."""
+        return tuple(i for i, l in enumerate(self.levels)
+                     if not (is_float and l.fp_bypass))
 
 
 #: The rx2600's Itanium 2 hierarchy (1.5 GHz, 6 MB L3 on-die; the paper
@@ -70,169 +90,116 @@ ITANIUM2_SCALED = CacheConfig(levels=(
 ))
 
 
-class CacheLevel:
-    """One set-associative level with LRU replacement."""
+def emit_walk(w, addr: str, cfg: CacheConfig, is_float: bool,
+              indent: str, serve: str, slot: int = 0) -> None:
+    """Emit, through ``w``, the LRU walk of one access to ``addr``.
 
-    __slots__ = ("config", "line_bits", "num_sets", "sets",
-                 "hits", "misses", "write_misses")
+    The walk goes down ``cfg.path(is_float)``; level ``i``'s sets are
+    the generated code's list ``s{i}`` (:func:`new_sets`).  A hit
+    moves its line to the end of its set.  A miss appends the line,
+    evicts the set's first tag, and falls through to the next level as
+    a nested ``else``.  Where the access is served — at ``depth`` on
+    the path, ``len(path)`` for memory — the walk emits the statement
+    ``serve`` with ``{slot}`` filled in as ``slot + depth`` and
+    ``{latency}`` as the access's total latency."""
+    path = cfg.path(is_float)
+    latency = 0
+    for depth, i in enumerate(path):
+        level = cfg.levels[i]
+        ind = indent + "    " * depth
+        latency += level.latency
+        w(f"{ind}line = {addr} >> {level.line_bits}")
+        ns = level.num_sets
+        index = f"line & {ns - 1}" if ns & (ns - 1) == 0 \
+            else f"line % {ns}"
+        w(f"{ind}s = s{i}[{index}]")
+        w(f"{ind}if line in s:")
+        w(f"{ind}    if s[-1] != line:")
+        w(f"{ind}        s.remove(line)")
+        w(f"{ind}        s.append(line)")
+        w(f"{ind}    " + serve.format(slot=slot + depth, latency=latency))
+        w(f"{ind}else:")
+        w(f"{ind}    s.append(line)")
+        w(f"{ind}    del s[0]")
+    w(indent + "    " * len(path) + serve.format(
+        slot=slot + len(path), latency=latency + cfg.memory_latency))
 
-    def __init__(self, config: CacheLevelConfig):
-        self.config = config
-        self.line_bits = config.line_size.bit_length() - 1
-        assert (1 << self.line_bits) == config.line_size, \
-            "line size must be a power of two"
-        self.num_sets = config.num_sets
-        # Each set: list of tags, most recently used last.
-        self.sets: list[list[int]] = [[] for _ in range(self.num_sets)]
-        self.hits = 0
-        self.misses = 0
-        self.write_misses = 0
 
-    def access(self, addr: int, is_write: bool) -> bool:
-        """Touch the line containing ``addr``; True on hit."""
-        line = addr >> self.line_bits
-        s = self.sets[line % self.num_sets]
-        if line in s:
-            self.hits += 1
-            if s[-1] != line:
-                s.remove(line)
-                s.append(line)
-            return True
-        self.misses += 1
-        if is_write:
-            self.write_misses += 1
-        s.append(line)
-        if len(s) > self.config.ways:
-            s.pop(0)
-        return False
+def new_sets(level: CacheLevelConfig) -> list[list]:
+    """Empty sets of one level: each a list of exactly ``ways`` line
+    tags, least recently used first, with None for the ways not yet
+    filled (no line equals None), so a fill always evicts one tag."""
+    return [[None] * level.ways for _ in range(level.num_sets)]
 
-    def install(self, addr: int) -> None:
-        """Install a line without counting a demand access (prefetch)."""
-        line = addr >> self.line_bits
-        s = self.sets[line % self.num_sets]
-        if line in s:
-            return
-        s.append(line)
-        if len(s) > self.config.ways:
-            s.pop(0)
 
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
+def build(src: list[str], name: str, **env):
+    """Execute generated source with ``env`` as its globals and return
+    the function ``name`` it defines."""
+    exec("\n".join(src), env)     # noqa: S102 — generated code
+    return env[name]
 
-    def miss_rate(self) -> float:
-        total = self.accesses
-        return self.misses / total if total else 0.0
 
-    def reset_stats(self) -> None:
-        self.hits = self.misses = self.write_misses = 0
+@lru_cache(maxsize=32)
+def _access_factory(cfg: CacheConfig):
+    """``make(sets, counts, prefetch)`` for one config: it returns the
+    ``access`` of one :class:`CacheHierarchy`, which counts each
+    access in the slot of the path and depth that served it."""
+    # a prefetching access still has the prefetcher to run
+    serve = "counts[{slot}] += 1; " \
+        + ("lat = {latency}" if cfg.prefetch else "return {latency}")
+    src: list[str] = []
+    w = src.append
+    w("def make(sets, counts, prefetch):")
+    for i in range(len(cfg.levels)):
+        w(f"    s{i} = sets[{i}]")
+    w("    def access(addr, is_float=False, is_write=False, site=0):")
+    w("        if is_float:")
+    emit_walk(w, "addr", cfg, True, " " * 12, serve,
+              len(cfg.path(False)) + 1)
+    w("        else:")
+    emit_walk(w, "addr", cfg, False, " " * 12, serve)
+    if cfg.prefetch:
+        w("        if site and not is_write:")
+        w("            prefetch(addr, site)")
+        w("        return lat")
+    w("    return access")
+    return build(src, "make")
 
 
 class CacheHierarchy:
-    """The full hierarchy.  :meth:`access` returns ``(latency, level_idx)``
-    where ``level_idx`` is the level that serviced the access (``-1`` for
-    main memory), which is exactly what the PMU attributes to fields."""
+    """The full hierarchy.
 
-    __slots__ = ("config", "levels", "accesses", "fp_accesses",
-                 "total_latency", "_strides", "prefetches",
-                 "_path_int", "_path_fp", "_mem_latency", "_prefetch_on")
+    ``access(addr, is_float=False, is_write=False, site=0)`` walks one
+    access and returns its latency.  The only counters are ``counts``,
+    one slot per path and level that can serve an access on it: the
+    integer path's levels then memory, then the FP path's levels then
+    memory.  :meth:`stats` derives hits, misses, the access count and
+    the total latency from them, and the PMU reads from them whether
+    the first level served an access (:meth:`first_level_slot`)."""
+
+    __slots__ = ("config", "sets", "counts", "prefetches", "_strides",
+                 "access")
 
     def __init__(self, config: CacheConfig = ITANIUM2_SCALED):
         self.config = config
-        self.levels = [CacheLevel(l) for l in config.levels]
-        self.accesses = 0
-        self.fp_accesses = 0
-        self.total_latency = 0
+        self.sets = [new_sets(l) for l in config.levels]
+        self.counts = [0] * (len(config.path(False))
+                             + len(config.path(True)) + 2)
         self.prefetches = 0
         # stride prefetcher state: site -> (last_addr, last_stride)
         self._strides: dict[int, tuple[int, int]] = {}
-        # Flattened per-level lookup paths for the hot loop: everything
-        # :meth:`access` needs, with the attribute chains pre-resolved.
-        # The ``sets`` list object is created once per level and never
-        # reassigned, so aliasing it here is safe; hit/miss counters stay
-        # on the CacheLevel so ``stats()``/``reset_stats()`` are unchanged.
-        self._mem_latency = config.memory_latency
-        self._prefetch_on = config.prefetch
-        self._path_int = tuple(
-            (i, l, l.line_bits, l.num_sets, l.sets, l.config.latency,
-             l.config.ways)
-            for i, l in enumerate(self.levels))
-        self._path_fp = tuple(
-            p for p in self._path_int if not p[1].config.fp_bypass)
+        # the prefetcher only where configured: a bound method in the
+        # closure is a cycle the collector would have to free
+        self.access = _access_factory(config)(
+            self.sets, self.counts, config.prefetch and self._prefetch)
 
-    def access(self, addr: int, is_float: bool = False,
-               is_write: bool = False, site: int = 0) -> tuple[int, int]:
-        self.accesses += 1
-        if is_float:
-            self.fp_accesses += 1
-            path = self._path_fp
-        else:
-            path = self._path_int
-        latency = 0
-        serviced = -1
-        for idx, level, line_bits, num_sets, lsets, lat, ways in path:
-            latency += lat
-            line = addr >> line_bits
-            s = lsets[line % num_sets]
-            if line in s:
-                level.hits += 1
-                if s[-1] != line:
-                    s.remove(line)
-                    s.append(line)
-                serviced = idx
-                break
-            level.misses += 1
-            if is_write:
-                level.write_misses += 1
-            s.append(line)
-            if len(s) > ways:
-                s.pop(0)
-        else:
-            latency += self._mem_latency
-        self.total_latency += latency
-
-        if self._prefetch_on and not is_write and site:
-            self._prefetch(addr, site)
-        return latency, serviced
-
-    def access_latency(self, addr: int, is_float: bool = False,
-                       is_write: bool = False, site: int = 0) -> int:
-        """Like :meth:`access` but returns only the latency.
-
-        The serviced-level index exists for PMU attribution; plain runs
-        have no PMU, and skipping the result tuple removes an allocation
-        from every simulated memory access.  Counter updates are
-        identical to :meth:`access`."""
-        self.accesses += 1
-        if is_float:
-            self.fp_accesses += 1
-            path = self._path_fp
-        else:
-            path = self._path_int
-        latency = 0
-        for idx, level, line_bits, num_sets, lsets, lat, ways in path:
-            latency += lat
-            line = addr >> line_bits
-            s = lsets[line % num_sets]
-            if line in s:
-                level.hits += 1
-                if s[-1] != line:
-                    s.remove(line)
-                    s.append(line)
-                break
-            level.misses += 1
-            if is_write:
-                level.write_misses += 1
-            s.append(line)
-            if len(s) > ways:
-                s.pop(0)
-        else:
-            latency += self._mem_latency
-        self.total_latency += latency
-
-        if self._prefetch_on and not is_write and site:
-            self._prefetch(addr, site)
-        return latency
+    def first_level_slot(self, is_float) -> int | None:
+        """The ``counts`` slot of the accesses the first level of the
+        path served; None for a path with no level, whose accesses all
+        go to memory."""
+        if not self.config.path(is_float):
+            return None
+        return len(self.config.path(False)) + 1 if is_float else 0
 
     def _prefetch(self, addr: int, site: int) -> None:
         prev = self._strides.get(site)
@@ -240,42 +207,59 @@ class CacheHierarchy:
             last_addr, last_stride = prev
             stride = addr - last_addr
             if stride != 0 and stride == last_stride:
-                line_bits = self.levels[-1].line_bits
+                line_bits = self.config.levels[-1].line_bits
                 for i in range(1, self.config.prefetch_degree + 1):
                     target = addr + stride * i
                     if (target >> line_bits) != (addr >> line_bits):
-                        for level in self.levels:
-                            level.install(target)
+                        self._install(target)
                         self.prefetches += 1
                         break
             self._strides[site] = (addr, stride)
         else:
             self._strides[site] = (addr, 0)
 
+    def _install(self, addr: int) -> None:
+        """Install ``addr``'s line in every level without counting a
+        demand access."""
+        for level, sets in zip(self.config.levels, self.sets):
+            line = addr >> level.line_bits
+            s = sets[line % level.num_sets]
+            if line not in s:
+                s.append(line)
+                del s[0]
+
     # -- reporting --------------------------------------------------------
 
-    def level(self, name: str) -> CacheLevel:
-        for l in self.levels:
-            if l.config.name == name:
-                return l
-        raise KeyError(name)
-
     def stats(self) -> dict[str, dict[str, int | float]]:
+        levels = self.config.levels
+        hits = [0] * len(levels)
+        misses = [0] * len(levels)
+        latency = 0
+        slot = 0
+        for is_float in (False, True):
+            path = self.config.path(is_float)
+            served = self.counts[slot:slot + len(path) + 1]
+            slot += len(path) + 1
+            walked = 0
+            for depth, i in enumerate(path):
+                walked += levels[i].latency
+                hits[i] += served[depth]
+                misses[i] += sum(served[depth + 1:])
+                latency += served[depth] * walked
+            latency += served[-1] * (walked + self.config.memory_latency)
         out: dict[str, dict[str, int | float]] = {}
-        for l in self.levels:
-            out[l.config.name] = {
-                "hits": l.hits, "misses": l.misses,
-                "miss_rate": l.miss_rate(),
+        for level, h, m in zip(levels, hits, misses):
+            out[level.name] = {
+                "hits": h, "misses": m,
+                "miss_rate": m / (h + m) if h + m else 0.0,
             }
         out["total"] = {
-            "accesses": self.accesses,
-            "latency": self.total_latency,
+            "accesses": sum(self.counts),
+            "latency": latency,
             "prefetches": self.prefetches,
         }
         return out
 
     def reset_stats(self) -> None:
-        self.accesses = self.fp_accesses = self.total_latency = 0
+        self.counts[:] = [0] * len(self.counts)   # in place: access holds it
         self.prefetches = 0
-        for l in self.levels:
-            l.reset_stats()

@@ -904,11 +904,10 @@ def _printf_impl(m: Machine, fmt: str, args: list) -> str:
 
 def _touch_lines(m: Machine, addr: int, size: int, is_write: bool) -> None:
     """Charge cache traffic for a memory-streaming operation."""
-    line = m.cache.levels[-1].config.line_size
+    line = m.cache.config.levels[-1].line_size
     a = addr - addr % line
     while a < addr + size:
-        lat, _ = m.cache.access(a, False, is_write, 0)
-        m.cycles += lat
+        m.cycles += m.cache.access(a, False, is_write, 0)
         a += line
 
 

@@ -9,7 +9,7 @@ exactly the two ingredients §3.1 combines).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cache import CacheConfig, CacheHierarchy, ITANIUM2_SCALED
 from .memory import Memory, STACK_BASE
@@ -88,8 +88,7 @@ class PMU:
         span = max(self.period, 2)
         return self.period - span // 2 + self._rng % (span + 1)
 
-    def on_access(self, site: int, latency: int, serviced_level: int,
-                  first_level: int) -> None:
+    def on_access(self, site: int, latency: int, missed: bool) -> None:
         self._countdown -= 1
         if self._countdown > 0:
             return
@@ -99,7 +98,7 @@ class PMU:
         if s is None:
             s = self.site_samples[site] = FieldSample()
         s.accesses += 1
-        if serviced_level != first_level:
+        if missed:
             s.misses += 1
         s.total_latency += latency
 
@@ -160,8 +159,8 @@ class EdgeProfiler:
         self.counts[(fn, src, dst)] += 1
         if self.touch_memory:
             m = self.machine
-            lat, _ = m.cache.access(addr, False, True, 0)
-            m.cycles += lat + 2   # load-add-store of the counter
+            # load-add-store of the counter
+            m.cycles += m.cache.access(addr, False, True, 0) + 2
 
 
 class Machine:
@@ -183,21 +182,16 @@ class Machine:
             EdgeProfiler(self) if instrument else None
         self.func_table: dict[int, object] = {}
         self._next_func_id = 1
-        #: index of the first cache level for int/FP accesses (for the
-        #: PMU's "missed its first level" attribution)
-        self._first_int_level = 0
-        self._first_fp_level = next(
-            (i for i, l in enumerate(self.cache.levels)
-             if not l.config.fp_bypass), 0)
-        if self.pmu is None:
-            self._bind_fast_paths()
+        self._bind_fast_paths()
 
     def _bind_fast_paths(self) -> None:
-        """Shadow :meth:`mem_read`/:meth:`mem_write` with closures that
-        pre-resolve the cache and memory lookups.  Only installed when no
-        PMU is attached, which is every plain (uninstrumented) run — the
-        interpreter spends most of its time in these two functions."""
-        access = self.cache.access_latency
+        """Bind ``mem_read``/``mem_write`` as closures that
+        pre-resolve the cache and memory lookups — the interpreter
+        spends most of its time in these two functions.  With a PMU
+        attached, each access is also offered to it for sampling."""
+        access = self.cache.access
+        if self.pmu is not None:
+            access = self._sampled(access)
         cells = self.memory.cells
         cells_get = cells.get
 
@@ -214,24 +208,26 @@ class Machine:
         self.mem_read = mem_read
         self.mem_write = mem_write
 
-    # -- memory access (the interpreter hot path) -------------------------
+    def _sampled(self, access):
+        """``access``, then the PMU's look at it.  Whether the access
+        missed its first cache level (L2 for FP, L1 for everything
+        else) is read off the hierarchy's counters: it missed unless
+        the first level's slot counted it, and always on a path with
+        no level."""
+        on_access = self.pmu.on_access
+        counts = self.cache.counts
+        int_first = self.cache.first_level_slot(False)
+        fp_first = self.cache.first_level_slot(True)
 
-    def mem_read(self, addr: int, is_float: bool, site: int) -> int | float:
-        lat, lvl = self.cache.access(addr, is_float, False, site)
-        self.cycles += lat
-        if self.pmu is not None:
-            first = self._first_fp_level if is_float else self._first_int_level
-            self.pmu.on_access(site, lat, lvl, first)
-        return self.memory.cells.get(addr, 0)
+        def sampled(addr: int, is_float: bool, is_write: bool,
+                    site: int) -> int:
+            k = fp_first if is_float else int_first
+            before = None if k is None else counts[k]
+            latency = access(addr, is_float, is_write, site)
+            on_access(site, latency, before is None or counts[k] == before)
+            return latency
 
-    def mem_write(self, addr: int, value: int | float, is_float: bool,
-                  site: int) -> None:
-        lat, lvl = self.cache.access(addr, is_float, True, site)
-        self.cycles += lat
-        if self.pmu is not None:
-            first = self._first_fp_level if is_float else self._first_int_level
-            self.pmu.on_access(site, lat, lvl, first)
-        self.memory.cells[addr] = value
+        return sampled
 
     def release(self) -> None:
         """Break the reference cycles a run builds, once its stdout,

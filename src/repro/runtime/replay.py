@@ -11,12 +11,14 @@ the interpreter.  This module splits the work:
 2. :func:`precompile` converts that stream, for one record type under
    study, into a flat integer op array: accesses to the record's
    fields become symbolic ``(instance, field)`` slots, everything else
-   keeps its concrete address.
+   keeps its concrete address, and the accesses that cannot miss
+   (repeats of the access just before) are folded into constants.
 3. :func:`replay_batch` replays the op array against many candidate
-   layouts in one batched pass — each candidate gets a fresh
-   :class:`CacheHierarchy`, candidate field addresses come from a
-   precomputed per-layout address table, and the non-memory cycles of
-   the original run are added back as a constant.
+   layouts in one batched pass — each candidate walks fresh cache
+   sets through the hierarchy's own generated LRU walk, candidate
+   field addresses come from a precomputed per-layout address table,
+   and the non-memory cycles of the original run are added back as a
+   constant.
 
 The replayed score is a *relative* oracle: candidate layouts are laid
 out in a dedicated replay region (piece arrays, malloc-style element
@@ -28,9 +30,13 @@ layout — is scored under identical rules.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import lru_cache
 
-from .cache import CacheConfig, CacheHierarchy, ITANIUM2_SCALED
+from .cache import (
+    CacheConfig, CacheHierarchy, ITANIUM2_SCALED, build, emit_walk,
+    new_sets,
+)
 from .codegen import CompiledProgram
 from .machine import Machine, StepLimitExceeded
 
@@ -62,7 +68,7 @@ class AccessTrace:
     site_fields: list         # site id -> (record, field) or None
     record_fields: dict       # record -> list of Field (original layout)
     cycles: int               # total cycles of the traced run
-    total_latency: int        # summed memory latency of the traced run
+    base_cycles: int          # its non-memory cycles (layout-invariant)
     cache_config: CacheConfig
     exit_code: int | None
     stdout: str
@@ -70,12 +76,6 @@ class AccessTrace:
 
     def __len__(self) -> int:
         return len(self.addrs)
-
-    @property
-    def base_cycles(self) -> int:
-        """Non-memory cycles of the traced run (constant across
-        candidate layouts)."""
-        return self.cycles - self.total_latency
 
     def fingerprint_parts(self, record_name: str) -> tuple:
         """Stable identity of this trace w.r.t. one record — the memo
@@ -97,13 +97,13 @@ def capture_trace(program, cache_config: CacheConfig = ITANIUM2_SCALED,
     """Run ``program`` once, recording every memory access.
 
     The recording hooks keep the plain fast path's cycle accounting
-    bit-for-bit (same :meth:`CacheHierarchy.access_latency` calls in
-    the same order), so ``trace.cycles`` equals a plain run's cycles.
+    bit-for-bit (same :meth:`CacheHierarchy.access` calls in the same
+    order), so ``trace.cycles`` equals a plain run's cycles.
     A run that exhausts ``cycle_limit`` yields a *truncated* trace:
     the prefix is still a valid stream for relative layout scoring.
     """
     machine = Machine(cache_config=cache_config, cycle_limit=cycle_limit)
-    access = machine.cache.access_latency
+    access = machine.cache.access
     cells = machine.memory.cells
     cells_get = cells.get
 
@@ -154,7 +154,8 @@ def capture_trace(program, cache_config: CacheConfig = ITANIUM2_SCALED,
     return AccessTrace(
         addrs=addrs, sites=sites, flags=flags, site_fields=site_fields,
         record_fields=record_fields, cycles=machine.cycles,
-        total_latency=machine.cache.total_latency,
+        base_cycles=machine.cycles
+        - machine.cache.stats()["total"]["latency"],
         cache_config=cache_config, exit_code=exit_code,
         stdout=machine.stdout, truncated=truncated)
 
@@ -169,26 +170,38 @@ class CompiledTrace:
       ``op = (((addr << S) | site) << 2) | flags``  (``op >= 0``)
     - field access (instance ``i`` of the record, field index ``j``):
       ``slot = i * nfields + j``;
-      ``op = -(((((slot << S) | site) << 2) | flags) + 1)``  (``op < 0``)
+      ``op = ~((((slot << S) | site) << 2) | flags)``  (``op < 0``)
 
     Replay resolves slots through a per-candidate address table, so one
-    precompile serves every candidate layout of the record.
+    precompile serves every candidate layout of the record.  The
+    accesses :func:`precompile` folds out of ``ops`` are charged in
+    ``base_cycles`` (raw) and ``repeats`` (field: ``(field index,
+    first-level latency, count)``, charged per candidate).
     """
 
     record_name: str
     fields: list                    # original Field objects, decl order
-    field_index: dict               # name -> index
     #: a plain list, not an array: replay iterates this once per
     #: candidate, and list elements are already boxed ints
     ops: list
     nfields: int
     ninstances: int
-    field_ops: int                  # how many ops touch the record
     site_bits: int
     base_cycles: int
+    repeats: list
     cache_config: CacheConfig
     fingerprint_parts: tuple
-    truncated: bool = False
+
+
+def _first_level(cfg: CacheConfig, is_float) -> tuple[int, int]:
+    """``(line bits, latency)`` of the first level an access walks; an
+    access on a path with no level goes to memory, which keeps no
+    lines."""
+    path = cfg.path(is_float)
+    if not path:
+        return 0, cfg.memory_latency
+    level = cfg.levels[path[0]]
+    return level.line_bits, level.latency
 
 
 def precompile(trace: AccessTrace, record_name: str) -> CompiledTrace:
@@ -197,7 +210,27 @@ def precompile(trace: AccessTrace, record_name: str) -> CompiledTrace:
     Instances are identified by object base address (access address
     minus the field's original offset) and numbered in first-seen
     order, which is deterministic for a fixed trace.
+
+    An access on the same path as the one just before it, to the same
+    first-level line (raw) or ``(instance, field)`` slot (field),
+    cannot miss under any layout: its line is the most recently used
+    one in the path's first level, and a split field's link load is
+    still resident beside it in a level of two or more ways, so both
+    hit and every set ends as it was.  ``ops`` leaves such repeats
+    out.  A config with a stride prefetcher keeps every access (a
+    repeat resets its site's stride), and so does one with a
+    direct-mapped level, where a link load and its field can evict
+    each other.
     """
+    cfg = trace.cache_config
+    fold = not cfg.prefetch and all(l.ways > 1 for l in cfg.levels)
+    return _lower(trace, record_name, fold)
+
+
+def _lower(trace: AccessTrace, record_name: str,
+           fold: bool) -> CompiledTrace:
+    """:func:`precompile`'s lowering; with ``fold`` false it keeps
+    every access, the stream :func:`replay_reference` walks."""
     fields = trace.record_fields.get(record_name)
     if not fields:
         raise KeyError(f"record {record_name!r} not in trace")
@@ -218,32 +251,47 @@ def precompile(trace: AccessTrace, record_name: str) -> CompiledTrace:
             site_off.append(None)
             site_idx.append(0)
 
+    int_bits, int_lat = _first_level(trace.cache_config, False)
+    fp_bits, fp_lat = _first_level(trace.cache_config, True)
+    base_cycles = trace.base_cycles
+    repeats: dict = {}
     ops: list[int] = []
     o_app = ops.append
     instances: dict[int, int] = {}
-    field_ops = 0
-    addrs, sites, flags = trace.addrs, trace.sites, trace.flags
-    for k in range(len(addrs)):
-        site = sites[k]
+    # the previous access's fold key: first-level line (raw, bit 0
+    # clear) or slot (field, bit 0 set), with the float flag in bit 1
+    prev = None
+    for addr, site, fl in zip(trace.addrs, trace.sites, trace.flags):
         off = site_off[site]
+        fp = fl & 2
         if off is None:
-            o_app((((addrs[k] << site_bits) | site) << 2) | flags[k])
+            key = (addr >> (fp_bits if fp else int_bits)) << 2 | fp
+            if fold and key == prev:
+                base_cycles += fp_lat if fp else int_lat
+                continue
+            prev = key
+            o_app((((addr << site_bits) | site) << 2) | fl)
             continue
-        base = addrs[k] - off
+        base = addr - off
         inst = instances.get(base)
         if inst is None:
             inst = instances[base] = len(instances)
         slot = inst * nfields + site_idx[site]
-        o_app(-(((((slot << site_bits) | site) << 2) | flags[k]) + 1))
-        field_ops += 1
+        key = slot << 2 | fp | 1
+        if fold and key == prev:
+            rep = (site_idx[site], fp_lat if fp else int_lat)
+            repeats[rep] = repeats.get(rep, 0) + 1
+            continue
+        prev = key
+        o_app(~((((slot << site_bits) | site) << 2) | fl))
 
     return CompiledTrace(
-        record_name=record_name, fields=fields, field_index=field_index,
-        ops=ops, nfields=nfields, ninstances=len(instances),
-        field_ops=field_ops, site_bits=site_bits,
-        base_cycles=trace.base_cycles, cache_config=trace.cache_config,
-        fingerprint_parts=trace.fingerprint_parts(record_name),
-        truncated=trace.truncated)
+        record_name=record_name, fields=fields, ops=ops,
+        nfields=nfields, ninstances=len(instances), site_bits=site_bits,
+        base_cycles=base_cycles,
+        repeats=sorted((j, lat, n) for (j, lat), n in repeats.items()),
+        cache_config=trace.cache_config,
+        fingerprint_parts=trace.fingerprint_parts(record_name))
 
 
 @dataclass
@@ -253,8 +301,6 @@ class LayoutPlan:
 
     addr_table: list                # slot -> address, -1 = removed field
     link_table: list                # slot -> link-pointer address or 0
-    piece_sizes: list               # element stride per piece
-    has_links: bool
 
 
 def _piece_layout(fields) -> tuple[dict, int, int]:
@@ -339,75 +385,31 @@ def plan_layout(compiled: CompiledTrace, groups, linked: bool,
             if needs_link:
                 link_table[slot] = hot_base + inst * hot_size \
                     + link_offset
-    return LayoutPlan(addr_table=addr_table, link_table=link_table,
-                      piece_sizes=piece_sizes, has_links=has_links)
+    return LayoutPlan(addr_table=addr_table, link_table=link_table)
 
 
-#: compiled replay loops, keyed by (cache config, site-bit width)
-_REPLAYERS: dict = {}
-
-
-def _emit_probe(w, addr_var: str, levels, mem_latency: int,
-                indent: str) -> None:
-    """Emit the unrolled set-associative LRU walk for one access.
-
-    State transitions and latency accumulation replicate
-    :meth:`CacheHierarchy.access_latency` exactly (hit/miss counters
-    are skipped — replay needs only cycles); misses fall through to
-    the next level as a nested ``else`` chain."""
-    for depth, (lb, ns, sets_var, lat, ways) in enumerate(levels):
-        ind = indent + "    " * depth
-        w(f"{ind}lat += {lat}")
-        w(f"{ind}line = {addr_var} >> {lb}")
-        if ns & (ns - 1) == 0:
-            w(f"{ind}s = {sets_var}[line & {ns - 1}]")
-        else:
-            w(f"{ind}s = {sets_var}[line % {ns}]")
-        w(f"{ind}if line in s:")
-        w(f"{ind}    if s[-1] != line:")
-        w(f"{ind}        s.remove(line)")
-        w(f"{ind}        s.append(line)")
-        w(f"{ind}else:")
-        w(f"{ind}    s.append(line)")
-        w(f"{ind}    if len(s) > {ways}:")
-        w(f"{ind}        s.pop(0)")
-    w(f"{indent}{'    ' * len(levels)}lat += {mem_latency}")
-
-
+@lru_cache(maxsize=32)
 def _make_replayer(cfg: CacheConfig, site_bits: int):
     """Compile a replay loop specialized to one cache geometry.
 
-    The generic walk pays tuple unpacking and a level loop per access;
-    the generated function unrolls the hierarchy into straight-line
-    code with constant shifts/masks — the same pre-resolution idea as
-    :meth:`Machine._bind_fast_paths`, taken one step further.
+    The loop walks each op's address, and a split field's link load
+    before it, through the walk :func:`~repro.runtime.cache.emit_walk`
+    generates — the walk :class:`CacheHierarchy` runs — on fresh sets
+    per call, and sums the latencies; it keeps no counters.
     """
-    key = (cfg, site_bits)
-    fn = _REPLAYERS.get(key)
-    if fn is not None:
-        return fn
     shift = 2 + site_bits
-    levels = []
-    for i, lc in enumerate(cfg.levels):
-        levels.append((lc.line_size.bit_length() - 1, lc.num_sets,
-                       f"s{i}", lc.latency, lc.ways, lc.fp_bypass))
-    path_int = [(lb, ns, sv, lt, w)
-                for lb, ns, sv, lt, w, _fb in levels]
-    path_fp = [(lb, ns, sv, lt, w)
-               for lb, ns, sv, lt, w, fb in levels if not fb]
-
+    add = "lat += {latency}"
     src: list[str] = []
     w = src.append
     w("def _replay(ops, addr_table, link_table):")
-    for _lb, ns, sv, _lt, _w, _fb in levels:
-        w(f"    {sv} = [[] for _ in range({ns})]")
+    for i in range(len(cfg.levels)):
+        w(f"    s{i} = new_sets(levels[{i}])")
     w("    lat = 0")
     w("    for op in ops:")
     w("        if op >= 0:")
     w(f"            addr = op >> {shift}")
-    w("            fl = op & 2")
     w("        else:")
-    w("            op = -op - 1")
+    w("            op = ~op")
     w(f"            slot = op >> {shift}")
     w("            addr = addr_table[slot]")
     w("            if addr < 0:")
@@ -416,24 +418,27 @@ def _make_replayer(cfg: CacheConfig, site_bits: int):
     w("            if link:")
     # link-pointer load: an integer read of the hot element's
     # appended pointer field
-    _emit_probe(w, "link", path_int, cfg.memory_latency,
-                "                ")
-    w("            fl = op & 2")
-    w("        if fl:")
-    _emit_probe(w, "addr", path_fp, cfg.memory_latency,
-                "            ")
+    emit_walk(w, "link", cfg, False, " " * 16, add)
+    w("        if op & 2:")
+    emit_walk(w, "addr", cfg, True, " " * 12, add)
     w("        else:")
-    _emit_probe(w, "addr", path_int, cfg.memory_latency,
-                "            ")
+    emit_walk(w, "addr", cfg, False, " " * 12, add)
     w("    return lat")
-    ns_dict: dict = {}
-    exec("\n".join(src), ns_dict)      # noqa: S102 — generated above
-    fn = _REPLAYERS[key] = ns_dict["_replay"]
-    return fn
+    return build(src, "_replay", new_sets=new_sets, levels=cfg.levels)
 
 
-def replay_batch(compiled: CompiledTrace, plans,
-                 cache_config: CacheConfig | None = None) -> list[int]:
+def _repeats_latency(compiled: CompiledTrace, plan: LayoutPlan) -> int:
+    """Latency of the folded field repeats under ``plan``: a first-level
+    hit, after an L1 hit on the link for a split's cold field, and
+    nothing for a removed one.  (Slot ``j``, instance 0's field ``j``,
+    stands for every instance.)"""
+    link_lat = _first_level(compiled.cache_config, False)[1]
+    addr_table, link_table = plan.addr_table, plan.link_table
+    return sum(n * (lat + (link_lat if link_table[j] else 0))
+               for j, lat, n in compiled.repeats if addr_table[j] >= 0)
+
+
+def replay_batch(compiled: CompiledTrace, plans) -> list[int]:
     """Score candidate layouts in one batched pass over the op array.
 
     Returns simulated cycles per plan: the traced run's non-memory
@@ -443,41 +448,44 @@ def replay_batch(compiled: CompiledTrace, plans,
     no interpreter, no per-access call — which is the >= 3x
     per-candidate win over re-simulating the whole program.
 
-    Prefetch-enabled configs take the reference path through a real
-    :class:`CacheHierarchy` (the prefetcher needs site ids);
-    ``tests/test_search.py`` pins both paths to identical scores.
+    Prefetch-enabled configs, which fold nothing, walk every op
+    through a :class:`CacheHierarchy` (the prefetcher needs site ids).
     """
-    cfg = cache_config or compiled.cache_config
+    cfg = compiled.cache_config
     if cfg.prefetch:
-        return [replay_reference(compiled, plan, cfg) for plan in plans]
+        return [compiled.base_cycles + _walk(compiled, plan)
+                for plan in plans]
     replay = _make_replayer(cfg, compiled.site_bits)
-    base_cycles = compiled.base_cycles
-    ops = compiled.ops
-    return [base_cycles + replay(ops, plan.addr_table, plan.link_table)
+    return [compiled.base_cycles + _repeats_latency(compiled, plan)
+            + replay(compiled.ops, plan.addr_table, plan.link_table)
             for plan in plans]
 
 
-def replay_reference(compiled: CompiledTrace, plan: LayoutPlan,
-                     cache_config: CacheConfig | None = None) -> int:
-    """Reference replay of one plan through a real
-    :class:`CacheHierarchy` — the semantic baseline the inlined fast
-    path in :func:`replay_batch` must match, and the path taken when
-    the config enables the stride prefetcher (which needs site ids)."""
-    cfg = cache_config or compiled.cache_config
-    hier = CacheHierarchy(cfg)
-    access = hier.access_latency
-    ops = compiled.ops
+def replay_reference(trace: AccessTrace, record_name: str,
+                     plans) -> list[int]:
+    """Reference scores of the plans (built on :func:`precompile`'s
+    lowering of ``trace`` for ``record_name``): every access of the
+    trace, repeats included, through a real :class:`CacheHierarchy` —
+    the semantic baseline :func:`replay_batch` must match."""
+    full = _lower(trace, record_name, fold=False)
+    return [full.base_cycles + _walk(full, plan) for plan in plans]
+
+
+def _walk(compiled: CompiledTrace, plan: LayoutPlan) -> int:
+    """Memory latency of ``compiled.ops`` under ``plan``, one
+    :meth:`CacheHierarchy.access` per access, site ids included."""
+    access = CacheHierarchy(compiled.cache_config).access
     sbits = compiled.site_bits
     smask = (1 << sbits) - 1
     addr_table = plan.addr_table
     link_table = plan.link_table
     lat = 0
-    for op in ops:
+    for op in compiled.ops:
         if op >= 0:
             body = op >> 2
             lat += access(body >> sbits, op & 2, op & 1, body & smask)
         else:
-            enc = -op - 1
+            enc = ~op
             body = enc >> 2
             slot = body >> sbits
             addr = addr_table[slot]
@@ -487,4 +495,4 @@ def replay_reference(compiled: CompiledTrace, plan: LayoutPlan,
             if link:
                 lat += access(link, False, False, body & smask)
             lat += access(addr, enc & 2, enc & 1, body & smask)
-    return compiled.base_cycles + lat
+    return lat

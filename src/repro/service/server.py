@@ -142,6 +142,7 @@ class LineServer:
         self.max_connections = int(max_connections)
         self._owner_pid = os.getpid()
         self._listener: socket.socket | None = None
+        self._bound: os.stat_result | None = None   # our socket file
         self._stop = threading.Event()
         self._accept_thread: threading.Thread | None = None
         self._started_at = time.monotonic()
@@ -169,6 +170,7 @@ class LineServer:
         self._listener = socket.socket(socket.AF_UNIX,
                                        socket.SOCK_STREAM)
         self._listener.bind(self.socket_path)
+        self._bound = os.stat(self.socket_path)
         # a backlog as deep as the connection cap: a burst of connects
         # must reach the cap's evict-or-refuse policy, not bounce off
         # a full kernel queue as EAGAIN
@@ -191,13 +193,13 @@ class LineServer:
 
     def request_shutdown(self) -> None:
         """Signal-handler-safe: ask ``serve_forever`` to exit and run
-        the orderly ``shutdown``.  The listener closes here so new
+        the orderly ``shutdown``.  The listener shuts down here so new
         connections are refused immediately — already-open ones are
         still answered until the full ``shutdown`` runs."""
         self._stop.set()
-        self._close_listener()
+        self._shut_listener()
 
-    def _close_listener(self) -> None:
+    def _shut_listener(self) -> None:
         listener = self._listener
         if listener is None:
             return
@@ -212,15 +214,11 @@ class LineServer:
             listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        try:
-            listener.close()
-        except OSError:
-            pass
 
     def shutdown(self) -> None:
         self._stop.set()
-        self._close_listener()
-        self._listener = None
+        self._shut_listener()
+        listener, self._listener = self._listener, None
         self._teardown()
         # wake every connection thread still blocked in recv() so the
         # process exits without waiting on peers to hang up
@@ -229,10 +227,18 @@ class LineServer:
             self._conns.clear()
         for state in conns:
             state.close()
-        try:
-            Path(self.socket_path).unlink()
-        except OSError:
-            pass
+        if listener is not None and os.getpid() == self._owner_pid:
+            # unlink only our own socket file, not one a successor bound
+            # since the listener shut down (or before a failed bind):
+            # the still-open listener keeps the file's inode, so its
+            # (st_dev, st_ino) is ours alone
+            try:
+                if self._bound is not None and os.path.samestat(
+                        os.stat(self.socket_path), self._bound):
+                    os.unlink(self.socket_path)
+            except OSError:
+                pass
+            listener.close()
 
     # -- drain -------------------------------------------------------------
 

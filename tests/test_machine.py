@@ -3,7 +3,9 @@
 import pytest
 
 from repro.frontend import Program
-from repro.runtime import Machine, CompiledProgram, PMU, SiteInfo
+from repro.runtime import (
+    CacheConfig, CompiledProgram, ITANIUM2_SCALED, Machine, PMU, SiteInfo,
+)
 from repro.runtime.machine import EdgeProfiler
 
 
@@ -11,41 +13,54 @@ class TestPMU:
     def test_sampling_rate_approximate(self):
         pmu = PMU(period=10)
         for _ in range(1000):
-            pmu.on_access(1, 5, 0, 0)
+            pmu.on_access(1, 5, False)
         assert 70 <= pmu.samples_taken <= 130
 
     def test_period_one_samples_everything(self):
         pmu = PMU(period=1)
         for _ in range(50):
-            pmu.on_access(2, 5, 0, 0)
+            pmu.on_access(2, 5, False)
         assert pmu.samples_taken == 50
 
     def test_miss_attribution(self):
         pmu = PMU(period=1)
-        pmu.on_access(3, 200, -1, 0)     # serviced by memory: a miss
-        pmu.on_access(3, 1, 0, 0)        # first-level hit
+        pmu.on_access(3, 200, True)      # serviced by memory: a miss
+        pmu.on_access(3, 1, False)       # first-level hit
         s = pmu.site_samples[3]
         assert s.accesses == 2
         assert s.misses == 1
         assert s.total_latency == 201
 
     def test_fp_first_level_is_l2(self):
-        pmu = PMU(period=1)
-        # serviced at level 1 which IS the first level for FP: not a miss
-        pmu.on_access(4, 6, 1, 1)
-        assert pmu.site_samples[4].misses == 0
+        m = Machine(pmu_period=1)
+        m.mem_read(0x4000_0000, True, 4)     # cold: a miss
+        m.mem_read(0x4000_0000, True, 4)     # L2 hit: FP's first level
+        m.mem_read(0x4000_0000, False, 5)    # int: L1 is cold, a miss
+        m.mem_read(0x4000_0000, False, 5)    # L1 hit
+        assert (m.pmu.site_samples[4].misses,
+                m.pmu.site_samples[5].misses) == (1, 1)
+        assert m.pmu.site_samples[4].total_latency == (6 + 14 + 200) + 6
+
+    def test_fp_path_with_no_level_always_misses(self):
+        only_l1 = CacheConfig(levels=ITANIUM2_SCALED.levels[:1])
+        m = Machine(cache_config=only_l1, pmu_period=1)
+        for _ in range(2):
+            m.mem_read(0x4000_0000, True, 4)     # FP skips the L1: memory
+            m.mem_read(0x4000_0000, False, 5)    # int: cold, then L1 hit
+        assert (m.pmu.site_samples[4].misses,
+                m.pmu.site_samples[5].misses) == (2, 1)
 
     def test_jitter_avoids_aliasing(self):
         """Alternating two sites with an even period must sample both."""
         pmu = PMU(period=4)
         for i in range(4000):
-            pmu.on_access(i % 2, 5, 0, 0)
+            pmu.on_access(i % 2, 5, False)
         assert set(pmu.site_samples) == {0, 1}
 
     def test_by_field_rollup(self):
         pmu = PMU(period=1)
-        pmu.on_access(1, 10, -1, 0)
-        pmu.on_access(2, 20, 0, 0)
+        pmu.on_access(1, 10, True)
+        pmu.on_access(2, 20, False)
         sites = [SiteInfo(0), SiteInfo(1, record="t", field="a"),
                  SiteInfo(2, record="t", field="a")]
         agg = pmu.by_field(sites)
@@ -54,7 +69,7 @@ class TestPMU:
 
     def test_anonymous_sites_not_rolled_up(self):
         pmu = PMU(period=1)
-        pmu.on_access(0, 10, -1, 0)
+        pmu.on_access(0, 10, True)
         assert pmu.by_field([SiteInfo(0)]) == {}
 
     def test_avg_latency(self):
@@ -67,7 +82,7 @@ class TestPMU:
         def sample():
             pmu = PMU(period=7)
             for i in range(500):
-                pmu.on_access(i % 3, 5, 0, 0)
+                pmu.on_access(i % 3, 5, False)
             return {k: v.accesses for k, v in pmu.site_samples.items()}
         assert sample() == sample()
 
@@ -137,7 +152,7 @@ class TestMachineMisc:
         m.mem_write(0x4000_0000, 7, False, 0)
         assert m.mem_read(0x4000_0000, False, 0) == 7
         assert m.cycles > before
-        assert m.cache.accesses == 2
+        assert m.cache.stats()["total"]["accesses"] == 2
 
     def test_stdout_concatenation(self):
         m = Machine()

@@ -1,6 +1,7 @@
 """Global layout search: SA, exact B&B, batched replay oracle, API."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,7 +10,7 @@ from repro.api import ApiError, CompileOptions, CompileRequest, \
 from repro.core import Compiler, CompilerOptions
 from repro.core.summarycache import SummaryCache
 from repro.frontend import Program
-from repro.runtime import run_program
+from repro.runtime import ITANIUM2_SCALED, run_program
 from repro.runtime.replay import (
     capture_trace, plan_layout, precompile, replay_batch,
     replay_reference,
@@ -28,6 +29,26 @@ MCF = get_workload("181.mcf")
 #: cycle budget that truncates every workload's trace to a fast prefix
 SHORT = 1_000_000
 
+#: a longer prefix, in which a split field and its link load meet in
+#: one set of a direct-mapped L1 (no SHORT prefix has that meeting)
+LONG = 3_000_000
+
+_L1, _L2, _L3 = ITANIUM2_SCALED.levels
+
+#: replay configs, with the prefix each is checked on and whether
+#: precompile may fold accesses under it
+REPLAY_CONFIGS = {
+    "scaled": (ITANIUM2_SCALED, SHORT, True),
+    "scaled/2": (ITANIUM2_SCALED.scaled(2), SHORT, True),
+    "direct-mapped-l1": (
+        replace(ITANIUM2_SCALED, levels=(replace(_L1, ways=1), _L2, _L3)),
+        LONG, False),
+    "prefetch": (replace(ITANIUM2_SCALED, prefetch=True), SHORT, False),
+}
+
+#: each focus workload's searched record
+FOCUS = {"181.mcf": "node", "179.art": "f1_neuron", "moldyn": "particle"}
+
 
 def _analysis(workload, input_set="train"):
     res = Compiler(CompilerOptions(transform=False)) \
@@ -39,6 +60,11 @@ def _analysis(workload, input_set="train"):
 @pytest.fixture(scope="module")
 def mcf_res():
     return _analysis(MCF)
+
+
+@pytest.fixture(scope="module")
+def focus_programs():
+    return {w: _analysis(get_workload(w)).program for w in FOCUS}
 
 
 @pytest.fixture(scope="module")
@@ -84,10 +110,50 @@ class TestReplayParity:
         ]
         plans = [plan_layout(compiled, l.groups, l.linked, l.dead)
                  for l in layouts]
-        fast = replay_batch(compiled, plans)
-        # replay_reference already includes base_cycles
-        ref = [replay_reference(compiled, p) for p in plans]
-        assert fast == ref
+        assert replay_batch(compiled, plans) == \
+            replay_reference(mcf_trace, "node", plans)
+
+    @pytest.mark.parametrize("config", REPLAY_CONFIGS)
+    @pytest.mark.parametrize("workload", FOCUS)
+    def test_folded_replay_matches_reference(self, workload, config,
+                                            focus_programs):
+        """``precompile`` folds the accesses that cannot miss; replay
+        of what is left, plus the folded latency, must score seeded
+        random layouts — multi-piece, linked, peeled, with dead fields
+        — exactly as the reference replay of every access.  A config
+        with a direct-mapped level or a prefetcher folds nothing."""
+        cfg, limit, folds = REPLAY_CONFIGS[config]
+        trace = capture_trace(focus_programs[workload], cache_config=cfg,
+                              cycle_limit=limit)
+        compiled = precompile(trace, FOCUS[workload])
+        assert (len(compiled.ops) < len(trace)) == folds
+        if not folds:
+            assert compiled.repeats == []
+            assert compiled.base_cycles == trace.base_cycles
+        rng = random.Random(f"{workload}:{config}")
+        plans = [plan_layout(compiled, l.groups, l.linked, l.dead)
+                 for l in _random_layouts(compiled, rng)]
+        assert replay_batch(compiled, plans) == \
+            replay_reference(trace, FOCUS[workload], plans)
+
+
+def _random_layouts(compiled, rng, n: int = 8) -> list:
+    """``n`` seeded layouts of the record: every other one a linked
+    split into two or three pieces, the rest peeled into up to three;
+    about one field in six dead."""
+    out = []
+    for k in range(n):
+        names = [f.name for f in compiled.fields]
+        rng.shuffle(names)
+        dead = tuple(x for x in names[2:] if rng.random() < 1 / 6)
+        live = [x for x in names if x not in dead]
+        linked = k % 2 == 0
+        pieces = rng.randint(2 if linked else 1, min(3, len(live)))
+        cuts = sorted(rng.sample(range(1, len(live)), pieces - 1))
+        groups = tuple(tuple(live[a:b]) for a, b in
+                       zip([0] + cuts, cuts + [len(live)]))
+        out.append(Layout(groups, linked, dead))
+    return out
 
 
 class TestSeededDeterminism:

@@ -324,6 +324,19 @@ class _TaggedServer(LineServer):
                 "status": "ok", "pong": True, "served_by": self.tag}
 
 
+class _RacedServer(_TaggedServer):
+    """Starts ``rival`` on its own path between ``start``'s unlink of a
+    stale file and its bind, as a second server started at that moment
+    would."""
+
+    def __init__(self, socket_path: str, tag: str, rival: LineServer):
+        super().__init__(socket_path, tag)
+        self.rival = rival
+
+    def _startup(self) -> None:
+        self.rival.start()
+
+
 class TestClientSide:
     def test_oversized_reply_is_structured_api_error(self):
         tmp = _tmpdir()
@@ -374,6 +387,41 @@ class TestClientSide:
             client.close()
         finally:
             b.shutdown()
+
+    def test_shutdown_leaves_a_successors_socket(self):
+        """A server that stops after a successor bound its path (a
+        drained daemon replaced before its own shutdown finished)
+        removes its own socket file only, never the successor's."""
+        path = os.path.join(_tmpdir(), "d.sock")
+        old = _TaggedServer(path, "old")
+        old.start()
+        old.request_shutdown()
+        new = _TaggedServer(path, "new")
+        new.start()
+        try:
+            old.shutdown()
+            assert wait_ready(path, timeout=5.0)
+            assert single_request(path, {"op": "ping"})["served_by"] \
+                == "new"
+        finally:
+            new.shutdown()
+        assert not os.path.exists(path)
+
+    def test_failed_bind_leaves_the_winners_socket(self):
+        """A server that loses its path to another between ``start``'s
+        unlink and its bind reports the bind error, and its shutdown
+        neither raises nor removes the winner's socket file."""
+        path = os.path.join(_tmpdir(), "d.sock")
+        winner = _TaggedServer(path, "winner")
+        loser = _RacedServer(path, "loser", winner)
+        try:
+            with pytest.raises(OSError):
+                loser.start()
+            loser.shutdown()
+            assert single_request(path, {"op": "ping"})["served_by"] \
+                == "winner"
+        finally:
+            winner.shutdown()
 
     def test_client_stamps_protocol_version(self):
         tmp = _tmpdir()
