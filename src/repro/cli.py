@@ -400,22 +400,23 @@ def cmd_farm(args) -> int:
         raise CliError("--config mode needs an explicit --socket "
                        "for the router")
     if args.config:
-        cluster = ClusterConfig.from_file(args.config)
-        peers: list[RouterPeer] = []
-        if args.ha_peers:
+        if args.tenant_rate > 0:
+            raise CliError("--tenant-rate sets the quota of the shards "
+                           "--dir spawns; with --config, start each "
+                           "shard with its own 'repro serve "
+                           "--tenant-rate'")
+        try:
+            cluster = ClusterConfig.from_file(args.config)
             # the full ordered router list; our own entry (by rank
             # position) is skipped, the rest become probe targets
-            sockets = parse_endpoints(args.ha_peers)
-            peers = [RouterPeer(socket=s, rank=i)
-                     for i, s in enumerate(sockets)
-                     if i != args.ha_rank]
+            sockets = parse_endpoints(args.ha_peers) \
+                if args.ha_peers else []
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
+        peers = [RouterPeer(socket=s, rank=i)
+                 for i, s in enumerate(sockets) if i != args.ha_rank]
         router_server = RouterServer(
-            args.socket,
-            Router(cluster, tenant_rate=args.tenant_rate,
-                   tenant_burst=args.tenant_burst,
-                   retry_rate=args.retry_rate,
-                   retry_burst=args.retry_burst),
-            peers=peers, rank=args.ha_rank,
+            args.socket, Router(cluster), peers=peers, rank=args.ha_rank,
             max_request_bytes=args.max_request_bytes,
             idle_timeout=args.idle_timeout,
             max_connections=args.max_connections)
@@ -429,8 +430,6 @@ def cmd_farm(args) -> int:
                 cache_budget=args.cache_budget,
                 tenant_rate=args.tenant_rate,
                 tenant_burst=args.tenant_burst,
-                retry_rate=args.retry_rate,
-                retry_burst=args.retry_burst,
                 routers=args.routers)
     if args.routers <= 1:
         farm.router_socket = args.socket or farm.router_socket
@@ -875,19 +874,14 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="S", help="SIGTERM drain grace")
     p.add_argument("--tenant-rate", type=float, default=0.0,
                    metavar="R",
-                   help="per-tenant admission quota at the router in "
-                        "requests/s; 0 disables quotas (default 0)")
+                   help="per-tenant admission quota of each spawned "
+                        "shard in requests/s, so a farm of N shards "
+                        "admits up to N*R; 0 disables quotas "
+                        "(default 0; not with --config)")
     p.add_argument("--tenant-burst", type=float, default=8.0,
                    metavar="B",
-                   help="per-tenant quota burst size (default 8)")
-    p.add_argument("--retry-rate", type=float, default=8.0,
-                   metavar="R",
-                   help="per-tenant retry budget refill in "
-                        "retries/s shared by failover and hedging "
-                        "(default 8)")
-    p.add_argument("--retry-burst", type=float, default=32.0,
-                   metavar="B",
-                   help="per-tenant retry budget burst (default 32)")
+                   help="per-tenant quota burst size of each spawned "
+                        "shard (default 8)")
     p.add_argument("--routers", type=int, default=1, metavar="N",
                    help="router processes: 1 (default) runs the "
                         "classic in-process router; >=2 spawns an "

@@ -16,14 +16,15 @@ warm on one content-addressed summary store.  Daemons drain
 gracefully (the ``drain`` op / SIGTERM), so the farm hot-restarts
 with zero failed requests.
 
-Overload control lives in :mod:`repro.service.admission`: per-tenant
-token-bucket quotas, a bounded weighted-fair queue (deficit
-round-robin across tenants, priority lanes within a tenant), and
-cost-aware reject-on-arrival with an honest ``retry_after`` derived
-from the observed queue drain rate.  ``deadline_ms`` budgets propagate
-end-to-end: every hop deducts its elapsed time before forwarding, and
-requests whose remaining budget cannot cover the observed p50 service
-time are refused immediately instead of queued.
+Overload control lives in each daemon's :mod:`repro.service.admission`
+(the router keeps no per-tenant state): per-tenant token-bucket
+quotas, a bounded fair queue (round-robin across tenants, priority
+lanes within a tenant), and cost-aware reject-on-arrival with an
+honest ``retry_after`` derived from the observed queue drain rate.
+``deadline_ms`` budgets propagate end-to-end: every hop deducts its
+elapsed time before forwarding, and requests whose remaining budget
+cannot cover the observed p50 service time are refused immediately
+instead of queued.
 """
 
 from .admission import (

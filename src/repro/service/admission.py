@@ -9,17 +9,15 @@ shed caller got was a constant ``retry_after``.
 
 This module is the *reject-on-arrival* replacement, three layers deep:
 
-- :class:`TokenBucket` — per-tenant rate quotas (and, at the router,
-  per-tenant **retry budgets**: failover and hedging draw from one
-  bucket so a retry storm cannot amplify an overload).
-- :class:`FairQueue` — a bounded **weighted deficit-round-robin**
-  queue.  Service rotates across tenants in proportion to their
-  weights, so a flooding tenant queues behind itself, not in front of
-  everyone else.  Within a tenant, three **priority lanes** (high /
-  normal / low) are served strictly in order.  When the queue is full,
-  arrivals from a tenant still under its fair share **displace** the
-  newest, lowest-priority item of the most over-share tenant — the
-  flooder's excess is shed, never the victim's traffic.
+- :class:`TokenBucket` — per-tenant rate quotas.
+- :class:`FairQueue` — a bounded **round-robin** queue.  Service
+  rotates across tenants one request per turn, so a flooding tenant
+  queues behind itself, not in front of everyone else.  Within a
+  tenant, three **priority lanes** (high / normal / low) are served
+  strictly in order.  When the queue is full, arrivals from a tenant
+  still under its fair share **displace** the newest, lowest-priority
+  item of the most over-share tenant — the flooder's excess is shed,
+  never the victim's traffic.
 - :class:`AdmissionController` — the decision point.  Every arrival is
   either *admitted* (enqueued), *rejected* with an honest
   ``retry_after`` (quota exhausted, or the queue is full — the hint is
@@ -74,9 +72,6 @@ __all__ = [
     "REJECT_HOPELESS", "REJECT_QUEUE_FULL", "REJECT_QUOTA",
     "ServiceTimeTracker", "TokenBucket",
 ]
-
-#: DRR credit a tenant of weight 1 gains per turn
-DRR_QUANTUM = 1.0
 
 #: recent service times kept per op for the p50 estimate
 SERVICE_TIME_WINDOW = 128
@@ -164,14 +159,12 @@ class QueueItem:
 
 
 class _TenantLanes:
-    """Per-tenant queue state: one deque per priority lane + deficit."""
+    """Per-tenant queue state: one deque per priority lane."""
 
-    __slots__ = ("lanes", "deficit", "weight")
+    __slots__ = ("lanes",)
 
-    def __init__(self, weight: float):
+    def __init__(self):
         self.lanes = [deque() for _ in range(PRIORITY_LANES)]
-        self.deficit = 0.0
-        self.weight = weight
 
     @property
     def pending(self) -> int:
@@ -192,7 +185,7 @@ class _TenantLanes:
 
 
 class FairQueue:
-    """Bounded deficit-round-robin queue across tenants.
+    """Bounded round-robin queue across tenants.
 
     ``put`` admits, rejects, or *displaces*: when the queue is full but
     the arriving tenant holds less than its fair share
@@ -202,17 +195,14 @@ class FairQueue:
     "every request gets exactly one structured reply" survives
     displacement.
 
-    ``get`` serves one item per call, rotating tenants by classic DRR:
-    each tenant's turn adds ``DRR_QUANTUM * weight`` to its deficit and a
-    dequeue costs 1, so long-term throughput is proportional to weight
-    and a tenant with a thousand queued requests cannot starve one with
-    two.  Within a tenant, lanes are strict priority."""
+    ``get`` serves one item per call from the tenant at the cursor,
+    then moves the cursor to the next tenant with pending items, so a
+    tenant with a thousand queued requests cannot starve one with two.
+    Within a tenant, lanes are strict priority."""
 
     def __init__(self, capacity: int, *,
-                 weights: dict[str, float] | None = None,
                  clock: Callable[[], float] = time.monotonic):
         self.capacity = max(int(capacity), 0)
-        self.weights = dict(weights or {})
         self._clock = clock
         self._cv = threading.Condition()
         self._tenants: dict[str, _TenantLanes] = {}
@@ -225,15 +215,13 @@ class FairQueue:
     def _lanes(self, tenant: str) -> _TenantLanes:
         tl = self._tenants.get(tenant)
         if tl is None:
-            tl = self._tenants[tenant] = _TenantLanes(
-                self.weights.get(tenant, 1.0))
+            tl = self._tenants[tenant] = _TenantLanes()
         return tl
 
     def _retire_locked(self, tenant: str) -> None:
-        """Drop an empty tenant from the rotation; reset its deficit."""
+        """Drop an empty tenant from the rotation."""
         tl = self._tenants.get(tenant)
         if tl is not None and tl.pending == 0:
-            tl.deficit = 0.0
             try:
                 idx = self._ring.index(tenant)
             except ValueError:
@@ -301,7 +289,7 @@ class FairQueue:
     # -- consumer side ------------------------------------------------------
 
     def get(self, timeout: float | None = None) -> QueueItem | None:
-        """Dequeue one item by DRR rotation, or ``None`` on timeout."""
+        """Dequeue one item by round-robin, or ``None`` on timeout."""
         deadline = None if timeout is None \
             else self._clock() + timeout
         with self._cv:
@@ -311,20 +299,13 @@ class FairQueue:
                 if remaining is not None and remaining <= 0:
                     return None
                 self._cv.wait(timeout=remaining)
-            while True:
-                tenant = self._ring[self._cursor % len(self._ring)]
-                tl = self._tenants[tenant]
-                if tl.pending == 0:       # defensive; retired on empty
-                    self._retire_locked(tenant)
-                    continue
-                if tl.deficit >= 1.0:
-                    tl.deficit -= 1.0
-                    item = tl.pop()
-                    self._depth -= 1
-                    self._retire_locked(tenant)
-                    return item
-                tl.deficit += DRR_QUANTUM * max(tl.weight, 1e-9)
-                self._cursor = (self._cursor + 1) % len(self._ring)
+            # the ring holds exactly the tenants with pending items
+            tenant = self._ring[self._cursor]
+            item = self._tenants[tenant].pop()
+            self._depth -= 1
+            self._cursor = (self._cursor + 1) % len(self._ring)
+            self._retire_locked(tenant)
+            return item
 
     def drain(self) -> list[QueueItem]:
         """Empty the queue (shutdown path); returns what was pending."""
@@ -334,7 +315,6 @@ class FairQueue:
                 for lane in tl.lanes:
                     items.extend(lane)
                     lane.clear()
-                tl.deficit = 0.0
             self._ring.clear()
             self._cursor = 0
             self._depth = 0
@@ -425,10 +405,9 @@ class AdmissionController:
 
     def __init__(self, capacity: int, *, tenant_rate: float = 0.0,
                  tenant_burst: float = 8.0,
-                 weights: dict[str, float] | None = None,
                  metrics: MetricsRegistry | None = None,
                  clock: Callable[[], float] = time.monotonic):
-        self.queue = FairQueue(capacity, weights=weights, clock=clock)
+        self.queue = FairQueue(capacity, clock=clock)
         self.tenant_rate = tenant_rate
         self.tenant_burst = tenant_burst
         self.service_times = ServiceTimeTracker()
@@ -504,7 +483,7 @@ class AdmissionController:
         return Decision(ADMIT, displaced=displaced)
 
     def take(self, timeout: float | None = None) -> QueueItem | None:
-        """Dequeue the next item for dispatch (DRR order)."""
+        """Dequeue the next item for dispatch (round-robin order)."""
         return self.queue.get(timeout=timeout)
 
     def evict_expired(self, item: QueueItem) -> None:

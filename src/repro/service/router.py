@@ -15,11 +15,11 @@ from the cluster config: a shard with weight 2 attracts twice the
 keyspace of a shard with weight 1.
 
 **Health**: a background loop pings every shard.  ``fail_threshold``
-consecutive failures eject a shard; ejected shards are re-probed on a
-jittered backoff schedule and readmitted on the first successful ping.
-A shard whose ping answers ``draining: true`` is *suspended* — no new
-work, but it is not a failure; when its replacement process comes up
-the next ping readmits it.  Dispatch failures feed the same
+consecutive failures eject a shard; ejected shards are re-probed on an
+exponential backoff schedule and readmitted on the first successful
+ping.  A shard whose ping answers ``draining: true`` is *suspended* —
+no new work, but it is not a failure; when its replacement process
+comes up the next ping readmits it.  Dispatch failures feed the same
 consecutive-failure counter, so a dead shard is ejected by traffic
 faster than the probe period.
 
@@ -39,10 +39,16 @@ Every routed response gains a ``route`` block::
     {"shard": "s0", "attempts": 2, "failovers": 1, "hedged": false}
 
 The router counts every routing event once, as a ``router.*`` series
-in its :class:`~repro.obs.MetricsRegistry` (labelled by tenant where
-the ``fairness`` block needs it); the ``router`` and ``fairness``
-stats blocks are read out of that registry, and the ``metrics`` block
-lists it.
+in its :class:`~repro.obs.MetricsRegistry`; the ``router`` stats block
+is read out of that registry, and the ``metrics`` block lists it.
+
+Tenancy is the shards' concern, not the router's: quotas, fair
+queueing and priority lanes live in each daemon's admission layer
+(:mod:`repro.service.admission`), and a shard's ``rejected`` or
+``deadline_exceeded`` verdict reaches the client unchanged.  The
+router keeps no per-tenant state.  Retries stay bounded without a
+budget: failover tries each shard at most once per request and
+hedging sends at most :data:`HEDGE_MAX` duplicates.
 """
 
 from __future__ import annotations
@@ -62,10 +68,9 @@ from pathlib import Path
 from ..api import CompileRequest
 from ..core.summarycache import fingerprint
 from ..obs import MetricsRegistry
-from .admission import ANON_TENANT, TokenBucket
 from .requests import (
     COMPILE_OPS, ProtocolError, STATUS_DEGRADED, STATUS_OK,
-    deadline_response, error_response, parse_compile, rejected_response,
+    deadline_response, error_response, parse_compile,
 )
 from .server import (
     LineServer, ServiceClient, ping, single_request, wait_ready,
@@ -81,7 +86,7 @@ _FAILOVER_STATUSES = ("busy", "error")
 #: seconds between two health probes of every shard
 PROBE_INTERVAL = 0.5
 #: an ejected shard's first re-probe delay, doubled per ejection up
-#: to the cap (seconds, before jitter)
+#: to the cap (seconds)
 PROBE_BACKOFF = 1.0
 PROBE_BACKOFF_CAP = 10.0
 #: seconds a health ping (or a forwarded ``trace`` fetch) may take
@@ -103,23 +108,8 @@ _ROUTER_COUNTS = (
     ("exhausted", "router.exhausted", {}),
     ("ejections", "router.ejections", {}),
     ("readmissions", "router.readmissions", {}),
-    ("rejected", "router.rejected", {}),
     ("deadline_refused", "router.completed",
      {"status": "deadline_exceeded"}),
-    ("retries_denied", "router.retries_denied", {}),
-)
-
-#: a tenant's counts in the ``fairness`` block, likewise
-_TENANT_COUNTS = (
-    ("requests", "router.requests", {}),
-    ("completed", "router.completed", {"status": STATUS_OK}),
-    ("completed", "router.completed", {"status": STATUS_DEGRADED}),
-    ("rejected", "router.rejected", {}),
-    ("rejected", "router.completed", {"status": "rejected"}),
-    ("deadline_exceeded", "router.completed",
-     {"status": "deadline_exceeded"}),
-    ("retries_denied", "router.retries_denied", {}),
-    ("failed", "router.exhausted", {}),
 )
 
 
@@ -145,12 +135,16 @@ class ShardSpec:
                 or not d.get("socket"):
             raise ValueError(
                 "each shard needs at least 'name' and 'socket'")
-        weight = float(d.get("weight", 1.0))
-        if weight <= 0:
+        weight = d.get("weight", 1.0)
+        # a NaN or infinite weight would void the rendezvous order
+        if isinstance(weight, bool) \
+                or not isinstance(weight, (int, float)) \
+                or not math.isfinite(weight) or weight <= 0:
             raise ValueError(
-                f"shard {d['name']!r}: weight must be positive")
+                f"shard {d['name']!r}: weight must be a finite "
+                f"positive number, not {weight!r}")
         return cls(name=str(d["name"]), socket=str(d["socket"]),
-                   weight=weight)
+                   weight=float(weight))
 
 
 @dataclass
@@ -168,6 +162,8 @@ class ClusterConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClusterConfig":
+        if not isinstance(d, dict):
+            raise ValueError("cluster config must be a JSON object")
         shards = [ShardSpec.from_dict(s) for s in d.get("shards", [])]
         if not shards:
             raise ValueError("cluster config names no shards")
@@ -287,60 +283,22 @@ class Router:
     def __init__(self, cluster: ClusterConfig, *,
                  fail_threshold: int = 3,
                  shard_timeout: float = 120.0,
-                 hedge_floor: float = 2.0,
-                 tenant_rate: float = 0.0,
-                 tenant_burst: float = 8.0,
-                 retry_rate: float = 8.0,
-                 retry_burst: float = 32.0,
-                 jitter_seed: int | None = None):
+                 hedge_floor: float = 2.0):
         self.cluster = cluster
         self.shards = [ShardState(s) for s in cluster.shards]
         self.fail_threshold = fail_threshold
         self.shard_timeout = shard_timeout
         self.hedge_floor = hedge_floor
-        #: per-tenant admission quota at the farm's front door
-        #: (``rate <= 0`` disables it, the default)
-        self.tenant_rate = tenant_rate
-        self.tenant_burst = tenant_burst
-        #: per-tenant *retry* budget: failover and hedging both draw
-        #: from this bucket, so a failing tenant's retries cannot
-        #: amplify an overload (draining-shard failovers are exempt —
-        #: they are lifecycle, not load)
-        self.retry_rate = retry_rate
-        self.retry_burst = retry_burst
-        import random
-        self._rng = random.Random(jitter_seed)
         self._lock = threading.Lock()
         self.metrics = MetricsRegistry()
-        self._tenant_buckets: dict[str, TokenBucket] = {}
-        self._retry_buckets: dict[str, TokenBucket] = {}
-        #: in-flight dispatches: seq -> (tenant, arrival monotonic)
-        self._active: dict[int, tuple[str, float]] = {}
+        #: in-flight dispatches: seq -> arrival (monotonic)
+        self._active: dict[int, float] = {}
         self._active_seq = 0
         self._stop = threading.Event()
         self._health_thread: threading.Thread | None = None
 
-    # -- per-tenant state ---------------------------------------------------
-
     def _count(self, name: str, **labels: str) -> None:
         self.metrics.counter(name, **labels).inc()
-
-    @staticmethod
-    def _bucket(buckets: dict, tenant: str, rate: float,
-                burst: float, lock: threading.Lock) -> TokenBucket:
-        with lock:
-            bucket = buckets.get(tenant)
-            if bucket is None:
-                bucket = buckets[tenant] = TokenBucket(rate, burst)
-            return bucket
-
-    def _take_retry(self, tenant: str) -> bool:
-        """Spend one token from the tenant's retry budget."""
-        if self.retry_rate <= 0:
-            return True
-        return self._bucket(self._retry_buckets, tenant,
-                            self.retry_rate, self.retry_burst,
-                            self._lock).try_take()
 
     # -- health loop --------------------------------------------------------
 
@@ -359,24 +317,12 @@ class Router:
             for shard in self.shards:
                 self.probe(shard)
 
-    def probe_all(self) -> None:
-        """Probe every shard immediately, ignoring re-probe backoff.
-
-        A standby router taking over calls this to rebuild its
-        :class:`ShardState` view from its *own* probes the moment it
-        becomes active — shard state is soft, so no consensus or state
-        transfer from the dead active is needed."""
-        for shard in self.shards:
-            self.probe(shard, force=True)
-
-    def probe(self, shard: ShardState, force: bool = False) -> bool:
+    def probe(self, shard: ShardState) -> bool:
         """Ping one shard and update its state.  Ejected shards are
-        only probed past their jittered re-probe time (unless
-        ``force``)."""
+        only probed past their re-probe time."""
         now = time.monotonic()
         with shard.lock:
-            if not force and not shard.healthy \
-                    and now < shard.ejected_until:
+            if not shard.healthy and now < shard.ejected_until:
                 return False
         resp = ping(shard.spec.socket, PROBE_TIMEOUT)
         if resp is None:
@@ -398,7 +344,6 @@ class Router:
     def _note_shard_failure(self, shard: ShardState) -> None:
         backoff = min(PROBE_BACKOFF_CAP,
                       PROBE_BACKOFF * (2 ** min(6, shard.ejections)))
-        backoff *= 0.5 + self._rng.random()       # jittered re-probe
         if shard.note_failure(self.fail_threshold, time.monotonic(),
                               backoff):
             self._count("router.ejections")
@@ -451,48 +396,31 @@ class Router:
 
     # -- dispatch -----------------------------------------------------------
 
-    def dispatch(self, raw: dict, deadline_ms: float | None = None,
-                 tenant: str | None = None) -> dict:
+    def dispatch(self, raw: dict, deadline_ms: float | None = None
+                 ) -> dict:
         """Route one compile request; failover and hedge as needed.
 
         ``raw`` is the request each shard gets, as the client sent it;
-        ``deadline_ms`` and ``tenant`` are its validated budget and
-        tenant (:meth:`RouterServer.parse_work`).  Admission happens
-        *before* routing: a tenant over its quota is rejected on
-        arrival with an honest ``retry_after``.  The budget is
-        deducted for elapsed router time at every (re)dispatch, and
-        failover/hedging spend the tenant's retry budget.
+        ``deadline_ms`` is its validated budget
+        (:meth:`RouterServer.parse_work`), deducted for elapsed router
+        time at every (re)dispatch.
 
         Returns the winning shard's response with a ``route`` block
         attached, or a structured error if every shard is gone."""
-        tenant = tenant or ANON_TENANT
         arrival = time.monotonic()
-        self._count("router.requests", tenant=tenant)
-        if self.tenant_rate > 0:
-            bucket = self._bucket(self._tenant_buckets, tenant,
-                                  self.tenant_rate, self.tenant_burst,
-                                  self._lock)
-            if not bucket.try_take():
-                self._count("router.rejected", tenant=tenant)
-                return rejected_response(
-                    raw.get("id"), raw.get("op") or "(unknown)",
-                    max(0.05, bucket.retry_after()),
-                    message=f"tenant {tenant!r} over its "
-                            f"{self.tenant_rate:g}/s farm quota",
-                    reason="quota")
+        self._count("router.requests")
         with self._lock:
             self._active_seq += 1
             seq = self._active_seq
-            self._active[seq] = (tenant, arrival)
+            self._active[seq] = arrival
         try:
-            resp = self._dispatch_routed(raw, tenant, arrival,
-                                         deadline_ms)
+            resp = self._dispatch_routed(raw, arrival, deadline_ms)
         finally:
             with self._lock:
                 self._active.pop(seq, None)
         return resp
 
-    def _dispatch_routed(self, raw: dict, tenant: str, arrival: float,
+    def _dispatch_routed(self, raw: dict, arrival: float,
                          deadline_ms: float | None) -> dict:
         fp = self.workload_fingerprint(raw)
         ranked = self.rank(fp)
@@ -501,7 +429,7 @@ class Router:
             # shards — a stale ejection beats refusing the request
             ranked = self.rank(fp, include_unavailable=True)
         if not ranked:
-            self._count("router.no_healthy_shard", tenant=tenant)
+            self._count("router.no_healthy_shard")
             return error_response(
                 raw.get("id"), raw.get("op") or "(unknown)",
                 "no shard available to serve this request",
@@ -514,8 +442,6 @@ class Router:
         hedges = 0
         pending = 0
         last_failure: dict | None = None
-
-        hedge_allowed = True
 
         def fire(shard: ShardState) -> None:
             nonlocal launched, pending
@@ -553,7 +479,7 @@ class Router:
             if budget <= 0:
                 break
             wait = budget
-            hedge_wanted = hedge_allowed and hedges < HEDGE_MAX
+            hedge_wanted = hedges < HEDGE_MAX
             if hedge_wanted:
                 # keep waking at hedge cadence even when no target is
                 # available yet: a readmission can create one
@@ -562,18 +488,12 @@ class Router:
                 shard, resp, elapsed = results.get(timeout=wait)
             except queue.Empty:
                 if hedge_wanted:
+                    # stuck past the latency percentile: hedge
                     target = next_target()
                     if target is None:
                         continue
-                    # stuck past the latency percentile: hedge — a
-                    # duplicate dispatch, so it spends retry budget
-                    if not self._take_retry(tenant):
-                        hedge_allowed = False
-                        self._count("router.retries_denied",
-                                    tenant=tenant)
-                        continue
                     hedges += 1
-                    self._count("router.hedges", tenant=tenant)
+                    self._count("router.hedges")
                     fire(target)
                     continue
                 break
@@ -588,15 +508,14 @@ class Router:
                     shard.note_success(elapsed)
                 hedge = "none" if not hedges else \
                     "lost" if shard is primary else "won"
-                self._count("router.completed", tenant=tenant,
-                            status=str(status), hedge=hedge)
+                self._count("router.completed", status=str(status),
+                            hedge=hedge)
                 resp["route"] = {
                     "shard": shard.name, "attempts": launched,
                     "failovers": failovers, "hedged": hedges > 0,
                 }
                 return resp
             # failure: connection loss (resp None) or busy/error
-            draining_busy = False
             if resp is None:
                 self._note_shard_failure(shard)
             elif resp.get("status") == "busy" \
@@ -604,21 +523,14 @@ class Router:
                     == "draining":
                 with shard.lock:
                     shard.draining = True
-                draining_busy = True
             last_failure = resp
             target = next_target()
             if target is not None:
-                # a drained shard refusing work is lifecycle, not
-                # overload: its failover is exempt from the retry
-                # budget (rolling restarts must stay zero-failure)
-                if draining_busy or self._take_retry(tenant):
-                    failovers += 1
-                    self._count("router.failovers", tenant=tenant)
-                    fire(target)
-                else:
-                    self._count("router.retries_denied", tenant=tenant)
+                failovers += 1
+                self._count("router.failovers")
+                fire(target)
 
-        self._count("router.exhausted", tenant=tenant)
+        self._count("router.exhausted")
         if last_failure is not None:
             last_failure.setdefault("route", {
                 "shard": None, "attempts": launched,
@@ -671,40 +583,20 @@ class Router:
             out[key] = out.get(key, 0) + self.metrics.total(name, **match)
         return out
 
-    def fairness(self) -> dict:
-        """Per-tenant accounting and live queue view (the ``fairness``
-        stats block, mirroring the compile server's)."""
+    def queue_stats(self) -> dict:
+        """The router has no queue of its own: its ``queue_depth`` and
+        ``oldest_age_s`` describe the dispatches waiting on shards
+        right now."""
         now = time.monotonic()
-        tenants: dict[str, dict] = {
-            t: {} for t in sorted(self.metrics.split("router.requests",
-                                                     "tenant"))}
-        for key, name, match in _TENANT_COUNTS:
-            got = self.metrics.split(name, "tenant", **match)
-            for t, c in tenants.items():
-                c[key] = c.get(key, 0) + got.get(t, 0)
         with self._lock:
-            active = list(self._active.values())
-        by_tenant: dict[str, int] = {}
-        for t, _ in active:
-            by_tenant[t] = by_tenant.get(t, 0) + 1
-        for t, n in by_tenant.items():
-            tenants.setdefault(t, {})["in_flight"] = n
-        oldest = min((at for _, at in active), default=None)
-        return {
-            "in_flight": len(active),
-            "oldest_age_s": None if oldest is None
-            else round(now - oldest, 3),
-            "tenant_rate": self.tenant_rate,
-            "tenant_burst": self.tenant_burst,
-            "retry_rate": self.retry_rate,
-            "retry_burst": self.retry_burst,
-            "tenants": tenants,
-        }
+            arrivals = list(self._active.values())
+        return {"queue_depth": len(arrivals),
+                "oldest_age_s": round(now - min(arrivals), 3)
+                if arrivals else None}
 
     def stats(self) -> dict:
         out = {
             "router": self._read(_ROUTER_COUNTS),
-            "fairness": self.fairness(),
             "shards": {s.name: s.snapshot() for s in self.shards},
         }
         if self.cluster.cache_socket:
@@ -741,14 +633,14 @@ class RouterServer(LineServer):
     peers, and a router is *active* exactly when no healthy peer has a
     lower rank.  The lowest rank is therefore the active by default
     and the rest are warm standbys (their shard health loops run the
-    whole time).  There is no consensus — shard state is soft — so a
-    takeover is just: notice the active stopped answering pings,
-    flip ``active``, and re-probe every shard immediately to rebuild
-    :class:`ShardState` from scratch.  Standbys still *serve* requests
-    sent to them (compile ops are idempotent and clients prefer
-    endpoints in list order), so the ``active`` flag is observability
-    and takeover accounting, not a request gate — which is what makes
-    a SIGKILLed active cost clients at most one reconnect."""
+    whole time).  There is no consensus — shard state is soft, and a
+    standby's own health loop keeps its view current — so a takeover
+    is just: notice the active stopped answering pings and flip
+    ``active``.  Standbys still *serve* requests sent to them (compile
+    ops are idempotent and clients prefer endpoints in list order), so
+    the ``active`` flag is observability and takeover accounting, not
+    a request gate — which is what makes a SIGKILLed active cost
+    clients at most one reconnect."""
 
     WORK_OPS = COMPILE_OPS
 
@@ -809,13 +701,7 @@ class RouterServer(LineServer):
         active = not any(p.healthy and p.rank < self.rank
                          for p in self.peers)
         if active and not self._active:
-            # takeover: we are now the preferred router.  Rebuild the
-            # shard view from our own probes right away — off-thread,
-            # so a slow shard cannot stall the peer loop
-            self.takeovers += 1
-            threading.Thread(target=self.router.probe_all,
-                             daemon=True,
-                             name="router-takeover-probe").start()
+            self.takeovers += 1       # we are now the preferred router
         self._active = active
 
     def parse_work(self, raw: dict) -> tuple[dict, CompileRequest]:
@@ -826,7 +712,7 @@ class RouterServer(LineServer):
 
     def serve(self, work: tuple[dict, CompileRequest]) -> dict:
         raw, req = work
-        return self.router.dispatch(raw, req.deadline_ms, req.tenant)
+        return self.router.dispatch(raw, req.deadline_ms)
 
     def trace(self, req_id, trace_id: str | None) -> dict:
         """A trace lives on whichever shard served the request; ask
@@ -853,14 +739,7 @@ class RouterServer(LineServer):
 
     def own_stats(self) -> dict:
         out = self.router.stats()
-        fairness = out["fairness"]
-        out["server"] = {
-            "role": "router",
-            # the router has no queue of its own: its "queue" is the
-            # set of dispatches waiting on shards right now
-            "queue_depth": fairness["in_flight"],
-            "oldest_age_s": fairness["oldest_age_s"],
-        }
+        out["server"] = {"role": "router", **self.router.queue_stats()}
         out["ha"] = {
             "rank": self.rank,
             "active": self._active,
@@ -910,12 +789,13 @@ class Farm:
     then SIGTERM (the daemon's handler also drains), then SIGKILL —
     each rung only if the previous one didn't end the process in
     time (:data:`FARM_DRAIN_GRACE`, then :data:`FARM_TERM_GRACE`).
-    Every shard has weight 1."""
+    Every shard has weight 1, and each one enforces the
+    ``tenant_rate``/``tenant_burst`` quota itself (``repro serve
+    --tenant-rate``), so the quota is per shard, not farm-wide."""
 
     def __init__(self, run_dir: str | Path, *, daemons: int = 3,
                  pool_size: int = 1, cache_budget: str | None = None,
                  tenant_rate: float = 0.0, tenant_burst: float = 8.0,
-                 retry_rate: float = 8.0, retry_burst: float = 32.0,
                  routers: int = 1):
         self.run_dir = Path(run_dir)
         self.run_dir.mkdir(parents=True, exist_ok=True)
@@ -923,8 +803,6 @@ class Farm:
         self.cache_budget = cache_budget
         self.tenant_rate = tenant_rate
         self.tenant_burst = tenant_burst
-        self.retry_rate = retry_rate
-        self.retry_burst = retry_burst
         self.cache_dir = self.run_dir / "cache"
         self.cache_socket = str(self.run_dir / "cache.sock")
         #: ``routers == 1``: one in-process RouterServer (the classic
@@ -985,7 +863,9 @@ class Farm:
                 "--socket", spec.socket,
                 "--cache-dir", f"unix:{self.cache_socket}",
                 "--crash-dir", str(self.run_dir / "crashes"),
-                "--pool-size", str(self.pool_size)]
+                "--pool-size", str(self.pool_size),
+                "--tenant-rate", str(self.tenant_rate),
+                "--tenant-burst", str(self.tenant_burst)]
 
     def _router_argv(self, i: int) -> list[str]:
         """A standalone router process: ``repro farm --config`` plus
@@ -995,11 +875,7 @@ class Farm:
                 "--config", str(self.run_dir / "cluster.json"),
                 "--socket", self.router_sockets[i],
                 "--ha-rank", str(i),
-                "--ha-peers", ",".join(self.router_sockets),
-                "--tenant-rate", str(self.tenant_rate),
-                "--tenant-burst", str(self.tenant_burst),
-                "--retry-rate", str(self.retry_rate),
-                "--retry-burst", str(self.retry_burst)]
+                "--ha-peers", ",".join(self.router_sockets)]
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -1022,12 +898,8 @@ class Farm:
                     f"(see {self.run_dir / (fp.name + '.log')})")
         self.cluster.write(self.run_dir / "cluster.json")
         if self.routers == 1:
-            self.router_server = RouterServer(
-                self.router_socket,
-                Router(self.cluster, tenant_rate=self.tenant_rate,
-                       tenant_burst=self.tenant_burst,
-                       retry_rate=self.retry_rate,
-                       retry_burst=self.retry_burst))
+            self.router_server = RouterServer(self.router_socket,
+                                              Router(self.cluster))
             self.router_server.start()
             return
         router_procs = []

@@ -23,8 +23,8 @@ Backpressure (compile server): at most ``pool_size + queue_max``
 compile requests may be in the system (queued or dispatching).  The
 bound is enforced by an :class:`~repro.service.admission.
 AdmissionController`: arrivals pass a per-tenant token-bucket quota, a
-cost-aware hopeless-deadline check, and a bounded weighted-fair queue
-(deficit round-robin across tenants, priority lanes within one).
+cost-aware hopeless-deadline check, and a bounded fair queue
+(round-robin across tenants, priority lanes within one).
 Beyond the bound the server *sheds load* — the request is answered
 immediately with a ``busy`` response whose ``retry_after`` is derived
 from the measured queue drain rate — unless the arriving tenant is
@@ -293,7 +293,7 @@ class LineServer:
                 return                # listener closed: shutting down
             state = self._register_conn(conn)
             if state is None:
-                continue              # refused: cap full of busy conns
+                continue              # refused: cap full, or stopping
             threading.Thread(target=self._handle_connection,
                              args=(conn, state), daemon=True,
                              name=f"{type(self).__name__}-conn").start()
@@ -304,12 +304,19 @@ class LineServer:
         Past the cap the *idlest* non-busy connection is evicted to
         make room (a slowloris peer loses its slot to a live one); if
         every held connection is mid-request, the newcomer is refused
-        with a clean close instead."""
+        with a clean close instead.  So is one accepted just before
+        :meth:`shutdown` closed the held connections: ``shutdown`` sets
+        ``_stop`` before it takes the lock, so a connection registered
+        here is either in its snapshot or refused."""
         state = _Conn(conn)
         victim = None
         with self._lock:
             self._conn_seq += 1
             state.cid = self._conn_seq
+            if self._stop.is_set():
+                self._count("refused")
+                state.close()
+                return None
             if len(self._conns) >= self.max_connections:
                 candidates = [c for c in self._conns.values()
                               if not c.busy]
@@ -543,8 +550,8 @@ class CompileServer(LineServer):
     Compile requests flow admission -> fair queue -> dispatcher pool:
     the connection thread offers the request to the
     :class:`AdmissionController` and blocks on a one-slot reply box;
-    ``pool_size`` dispatcher threads pull queued requests in
-    deficit-round-robin order and run them through the supervisor.
+    ``pool_size`` dispatcher threads pull queued requests round-robin
+    across tenants and run them through the supervisor.
     Every admitted, displaced, rejected, or expired request gets
     exactly one structured reply through its box or inline."""
 

@@ -1,5 +1,6 @@
 """CLI tests (the §5 standalone tool)."""
 
+import json
 import warnings
 
 import pytest
@@ -243,6 +244,32 @@ class TestParser:
         b.write_text("long touch(void) { return 42; }")
         assert main(["run", str(a), str(b)]) == 0
         assert "42" in capsys.readouterr().out
+
+
+class TestFarmUsage:
+    @pytest.mark.parametrize("extra,message", [
+        (["--config", "none.json"], "cannot read cluster config"),
+        (["--config", "cluster.json", "--ha-peers", ","],
+         "no endpoints"),
+        # external shards take their own `repro serve --tenant-rate`
+        (["--config", "cluster.json", "--tenant-rate", "5"],
+         "--tenant-rate"),
+    ], ids=["missing-config", "empty-ha-peers", "quota"])
+    def test_bad_routing_setup_is_one_usage_error(self, extra, message,
+                                                  tmp_path, monkeypatch,
+                                                  capsys):
+        """``repro farm --config`` refuses a bad setup with one
+        ``repro: error:`` line and exit 2.  (The socket's directory does
+        not exist, so a router that started anyway could not bind.)"""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cluster.json").write_text(json.dumps({"shards": [
+            {"name": "s0", "socket": str(tmp_path / "s0.sock")}]}))
+        code = main(["farm", "--socket", str(tmp_path / "none" / "r.sock"),
+                     *extra])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("repro: error: ") and message in err
 
 
 class TestAdviseMT:

@@ -7,7 +7,9 @@ Contracts under test:
   disruptive (removing a shard only moves that shard's keys).
 - **Failover**: connection loss, shed (busy) responses, and
   status-error responses all send the request to the next-ranked
-  shard; the response says so in its ``route`` block.
+  shard; the response says so in its ``route`` block.  A shard's
+  admission verdict (``rejected``, ``deadline_exceeded``) is final,
+  and a budget spent inside the router is never forwarded.
 - **Hedging**: a request stuck past the latency percentile gets a
   duplicate on the next shard and the first answer wins.
 - **Health**: consecutive failures eject a shard; a recovered shard
@@ -40,8 +42,9 @@ from repro.service import (
     COMPILE_OPS, CacheServer, CacheStore, ClusterConfig, Farm,
     LineServer, ProtocolError, RemoteCache, Router, RouterPeer,
     RouterServer, ServiceClient, ShardSpec, Supervisor,
-    SupervisorConfig, busy_response, error_response, parse_budget,
-    parse_compile, response, single_request, wait_ready,
+    SupervisorConfig, busy_response, deadline_response, error_response,
+    parse_budget, parse_compile, rejected_response, response,
+    single_request, wait_ready,
 )
 
 # AF_UNIX socket paths are limited to ~107 bytes; pytest tmp_path can
@@ -58,8 +61,10 @@ class FakeShard(LineServer):
     def __init__(self, socket_path, name, behavior="ok", delay=0.0):
         super().__init__(socket_path)
         self.name = name
-        self.behavior = behavior      # ok | busy | error
+        #: ok | busy | error | rejected | deadline_exceeded
+        self.behavior = behavior
         self.delay = delay
+        self.received = 0             # work requests, whatever answer
         self.served = 0
 
     def handle_request(self, raw):
@@ -72,12 +77,17 @@ class FakeShard(LineServer):
                     **self.begin_drain()}
         if op == "shutdown":
             return {"id": req_id, "op": "shutdown", "status": "ok"}
+        self.received += 1
         if self.delay:
             time.sleep(self.delay)
         if self.behavior == "busy":
             return busy_response(req_id, op)
         if self.behavior == "error":
             return error_response(req_id, op, "scripted failure")
+        if self.behavior == "rejected":
+            return rejected_response(req_id, op, 1.0, reason="quota")
+        if self.behavior == "deadline_exceeded":
+            return deadline_response(req_id, op, reason="hopeless")
         self.served += 1
         return response(req_id, op, "ok", tier="full",
                         payload={"served_by": self.name})
@@ -124,6 +134,11 @@ class TestClusterConfig:
         {"shards": [{"name": "a", "socket": "x", "weight": 0}]},
         {"shards": [{"name": "a", "socket": "x"},
                     {"name": "a", "socket": "y"}]},  # dup names
+        {"shards": [{"name": "a", "socket": "x",
+                     "weight": float("nan")}]},
+        {"shards": [{"name": "a", "socket": "x",
+                     "weight": float("inf")}]},
+        {"shards": [{"name": "a", "socket": "x", "weight": True}]},
     ])
     def test_rejects_bad_configs(self, bad):
         with pytest.raises(ValueError):
@@ -250,6 +265,114 @@ class TestDispatch:
             assert resp["route"]["shard"] != winner
             assert resp["route"]["failovers"] == 1
         finally:
+            for s in shards:
+                s.shutdown()
+
+    @pytest.mark.parametrize("behavior", ["rejected",
+                                          "deadline_exceeded"])
+    def test_admission_verdicts_are_final(self, behavior):
+        """A shard's ``rejected`` or ``deadline_exceeded`` answer is
+        its admission verdict, not a shard failure: one attempt, no
+        failover, and no other shard serves the request."""
+        tmp = _tmpdir()
+        cluster = make_cluster(tmp, 2)
+        router = Router(cluster)
+        fp = Router.workload_fingerprint(REQ)
+        winner = router.rank(fp)[0].name
+        shards = []
+        for spec in cluster.shards:
+            shard = FakeShard(
+                spec.socket, spec.name,
+                behavior=behavior if spec.name == winner else "ok")
+            shard.start()
+            shards.append(shard)
+        try:
+            resp = router.dispatch(dict(REQ))
+            assert resp["status"] == behavior
+            assert resp["route"] == {"shard": winner, "attempts": 1,
+                                     "failovers": 0, "hedged": False}
+            assert sum(s.served for s in shards) == 0
+        finally:
+            for s in shards:
+                s.shutdown()
+
+    def test_budget_spent_in_the_router_is_not_forwarded(self):
+        """The budget is deducted at every (re)dispatch: a failover
+        whose budget ran out while the first shard held the request is
+        answered ``deadline_exceeded`` by the router, and the next
+        shard is never sent it (a daemon would refuse a non-positive
+        ``deadline_ms`` as ``error``, and that would fail over)."""
+        tmp = _tmpdir()
+        cluster = make_cluster(tmp, 2)
+        router = Router(cluster)
+        fp = Router.workload_fingerprint(REQ)
+        winner = router.rank(fp)[0].name
+        shards = {spec.name: FakeShard(
+            spec.socket, spec.name,
+            behavior="busy" if spec.name == winner else "ok",
+            delay=0.5 if spec.name == winner else 0.0)
+            for spec in cluster.shards}
+        for shard in shards.values():
+            shard.start()
+        try:
+            resp = router.dispatch(dict(REQ), deadline_ms=200.0)
+            assert resp["status"] == "deadline_exceeded"
+            assert resp["error"]["reason"] == "expired_in_router"
+            assert resp["route"]["failovers"] == 1
+            assert shards[winner].received == 1
+            assert all(s.received == 0 for name, s in shards.items()
+                       if name != winner)
+        finally:
+            for s in shards.values():
+                s.shutdown()
+
+    def test_every_shard_ejected_still_reaches_a_live_one(self):
+        """A stale ejection beats refusing the request: with every
+        shard ejected, the router still tries them in rank order."""
+        tmp = _tmpdir()
+        cluster = make_cluster(tmp, 2)
+        shards = start_shards(cluster)
+        router = Router(cluster)
+        for state in router.shards:
+            state.healthy = False
+            state.ejected_until = time.monotonic() + 60.0
+        try:
+            resp = router.dispatch(dict(REQ))
+            assert resp["status"] == "ok"
+            assert resp["route"]["failovers"] == 0
+        finally:
+            for s in shards:
+                s.shutdown()
+
+    def test_hedge_reaches_a_shard_readmitted_mid_request(self):
+        """The router re-ranks at each hedge decision: a shard that
+        was ejected when the request arrived, and readmitted while the
+        request waited on a slow primary, takes the hedge."""
+        tmp = _tmpdir()
+        cluster = make_cluster(tmp, 2)
+        router = Router(cluster, hedge_floor=0.2, shard_timeout=30.0)
+        slow, spare = router.rank(Router.workload_fingerprint(REQ))
+        shards = []
+        for spec in cluster.shards:
+            shard = FakeShard(spec.socket, spec.name,
+                              delay=1.5 if spec.name == slow.name
+                              else 0.0)
+            shard.start()
+            shards.append(shard)
+        spare.healthy = False
+        spare.ejected_until = time.monotonic() + 60.0
+        readmit = threading.Timer(0.1, spare.readmit)
+        try:
+            readmit.start()
+            t0 = time.monotonic()
+            resp = router.dispatch(dict(REQ))
+            elapsed = time.monotonic() - t0
+            assert resp["status"] == "ok"
+            assert resp["route"]["shard"] == spare.name
+            assert resp["route"]["hedged"] is True
+            assert elapsed < 1.0      # did not wait out the primary
+        finally:
+            readmit.cancel()
             for s in shards:
                 s.shutdown()
 
@@ -431,8 +554,8 @@ class TestRouterServer:
     ], ids=["unknown-field", "no-sources", "zero-cycle-limit"])
     def test_malformed_request_is_refused_not_failed_over(self, bad):
         """A client's mistake is answered at the front door with the
-        daemon's own refusal: no shard sees it, and it spends no
-        failover or retry budget."""
+        daemon's own refusal: no shard sees it, and it causes no
+        failover."""
         tmp = _tmpdir()
         cluster = make_cluster(tmp, 2)
         # shards that refuse every request, as a daemon refuses these
@@ -903,6 +1026,51 @@ class TestRollingRestartUnderLoad:
             restarts = {s: farm.procs[s].restarts
                         for s in ("s0", "s1")}
             assert all(r >= 1 for r in restarts.values()), restarts
+        finally:
+            farm.stop()
+
+
+# ---------------------------------------------------------------------------
+# tenant quotas: the shards admit, the router routes
+# ---------------------------------------------------------------------------
+
+class TestFarmQuota:
+    def test_spawned_shards_enforce_the_quota(self):
+        """`Farm(tenant_rate=, tenant_burst=)` hands the quota to every
+        shard it spawns; the router keeps none.  Each shard answers an
+        over-quota tenant ``rejected`` itself, and the router returns
+        that verdict with a ``route`` block naming the shard and no
+        failover."""
+        tmp = _tmpdir()
+        farm = Farm(tmp, daemons=2, pool_size=1, tenant_rate=0.01,
+                    tenant_burst=1.0)
+        farm.start(ready_timeout=120)
+        try:
+            router = farm.router_server.router
+            reqs = [{"op": "analyze", "tenant": "t1",
+                     "sources": [[f"q{i}.c", "struct q%d { long a; };\n"
+                                  "int main() { return 0; }\n" % i]],
+                     "options": {"cache": False}} for i in range(64)]
+            for spec in farm.cluster.shards:
+                fairness = single_request(spec.socket, {"op": "stats"},
+                                          timeout=30)["stats"]["fairness"]
+                assert fairness["tenant_rate"] == 0.01
+                assert fairness["tenant_burst"] == 1.0
+                # a workload this shard wins: its first request spends
+                # the shard's one token, so the second is over quota
+                req = next(r for r in reqs if router.rank(
+                    Router.workload_fingerprint(r))[0].name == spec.name)
+                first = single_request(farm.router_socket,
+                                       {**req, "id": 1}, timeout=120)
+                assert first["status"] == "ok"
+                assert first["route"]["shard"] == spec.name
+                second = single_request(farm.router_socket,
+                                        {**req, "id": 2}, timeout=120)
+                assert second["status"] == "rejected"
+                assert second["error"]["reason"] == "quota"
+                assert second["route"] == {
+                    "shard": spec.name, "attempts": 1, "failovers": 0,
+                    "hedged": False}
         finally:
             farm.stop()
 

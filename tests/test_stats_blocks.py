@@ -49,14 +49,8 @@ DAEMON_TENANT_COUNTS = ("admitted", "completed", "shed", "rejected",
 ROUTER_COUNTS = (
     "requests", "completed", "failovers", "hedges", "hedge_wins",
     "no_healthy_shard", "exhausted", "ejections", "readmissions",
-    "rejected", "deadline_refused", "retries_denied",
+    "deadline_refused",
 )
-ROUTER_FAIRNESS_KEYS = {
-    "in_flight", "oldest_age_s", "tenant_rate", "tenant_burst",
-    "retry_rate", "retry_burst", "tenants",
-}
-ROUTER_TENANT_COUNTS = ("requests", "completed", "rejected",
-                        "deadline_exceeded", "retries_denied", "failed")
 ROUTER_SERVER_KEYS = {"role", "in_flight", "queue_depth",
                       "oldest_age_s", "draining", "uptime_s", "socket"}
 CACHE_SERVER_KEYS = {"role", "in_flight", "draining", "uptime_s",
@@ -132,16 +126,11 @@ def test_daemon_blocks(farm):
 
 def test_router_blocks(farm):
     stats = farm["router"]
-    assert set(stats) == {"router", "fairness", "shards", "metrics",
+    assert set(stats) == {"router", "shards", "metrics",
                           "cache", "server", "connections", "ha"}
     assert set(stats["router"]) == set(ROUTER_COUNTS)
     assert _counts(stats["router"], ROUTER_COUNTS) == \
         {**{k: 0 for k in ROUTER_COUNTS}, "requests": 1,
-         "completed": 1}
-    assert set(stats["fairness"]) == ROUTER_FAIRNESS_KEYS
-    assert _counts(stats["fairness"]["tenants"]["t1"],
-                   ROUTER_TENANT_COUNTS) == \
-        {**{k: 0 for k in ROUTER_TENANT_COUNTS}, "requests": 1,
          "completed": 1}
     assert set(stats["server"]) == ROUTER_SERVER_KEYS
     assert set(stats["connections"]) == CONNECTION_KEYS

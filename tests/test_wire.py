@@ -337,6 +337,46 @@ class _RacedServer(_TaggedServer):
         self.rival.start()
 
 
+class _LateRegisterServer(_TaggedServer):
+    """Registers each accepted connection only once ``shutdown`` has
+    returned: the accept loop losing its race with ``shutdown``."""
+
+    def __init__(self, socket_path: str, tag: str):
+        super().__init__(socket_path, tag)
+        self.accepted = threading.Event()
+        self.shut = threading.Event()
+
+    def _register_conn(self, conn):
+        self.accepted.set()
+        self.shut.wait(timeout=10.0)
+        return super()._register_conn(conn)
+
+
+class TestShutdownRace:
+    def test_connection_accepted_during_shutdown_is_closed(self):
+        """A connection accepted before ``shutdown`` closed the held
+        connections, but registered after, is closed and refused: no
+        handler thread is left waiting on its peer for the idle
+        window."""
+        path = os.path.join(_tmpdir(), "d.sock")
+        srv = _LateRegisterServer(path, "late")
+        srv.start()
+        peer = raw_conn(path)
+        try:
+            assert srv.accepted.wait(timeout=5.0)
+            srv.shutdown()
+            srv.shut.set()
+            srv._accept_thread.join(timeout=5.0)
+            assert not srv._accept_thread.is_alive()
+            assert srv.connection_stats()["open"] == 0
+            assert not [t for t in conn_threads()
+                        if t.name.startswith("_LateRegisterServer")]
+            peer.settimeout(5.0)
+            assert peer.recv(1) == b""        # closed by the server
+        finally:
+            peer.close()
+
+
 class TestClientSide:
     def test_oversized_reply_is_structured_api_error(self):
         tmp = _tmpdir()
