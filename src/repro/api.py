@@ -29,6 +29,7 @@ answer with a structured diagnostic instead of a bare string.
 from __future__ import annotations
 
 import gc
+import sys
 from dataclasses import dataclass, field, fields as dc_fields
 
 from .core.diagnostics import CODE_BUDGET, CODE_CONTAINED, \
@@ -40,7 +41,7 @@ from .frontend.program import Program
 from .obs import MetricsRegistry, NULL_TRACER, Tracer
 from .runtime.run import RunOutcome, try_run_program
 from .transform.heuristics import HeuristicParams, PEEL_MODES
-from .transform.search import ENGINES, SEARCH_DEFAULTS
+from .transform.search import ENGINES
 
 #: compile operations, ladder-governed (the service adds control ops)
 COMPILE_OPS = ("analyze", "advise", "transform", "compare")
@@ -122,6 +123,24 @@ def _reject_unknown(d: dict, known: tuple[str, ...],
                     "where": where})
 
 
+def _check_count(value, least: int | None, where: str) -> None:
+    """A count is an integer of at least ``least``: a boolean, a
+    fraction or a string is refused, never coerced."""
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ApiError(f"'{where}' must be an integer{bound}, got "
+                       f"{value!r}", detail={"where": where})
+
+
+def _wire_count(value):
+    """A wire count: integral floats (2e9) are counts; any other value
+    is left for :func:`_check_count` to refuse, never truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
 def _flag(d: dict, name: str, where: str) -> bool:
     """A wire flag: only a JSON boolean counts, so ``"false"`` is an
     error, never true."""
@@ -138,38 +157,35 @@ def _flag(d: dict, name: str, where: str) -> bool:
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Options for the global layout search (SA + exact B&B).
+    """Options for the global layout search (simulated annealing).
 
     Immutable so one instance can be shared across request retries,
-    ladder tiers, and compile steps without defensive copies.  Defaults
-    mirror :data:`repro.transform.search.SEARCH_DEFAULTS` — the
-    engine reads whichever attributes exist, so this dataclass *is*
-    the knob schema.  ``engine="greedy"`` scores the greedy layout
+    ladder tiers, and compile steps without defensive copies.  This
+    dataclass *is* the knob schema: the search reads its fields as
+    they are, so every value is checked here, on the wire and in
+    process alike.  ``engine="greedy"`` scores the greedy layout
     through the replay oracle (useful for reports) without exploring;
-    ``auto`` picks the exact solver for small structs and SA above
-    ``ilp_max_fields`` live fields.
+    ``sa`` anneals from it on the fixed temperature schedule of
+    :func:`repro.transform.search.anneal`.
     """
 
-    engine: str = "sa"                  # greedy|sa|ilp|auto
+    engine: str = "sa"                  # greedy|sa
     budget_s: float = 10.0              # wall clock per compile, 0 = none
     seed: int = 0                       # SA rng seed (per-type derived)
     sa_batch: int = 8                   # proposals scored per oracle call
-    sa_alpha: float = 0.90              # geometric cooling factor
-    sa_tmax: float = 0.02               # start temperature (relative)
-    sa_tmin: float = 1e-4               # floor temperature
     sa_iters: int = 60                  # batches per restart
     sa_restarts: int = 2                # re-heats from the incumbent
-    ilp_max_fields: int = 8             # exact-solver field threshold
 
-    WIRE_FIELDS = ("engine", "budget_s", "seed", "sa_batch",
-                   "sa_alpha", "sa_tmax", "sa_tmin", "sa_iters",
-                   "sa_restarts", "ilp_max_fields")
+    WIRE_FIELDS = ("engine", "budget_s", "seed", "sa_batch", "sa_iters",
+                   "sa_restarts")
+    #: integer fields and their least accepted value (None: any)
+    _COUNTS = (("seed", None), ("sa_batch", 1), ("sa_iters", 1),
+               ("sa_restarts", 0))
 
     #: CLI spellings accepted by :meth:`from_cli` on top of the wire
     #: names (``budget=10s`` reads more naturally than ``budget_s=10``)
     _CLI_ALIASES = {"budget": "budget_s", "restarts": "sa_restarts",
-                    "iters": "sa_iters", "batch": "sa_batch",
-                    "alpha": "sa_alpha"}
+                    "iters": "sa_iters", "batch": "sa_batch"}
 
     def __post_init__(self):
         if self.engine not in ENGINES:
@@ -178,19 +194,17 @@ class SearchOptions:
                 f"of {', '.join(ENGINES)}",
                 detail={"where": "search.engine",
                         "known_engines": list(ENGINES)})
-        if self.budget_s < 0:
-            raise ApiError("'search.budget_s' must be >= 0",
-                           detail={"where": "search.budget_s"})
-        for name in ("sa_batch", "sa_iters", "ilp_max_fields"):
-            if getattr(self, name) < 1:
-                raise ApiError(f"'search.{name}' must be >= 1",
-                               detail={"where": f"search.{name}"})
-        if self.sa_restarts < 0:
-            raise ApiError("'search.sa_restarts' must be >= 0",
-                           detail={"where": "search.sa_restarts"})
-        if not 0.0 < self.sa_alpha < 1.0:
-            raise ApiError("'search.sa_alpha' must be in (0, 1)",
-                           detail={"where": "search.sa_alpha"})
+        budget = self.budget_s
+        # the chained comparison also refuses NaN, and ints too large
+        # for a float without converting them
+        if isinstance(budget, bool) \
+                or not isinstance(budget, (int, float)) \
+                or not 0 <= budget <= sys.float_info.max:
+            raise ApiError(
+                f"'search.budget_s' must be a finite number >= 0, got "
+                f"{budget!r}", detail={"where": "search.budget_s"})
+        for name, least in self._COUNTS:
+            _check_count(getattr(self, name), least, f"search.{name}")
 
     @classmethod
     def from_dict(cls, d: dict | None) -> "SearchOptions":
@@ -200,21 +214,9 @@ class SearchOptions:
             raise ApiError("'search' must be an object",
                            detail={"where": "search"})
         _reject_unknown(d, cls.WIRE_FIELDS, "search")
-        kwargs: dict = {}
-        try:
-            if "engine" in d:
-                kwargs["engine"] = str(d["engine"])
-            for name in ("budget_s", "sa_alpha", "sa_tmax", "sa_tmin"):
-                if name in d:
-                    kwargs[name] = float(d[name])
-            for name in ("seed", "sa_batch", "sa_iters", "sa_restarts",
-                         "ilp_max_fields"):
-                if name in d:
-                    kwargs[name] = int(d[name])
-        except (TypeError, ValueError) as exc:
-            raise ApiError(f"bad search option value: {exc}",
-                           detail={"where": "search"}) from exc
-        return cls(**kwargs)
+        counts = {name for name, _ in cls._COUNTS}
+        return cls(**{name: _wire_count(value) if name in counts
+                      else value for name, value in d.items()})
 
     def to_dict(self) -> dict:
         """Only the non-default fields — the compact wire form."""
@@ -231,9 +233,10 @@ class SearchOptions:
 
         ``--search engine=sa,budget=10s,seed=7`` — comma-separated
         ``key=value`` items; a bare first item names the engine
-        (``--search ilp``).  ``budget`` accepts a trailing ``s``
-        (seconds).  Unknown keys raise :class:`ApiError` with the
-        known spellings, same contract as the wire validator.
+        (``--search greedy``).  ``budget`` accepts a trailing ``s``
+        (seconds).  Numbers are read here and checked by
+        :meth:`from_dict`; unknown keys raise :class:`ApiError` with
+        the known spellings, same contract as the wire validator.
         """
         d: dict = {}
         known = cls.WIRE_FIELDS + tuple(cls._CLI_ALIASES)
@@ -261,6 +264,15 @@ class SearchOptions:
             value = value.strip()
             if key == "budget_s" and value.endswith("s"):
                 value = value[:-1]
+            if key != "engine":
+                read = float if key == "budget_s" else int
+                try:
+                    value = read(value)
+                except ValueError:
+                    raise ApiError(
+                        f"bad --search value {key}={value!r}: expected "
+                        f"{'a number' if read is float else 'an integer'}",
+                        detail={"where": f"search.{key}"}) from None
             d[key] = value
         return cls.from_dict(d)
 
@@ -294,13 +306,7 @@ class CompileOptions:
 
     def __post_init__(self):
         for name, least in self._COUNTS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) \
-                    or value < least:
-                raise ApiError(
-                    f"{name} must be an integer >= {least}, got "
-                    f"{value!r}",
-                    detail={"where": f"options.{name}"})
+            _check_count(getattr(self, name), least, f"options.{name}")
         if self.peel_mode is not None \
                 and self.peel_mode not in PEEL_MODES:
             raise ApiError(
@@ -329,12 +335,7 @@ class CompileOptions:
                 kwargs["peel_mode"] = str(d["peel_mode"])
             for name, _ in cls._COUNTS:
                 if name in d:
-                    # integral floats (2e9) are counts; any other value
-                    # is refused by __post_init__, never truncated
-                    value = d[name]
-                    kwargs[name] = int(value) \
-                        if isinstance(value, float) and value.is_integer() \
-                        else value
+                    kwargs[name] = _wire_count(d[name])
         except (TypeError, ValueError) as exc:
             raise ApiError(f"bad options value: {exc}",
                            detail={"where": "options"}) from exc

@@ -49,6 +49,7 @@ from .profit import collect_feedback
 from .runtime import run_program
 from .transform import program_sources
 from .transform.heuristics import PEEL_MODES
+from .transform.search import ENGINES
 
 EXIT_OK = 0
 EXIT_COMPILE = 1
@@ -681,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the global layout search: "
                             "comma-separated key=value options, "
                             "e.g. 'engine=sa,budget=10s,seed=7' "
-                            "(engines: greedy, sa, ilp, auto)")
+                            f"(engines: {', '.join(ENGINES)})")
 
     def add_common(p, scheme=True):
         p.add_argument("files", nargs="+",

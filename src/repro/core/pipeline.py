@@ -51,7 +51,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..frontend.program import Program
 from ..ir.cfg import FunctionCFG, lower_program
@@ -76,7 +76,7 @@ from ..transform.heuristics import (
     HeuristicParams, TransformDecision, apply_decisions,
     decide_transforms,
 )
-from ..transform.search import ENGINES, search_layouts
+from ..transform.search import search_layouts
 from ..runtime.replay import capture_trace
 from ..runtime.run import RunOutcome, try_run_program
 from ..obs import (
@@ -90,6 +90,9 @@ from .diagnostics import (
 )
 from .faults import FAULTS, InjectedFault
 from .summarycache import SummaryCache, fingerprint, open_cache
+
+if TYPE_CHECKING:  # the api imports this module
+    from ..api import SearchOptions
 
 #: weight schemes the pipeline can drive transformations with
 SCHEMES = ("SPBO", "ISPBO", "ISPBO.NO", "ISPBO.W", "PBO", "PPBO")
@@ -165,14 +168,14 @@ class CompilerOptions:
     #: socket; holds per-TU analysis summaries and whole-program FE
     #: results keyed by source + options fingerprints
     cache_dir: str | Path | None = None
-    #: global layout-search options (:class:`repro.api.SearchOptions`
-    #: or any object with the same attributes; None = greedy
-    #: heuristics only).  When set, the BE runs ``search.trace`` /
-    #: ``search[T]`` steps that refine the greedy decisions through
-    #: the replay oracle.  BE-only like the verification knobs, so it
-    #: is excluded from :meth:`fingerprint` and FE/IPA cache entries
-    #: are shared across search configurations.
-    search: Any | None = None
+    #: global layout-search options (None = greedy heuristics only;
+    #: :class:`~repro.api.SearchOptions` validates them).  When set,
+    #: the BE runs ``search.trace`` / ``search[T]`` steps that refine
+    #: the greedy decisions through the replay oracle.  BE-only like
+    #: the verification knobs, so it is excluded from
+    #: :meth:`fingerprint` and FE/IPA cache entries are shared across
+    #: search configurations.
+    search: SearchOptions | None = None
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -180,11 +183,6 @@ class CompilerOptions:
                              f"choose from {SCHEMES}")
         if self.scheme in ("PBO", "PPBO") and self.feedback is None:
             raise ValueError(f"{self.scheme} requires a feedback file")
-        if self.search is not None:
-            eng = getattr(self.search, "engine", "sa")
-            if eng not in ENGINES:
-                raise ValueError(f"unknown search engine {eng!r}; "
-                                 f"choose from {ENGINES}")
 
     def fingerprint(self) -> str:
         """Hash of every option that can change FE/IPA artifacts.

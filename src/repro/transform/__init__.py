@@ -17,15 +17,13 @@ from .heuristics import (
     PROFILE_SCHEMES,
 )
 from .search import (
-    Layout, LayoutOracle, SEARCH_DEFAULTS, ENGINES, anneal, bb_order,
-    exhaustive_order, order_cost, layout_from_decision,
+    Layout, LayoutOracle, ENGINES, anneal, layout_from_decision,
     decision_from_layout, search_layouts, search_mode, search_type,
 )
 from .common import layout_fingerprint
 
 __all__ = [
-    "Layout", "LayoutOracle", "SEARCH_DEFAULTS", "ENGINES", "anneal",
-    "bb_order", "exhaustive_order", "order_cost",
+    "Layout", "LayoutOracle", "ENGINES", "anneal",
     "layout_from_decision", "decision_from_layout", "search_layouts",
     "search_mode", "search_type", "layout_fingerprint",
     "transform_blockers",

@@ -1,30 +1,27 @@
-"""Global layout search: SA + branch-and-bound beat the greedy floor.
+"""Global layout search: simulated annealing beats the greedy floor.
 
 The paper's §2.4 heuristics pick one layout per type from a handful of
 greedy candidates.  This module treats layout as a combinatorial
-placement problem (ROADMAP item 3): the space of field orderings and
-split/peel group assignments is explored by
-
-- **simulated annealing** (:func:`anneal`) with a move/swap/
-  split-migrate neighborhood, a geometric temperature schedule with
-  restarts, and a seeded deterministic RNG; proposals are scored in
-  batches through the replay oracle;
-- an **exact branch-and-bound** ordering solver (:func:`bb_order`,
-  the pure-python stand-in for an ILP — same optimality guarantee, no
-  new dependency) for structs under a field-count threshold,
-  cross-checked against :func:`exhaustive_order` in tests.
+placement problem: the space of field orderings and split/peel group
+assignments is explored by **simulated annealing** (:func:`anneal`)
+with a move/swap/split-migrate neighborhood, a geometric temperature
+schedule with restarts, and a seeded deterministic RNG; proposals are
+scored in batches through the replay oracle.
 
 The cost oracle is the machine simulator via
 :mod:`repro.runtime.replay`: one captured trace per compile, replayed
 against candidate layouts in batches, scores memoized by layout
 fingerprint in the summary cache (RemoteCache-compatible, so farm runs
-share them).
+share them).  It judges every candidate on the full cache hierarchy,
+every level's line size at once.
 
 Every search is *anytime*: the greedy decision is the floor, the
 budget is a wall-clock deadline checked between proposal batches, and
 the result is always the best layout seen so far — never worse than
 greedy, because greedy itself is in the evaluated set and ties break
 on layout fingerprint, not discovery order.
+
+The knobs are :class:`repro.api.SearchOptions`, read as attributes.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ import random
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import permutations
 
 from ..runtime.replay import (
     AccessTrace, CompiledTrace, plan_layout, precompile, replay_batch,
@@ -43,29 +39,11 @@ from .common import layout_fingerprint
 from .heuristics import TransformDecision, transform_blockers
 from .peeling import check_peelable
 
-#: engine knob defaults — mirrored by ``repro.api.SearchOptions``
-SEARCH_DEFAULTS = {
-    "engine": "sa",
-    "budget_s": 10.0,
-    "seed": 0,
-    "sa_batch": 8,
-    "sa_alpha": 0.90,
-    "sa_tmax": 0.02,
-    "sa_tmin": 1e-4,
-    "sa_iters": 60,
-    "sa_restarts": 2,
-    "ilp_max_fields": 8,
-}
-
-ENGINES = ("greedy", "sa", "ilp", "auto")
+#: ``greedy`` scores the floor for reports only; ``sa`` searches
+ENGINES = ("greedy", "sa")
 
 #: summary-cache category for memoized oracle scores
 SCORE_CATEGORY = "search"
-
-
-def _opt(opts, name: str):
-    v = getattr(opts, name, None)
-    return SEARCH_DEFAULTS[name] if v is None else v
 
 
 # ---------------------------------------------------------------------------
@@ -289,29 +267,32 @@ def _mutate(layout: Layout, rng: random.Random, mode: str
 # Simulated annealing
 # ---------------------------------------------------------------------------
 
+#: the temperature schedule: cooling factor per batch, and the start
+#: and floor temperatures relative to the start layout's score
+SA_ALPHA = 0.90
+SA_TMAX = 0.02
+SA_TMIN = 1e-4
+
+
 def anneal(oracle: LayoutOracle, start: Layout, mode: str, opts,
            rng: random.Random, deadline: float | None = None):
     """Batched SA from ``start``; returns ``(best_layout, best_score,
-    stats)``.  Geometric cooling ``T *= sa_alpha`` from ``sa_tmax``
-    down to ``sa_tmin``, then restart from the incumbent (up to
-    ``sa_restarts`` times).  Anytime: the deadline is honored between
-    batches and the incumbent is always returned."""
-    batch = max(int(_opt(opts, "sa_batch")), 1)
-    alpha = float(_opt(opts, "sa_alpha"))
-    tmax = float(_opt(opts, "sa_tmax"))
-    tmin = float(_opt(opts, "sa_tmin"))
-    max_iters = max(int(_opt(opts, "sa_iters")), 1)
-    max_restarts = max(int(_opt(opts, "sa_restarts")), 0)
+    stats)``.  Geometric cooling ``T *= SA_ALPHA`` from ``SA_TMAX``
+    down to ``SA_TMIN``, then restart from the incumbent (up to
+    ``opts.sa_restarts`` times).  Anytime: the deadline is honored
+    between batches and the incumbent is always returned."""
+    batch = opts.sa_batch
+    max_restarts = opts.sa_restarts
 
     cur = start
     cur_s = oracle.score(start)
     best, best_s, best_fp = cur, cur_s, start.fingerprint()
     scale = max(float(cur_s), 1.0)
-    t = tmax
+    t = SA_TMAX
     stats = {"batches": 0, "proposals": 0, "accepted": 0,
              "restarts": 0, "budget_expired": False}
 
-    for _ in range(max_iters * (max_restarts + 1)):
+    for _ in range(opts.sa_iters * (max_restarts + 1)):
         if deadline is not None and time.monotonic() >= deadline:
             stats["budget_expired"] = True
             break
@@ -343,172 +324,14 @@ def anneal(oracle: LayoutOracle, start: Layout, mode: str, opts,
         if cand_s <= cur_s or rng.random() < math.exp(-delta / t):
             cur, cur_s = cand, cand_s
             stats["accepted"] += 1
-        t *= alpha
-        if t < tmin:
+        t *= SA_ALPHA
+        if t < SA_TMIN:
             if stats["restarts"] >= max_restarts:
                 break
             stats["restarts"] += 1
-            t = tmax
+            t = SA_TMAX
             cur, cur_s = best, best_s
     return best, best_s, stats
-
-
-# ---------------------------------------------------------------------------
-# Exact ordering: branch-and-bound (the pure-python ILP) + exhaustive
-# ---------------------------------------------------------------------------
-
-def _order_offsets(order, spec) -> dict:
-    off = 0
-    out = {}
-    for name in order:
-        size, align = spec[name]
-        off = (off + align - 1) // align * align
-        out[name] = off
-        off += size
-    return out
-
-
-def order_cost(order, spec, groups_w, line_size: int = 128) -> float:
-    """Deterministic objective for exact ordering: summed, weight-
-    scaled count of distinct cache lines each affinity group touches
-    under the candidate order (the line-traffic model of
-    :func:`heuristics.grouping_cost`, specialized to one piece)."""
-    offsets = _order_offsets(order, spec)
-    cost = 0.0
-    for weight, members in groups_w:
-        lines = set()
-        for f in members:
-            o = offsets.get(f)
-            if o is None:
-                continue
-            size = spec[f][0]
-            lines.update(range(o // line_size,
-                               (o + size - 1) // line_size + 1))
-        if lines:
-            cost += weight * len(lines)
-    return cost
-
-
-def _group_bound(weight: float, members, placed_offsets, spec,
-                 line_size: int) -> float:
-    """Admissible lower bound on one group's final line count: lines
-    already pinned by placed members, or the group's total bytes
-    divided by the line size, whichever is larger."""
-    lines = set()
-    total = 0
-    for f in members:
-        total += spec[f][0]
-        o = placed_offsets.get(f)
-        if o is not None:
-            size = spec[f][0]
-            lines.update(range(o // line_size,
-                               (o + size - 1) // line_size + 1))
-    if total == 0:
-        return 0.0
-    floor_lines = -(-total // line_size)
-    return weight * max(len(lines), floor_lines)
-
-
-def bb_order(fields, spec, groups_w, line_size: int = 128):
-    """Exact minimum-cost ordering of ``fields`` by depth-first branch
-    and bound over prefix assignments.  Branching follows the given
-    (canonical) field order, so the result is deterministic; the bound
-    sums :func:`_group_bound` over groups.  This is the ILP of the
-    issue in pure python: same exact optimum, no solver dependency."""
-    fields = list(fields)
-    best_cost = order_cost(fields, spec, groups_w, line_size)
-    best_order = list(fields)
-
-    n = len(fields)
-    prefix: list = []
-
-    def dfs():
-        nonlocal best_cost, best_order
-        if len(prefix) == n:
-            cost = order_cost(prefix, spec, groups_w, line_size)
-            if cost < best_cost:
-                best_cost = cost
-                best_order = list(prefix)
-            return
-        placed = _order_offsets(prefix, spec)
-        bound = sum(_group_bound(w, m, placed, spec, line_size)
-                    for w, m in groups_w)
-        if bound >= best_cost:
-            # completing the prefix can only add lines; ties keep the
-            # incumbent, so >= prunes safely
-            return
-        for f in fields:
-            if f in placed:
-                continue
-            prefix.append(f)
-            dfs()
-            prefix.pop()
-
-    dfs()
-    return best_order, best_cost
-
-
-def exhaustive_order(fields, spec, groups_w, line_size: int = 128):
-    """Brute-force minimum over every permutation (test cross-check
-    for :func:`bb_order`; first minimal permutation in iteration order
-    wins, matching the solver's keep-the-incumbent tie rule)."""
-    fields = list(fields)
-    best_cost = order_cost(fields, spec, groups_w, line_size)
-    best_order = list(fields)
-    for perm in permutations(fields):
-        cost = order_cost(perm, spec, groups_w, line_size)
-        if cost < best_cost:
-            best_cost = cost
-            best_order = list(perm)
-    return best_order, best_cost
-
-
-def _field_spec(rec, names) -> dict:
-    return {n: (max(rec.field(n).type.size, 1),
-                max(rec.field(n).type.align, 1))
-            for n in names}
-
-
-def _profile_groups(profile, names) -> list:
-    name_set = set(names)
-    out = []
-    for g in profile.groups:
-        members = tuple(f for f in g.fields if f in name_set)
-        if members:
-            out.append((float(g.weight), members))
-    if not out:
-        # no loop-context profile: fall back to per-field hotness so
-        # the objective still prefers packing hot fields together
-        out = [(profile.hotness(n), (n,)) for n in names]
-    return out
-
-
-def ilp_layout(rec, profile, start: Layout, line_size: int,
-               max_fields: int) -> tuple:
-    """Exactly reorder each piece of ``start`` with :func:`bb_order`.
-
-    Pieces never share a cache line (distinct replay regions /
-    allocations), so per-piece ordering is separable and each piece
-    under ``max_fields`` can be solved exactly.  Returns the reordered
-    layout and a per-piece solved/skipped summary."""
-    groups = []
-    solved = 0
-    skipped = 0
-    for g in start.groups:
-        if len(g) > max_fields or len(g) < 2 or \
-                any(rec.field(f).is_bitfield for f in g):
-            groups.append(tuple(g))
-            skipped += 1
-            continue
-        canonical = sorted(
-            g, key=lambda f: (-profile.hotness(f), f))
-        spec = _field_spec(rec, g)
-        order, _cost = bb_order(canonical, spec,
-                                _profile_groups(profile, g), line_size)
-        groups.append(tuple(order))
-        solved += 1
-    return Layout(tuple(groups), start.linked, start.dead), \
-        {"pieces_solved": solved, "pieces_skipped": skipped}
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +358,7 @@ def search_mode(program, info, rec) -> tuple:
 
 
 def search_type(program, compiled: CompiledTrace, info, decision,
-                profile, opts, cache=None,
+                opts, cache=None,
                 deadline: float | None = None) -> dict | None:
     """Search one record type; returns the stats dict (with the
     refined decision under ``"decision"``) or None when the type is
@@ -552,11 +375,7 @@ def search_type(program, compiled: CompiledTrace, info, decision,
     if len(live) < 2:
         return None
 
-    engine = _opt(opts, "engine")
-    max_fields = int(_opt(opts, "ilp_max_fields"))
-    if engine == "auto":
-        engine = "ilp" if len(live) <= max_fields else "sa"
-
+    engine = opts.engine
     oracle = LayoutOracle(compiled, cache)
     greedy = layout_from_decision(decision, live)
     identity = Layout((tuple(live),), False, tuple(dead))
@@ -571,19 +390,11 @@ def search_type(program, compiled: CompiledTrace, info, decision,
     }
 
     if engine == "sa":
-        rng = random.Random(f"{_opt(opts, 'seed')}:{rec.name}")
+        rng = random.Random(f"{opts.seed}:{rec.name}")
         best, best_s, sa_stats = anneal(oracle, greedy, mode, opts,
                                         rng, deadline)
         candidates[best.fingerprint()] = (best_s, best)
         stats["sa"] = sa_stats
-    elif engine == "ilp":
-        line_size = compiled.cache_config.levels[-1].line_size
-        for start in (greedy, identity):
-            exact, ilp_stats = ilp_layout(rec, profile, start,
-                                          line_size, max_fields)
-            s = oracle.score(exact)
-            candidates[exact.fingerprint()] = (s, exact)
-            stats.setdefault("ilp", ilp_stats)
     # engine == "greedy": score the floor only (candidates as-is)
 
     best_fp, (best_s, best) = min(
@@ -632,27 +443,26 @@ def search_layouts(program, decisions, legality, profiles, opts,
     if trace is not None:
         for d in decisions:
             info = legality.types.get(d.type_name)
-            profile = profiles.get(d.type_name)
-            if info is None or profile is None:
+            if info is None or profiles.get(d.type_name) is None:
                 continue
             if d.type_name not in trace.record_fields:
                 continue
             if search_mode(program, info, info.record)[0] is None:
                 continue
-            eligible.append((d, info, profile))
+            eligible.append((d, info))
 
-    budget = float(_opt(opts, "budget_s"))
+    budget = opts.budget_s
     share = budget / len(eligible) if eligible else 0.0
 
-    def search_one(d, info, profile):
+    def search_one(d, info):
         compiled = precompile(trace, d.type_name)
         deadline = time.monotonic() + share if budget > 0 else None
-        return search_type(program, compiled, info, d, profile, opts,
+        return search_type(program, compiled, info, d, opts,
                            cache=cache, deadline=deadline)
 
     found = [step(f"search[{d.type_name}]",
-                  partial(search_one, d, info, profile), lambda: None)
-             for d, info, profile in eligible]
+                  partial(search_one, d, info), lambda: None)
+             for d, info in eligible]
 
     def merge():
         refined = {d.type_name: d for d in decisions}
@@ -662,7 +472,7 @@ def search_layouts(program, decisions, legality, profiles, opts,
                 "ops": len(trace), "cycles": trace.cycles,
                 "truncated": trace.truncated,
             }
-        for (d, _info, _profile), out in zip(eligible, found):
+        for (d, _info), out in zip(eligible, found):
             if out is None:
                 continue
             out = dict(out)

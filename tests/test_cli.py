@@ -179,6 +179,15 @@ class TestLayoutFlags:
             err = capsys.readouterr().err
             assert f"unknown --search key '{key}'" in err
 
+    @pytest.mark.parametrize("spec", ["ilp", "engine=auto"])
+    def test_retired_engine_is_one_usage_error(self, spec, demo_file,
+                                               capsys):
+        assert main(["transform", "--search", spec, demo_file]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("repro: error: unknown search engine")
+        assert "expected one of greedy, sa" in err
+
     def test_ts_and_peel_mode_do_not_warn_or_search(self, demo_file,
                                                      capsys):
         argv = ["transform", "--ts", "0.0001", "--peel-mode", "hot-cold",

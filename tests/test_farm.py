@@ -432,6 +432,11 @@ class TestDispatch:
             resp = router.dispatch(dict(REQ))
             assert resp["status"] == "ok"
             assert resp["route"]["shard"] != winner
+            # routed past, never tried: tried, the draining shard
+            # answers busy and the request reaches the other shard
+            # only on a failover
+            assert resp["route"]["attempts"] == 1
+            assert resp["route"]["failovers"] == 0
         finally:
             for s in shards:
                 s.shutdown()

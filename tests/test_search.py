@@ -1,4 +1,4 @@
-"""Global layout search: SA, exact B&B, batched replay oracle, API."""
+"""Global layout search: SA, the batched replay oracle, the API."""
 
 import random
 from dataclasses import replace
@@ -17,8 +17,8 @@ from repro.runtime.replay import (
 )
 from repro.transform.heuristics import TransformDecision
 from repro.transform.search import (
-    Layout, LayoutOracle, bb_order, decision_from_layout,
-    exhaustive_order, search_layouts, search_mode,
+    Layout, LayoutOracle, decision_from_layout, search_layouts,
+    search_mode,
 )
 from repro.workloads import ALL_WORKLOADS, get_workload
 
@@ -221,44 +221,6 @@ class TestNeverWorseThanGreedy:
             [d.type_name for d in res.decisions]
 
 
-class TestExactSolver:
-    def _random_instance(self, rng, nfields):
-        fields = [f"f{i}" for i in range(nfields)]
-        spec = {f: (rng.choice([1, 2, 4, 8]), rng.choice([1, 2, 4, 8]))
-                for f in fields}
-        groups = []
-        for _ in range(rng.randint(1, 3)):
-            members = rng.sample(fields, rng.randint(1, nfields))
-            groups.append((rng.uniform(0.1, 10.0), tuple(members)))
-        line = rng.choice([16, 32, 64, 128])
-        return fields, spec, groups, line
-
-    def test_bb_matches_exhaustive_small(self):
-        rng = random.Random(12345)
-        for _ in range(120):
-            fields, spec, groups, line = self._random_instance(
-                rng, rng.randint(2, 6))
-            got = bb_order(fields, spec, groups, line)
-            want = exhaustive_order(fields, spec, groups, line)
-            assert got == want, (fields, spec, groups, line)
-
-    def test_ilp_never_worse_on_mcf(self, mcf_res, mcf_trace):
-        _, stats = _search(mcf_res, mcf_trace, engine="ilp")
-        for t, s in stats.items():
-            if t.startswith("_"):
-                continue
-            assert s["engine"] == "ilp"
-            assert s["best_cycles"] <= s["greedy_cycles"]
-
-    def test_auto_picks_exact_for_small_structs(
-            self, mcf_res, mcf_trace):
-        _, stats = _search(mcf_res, mcf_trace, engine="auto",
-                           ilp_max_fields=64)
-        for t, s in stats.items():
-            if not t.startswith("_"):
-                assert s["engine"] == "ilp"
-
-
 class TestAnytimeBudget:
     def test_expired_budget_returns_greedy_floor(
             self, mcf_res, mcf_trace):
@@ -392,29 +354,23 @@ class TestPipelineIntegration:
         searching = CompilerOptions(search=SearchOptions())
         assert plain.fingerprint() == searching.fingerprint()
 
-    def test_bad_engine_rejected(self):
-        class Bogus:
-            engine = "magic"
-        with pytest.raises(ValueError):
-            CompilerOptions(search=Bogus())
-
 
 class TestSearchOptionsApi:
     def test_frozen(self):
         s = SearchOptions()
         with pytest.raises(Exception):
-            s.engine = "ilp"
+            s.engine = "greedy"
 
     def test_wire_round_trip(self):
-        s = SearchOptions(engine="auto", budget_s=2.5, seed=9,
+        s = SearchOptions(engine="greedy", budget_s=2.5, seed=9,
                           sa_restarts=0, sa_iters=5)
         d = s.to_dict()
         assert SearchOptions.from_dict(d) == s
         # defaults stay off the wire
-        assert "sa_alpha" not in d
+        assert "sa_batch" not in d
 
     def test_nested_in_compile_options(self):
-        opts = CompileOptions(search=SearchOptions(engine="ilp"))
+        opts = CompileOptions(search=SearchOptions(engine="greedy"))
         req = CompileRequest(op="transform",
                              sources=[("a.c", "int main(){return 0;}")],
                              options=opts)
@@ -446,19 +402,78 @@ class TestSearchOptionsApi:
         with pytest.raises(ApiError):
             SearchOptions(budget_s=-1.0)
         with pytest.raises(ApiError):
-            SearchOptions(sa_alpha=1.5)
+            SearchOptions(sa_batch=0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("seed", True), ("seed", "7"), ("sa_batch", 4.7),
+        ("sa_iters", 2.9), ("sa_restarts", "1"), ("budget_s", True),
+        ("budget_s", "10"), ("budget_s", float("nan")),
+        ("budget_s", float("inf")), ("budget_s", 10 ** 400),
+    ], ids=["seed-bool", "seed-string", "batch-fraction",
+            "iters-fraction", "restarts-string", "budget-bool",
+            "budget-string", "budget-nan", "budget-inf",
+            "budget-beyond-float"])
+    def test_wire_values_are_checked_not_coerced(self, name, value):
+        """A count takes only an integer and ``budget_s`` only a finite
+        number: a boolean, a fraction, a string, a non-finite budget or
+        one past a float's range is refused with ``where`` naming the
+        field, never read as a nearby number or raised as another
+        error.  (Python's ``json`` reads a bare ``NaN`` or ``Infinity``
+        in a request line as a float.)"""
+        wire = {"op": "advise", "sources": [["demo.c", DEMO]],
+                "options": {"search": {name: value}}}
+        with pytest.raises(ApiError) as ei:
+            CompileRequest.from_dict(wire)
+        assert ei.value.detail["where"] == f"search.{name}"
+        with pytest.raises(ApiError):
+            SearchOptions(**{name: value})
+
+    def test_wire_numbers_that_stay_valid(self):
+        # an integer budget (perfbench passes budget_s=0) and an
+        # integral float count are what they say
+        s = SearchOptions.from_dict({"budget_s": 0, "sa_batch": 4.0,
+                                     "seed": -3})
+        assert (s.budget_s, s.sa_batch, s.seed) == (0, 4, -3)
+        assert type(s.sa_batch) is int
+
+    @pytest.mark.parametrize("engine", ["ilp", "auto"])
+    def test_retired_engines_are_refused(self, engine):
+        with pytest.raises(ApiError) as ei:
+            CompileOptions.from_dict({"search": {"engine": engine}})
+        assert ei.value.detail["where"] == "search.engine"
+        assert ei.value.detail["known_engines"] == ["greedy", "sa"]
+
+    #: the retired exact engine's field threshold and the three
+    #: schedule knobs, now module constants of ``anneal``
+    RETIRED_KNOBS = [f"{prefix}_{knob}" for prefix, knob in (
+        ("ilp", "max_fields"), ("sa", "alpha"), ("sa", "tmax"),
+        ("sa", "tmin"))]
+
+    @pytest.mark.parametrize("key", RETIRED_KNOBS)
+    def test_retired_knobs_are_unknown_fields(self, key):
+        with pytest.raises(ApiError) as ei:
+            CompileOptions.from_dict({"search": {key: 1}})
+        assert ei.value.detail["unknown_fields"] == [key]
+        assert ei.value.detail["where"] == "search"
 
     def test_from_cli(self):
         s = SearchOptions.from_cli("engine=sa,budget=10s,seed=7")
         assert (s.engine, s.budget_s, s.seed) == ("sa", 10.0, 7)
-        assert SearchOptions.from_cli("ilp").engine == "ilp"
-        s2 = SearchOptions.from_cli("iters=3,alpha=0.5")
-        assert (s2.sa_iters, s2.sa_alpha) == (3, 0.5)
+        assert SearchOptions.from_cli("greedy").engine == "greedy"
+        s2 = SearchOptions.from_cli("iters=3,batch=4")
+        assert (s2.sa_iters, s2.sa_batch) == (3, 4)
         with pytest.raises(ApiError):
             SearchOptions.from_cli("warp=9")
-        for spec in ("ts=5", "peel=hot-cold", "peel_mode=affinity"):
+        for spec in ("ts=5", "peel=hot-cold", "peel_mode=affinity",
+                     "alpha=0.5"):
             with pytest.raises(ApiError, match="unknown --search key"):
                 SearchOptions.from_cli(spec)
+        for spec, where in (("iters=2.5", "search.sa_iters"),
+                            ("seed=x", "search.seed"),
+                            ("budget=infs", "search.budget_s")):
+            with pytest.raises(ApiError) as ei:
+                SearchOptions.from_cli(spec)
+            assert ei.value.detail["where"] == where
 
     def test_search_type_respects_greedy_legality(self, mcf_res):
         # search_mode applies the same pre-checks as the greedy

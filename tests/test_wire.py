@@ -233,6 +233,25 @@ class TestGarbagePeers:
 
 
 # ---------------------------------------------------------------------------
+# options.search: values are checked on arrival, never coerced
+# ---------------------------------------------------------------------------
+
+class TestSearchOptionsOnTheWire:
+    def test_non_finite_budget_is_refused_by_the_daemon(self):
+        """``json`` reads a bare ``NaN`` as a float; the daemon refuses
+        it as a search budget instead of running a search with it."""
+        with make_server("daemon") as (_, path):
+            resp = single_request(path, {
+                "op": "advise", "id": 9,
+                "sources": [["a.c", "int main() { return 0; }"]],
+                "options": {"search": {"budget_s": float("nan")}}})
+            assert single_request(path, {"op": "ping"})["pong"] is True
+        assert resp["status"] == "error"
+        assert resp["id"] == 9
+        assert resp["error"]["where"] == "search.budget_s"
+
+
+# ---------------------------------------------------------------------------
 # Idle timeout: half-open peers, including the pre-first-byte window
 # ---------------------------------------------------------------------------
 
