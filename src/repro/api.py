@@ -30,15 +30,18 @@ from __future__ import annotations
 
 import gc
 import sys
+import time
 from dataclasses import dataclass, field, fields as dc_fields
 
-from .core.diagnostics import CODE_BUDGET, CODE_CONTAINED, \
+from .core.diagnostics import CODE_BUDGET, CODE_CACHE, CODE_CONTAINED, \
     CODE_MISMATCH, CODE_TRAP, DiagnosticEngine
-from .core.faults import ProcessFaultSpec
-from .core.pipeline import CompilationResult, Compiler, CompilerOptions
-from .core.summarycache import fingerprint
+from .core.faults import CACHE_FAULTS, FAULTS, PROC_FAULTS, \
+    ProcessFaultSpec
+from .core.pipeline import CompilationResult, Compiler, CompilerOptions, \
+    count_cache_lookups, report_cache_events
+from .core.summarycache import SummaryCache, fingerprint, open_cache
 from .frontend.program import Program
-from .obs import MetricsRegistry, NULL_TRACER, Tracer
+from .obs import CAT_COMPILE, MetricsRegistry, NULL_TRACER, Tracer
 from .runtime.run import RunOutcome, try_run_program
 from .transform.heuristics import HeuristicParams, PEEL_MODES
 from .transform.search import ENGINES
@@ -659,6 +662,10 @@ def _legality_payload(sources: list[tuple[str, str]]
     return payload, [d.to_dict() for d in diags]
 
 
+#: the summary-cache category of memoized replies
+REPLY_CATEGORY = "reply"
+
+
 def execute_tier(op: str, tier: str, sources: list[tuple[str, str]],
                  options: CompileOptions, *,
                  cache_dir: str | None = None,
@@ -673,6 +680,17 @@ def execute_tier(op: str, tier: str, sources: list[tuple[str, str]],
     :meth:`Session.execute` both call it, so a request answered
     locally and one answered by the daemon agree byte-for-byte.
 
+    **Reply memo.**  With the request's ``cache`` option on and a
+    ``cache_dir``, a deterministic request is memoized in the summary
+    cache's ``reply`` category, keyed by everything its payload
+    depends on (:func:`_reply_key`).  A hit returns the stored payload
+    — its ``timings`` time only the restore — with two fresh cache
+    notes.  A miss compiles on the same cache handle (one cache
+    service connection per request) and stores the payload without
+    its ``timings``, plus its non-cache notes, unless a diagnostic is
+    a warning or worse.  The ``legality`` tier, the ladder's cheap
+    last resort, is not memoized.
+
     The request's objects are traced by the cyclic collector once: it
     is paused while the request runs and, after the request's graph
     is dropped, one young collection frees it (see DESIGN.md,
@@ -684,25 +702,91 @@ def execute_tier(op: str, tier: str, sources: list[tuple[str, str]],
     if paused:
         gc.disable()
     try:
-        return _build_payload(op, tier, sources, options,
-                              cache_dir=cache_dir, tracer=tracer,
-                              metrics=metrics)
+        if tier == "legality":
+            return _legality_payload(sources)
+        copts = options.compiler_options(tier, cache_dir)
+        cache = open_cache(copts.cache_dir)
+        try:
+            key = _reply_key(cache, op, tier, sources, options, copts)
+            reply = _restore_reply(cache, key, tracer, metrics) \
+                if key is not None else None
+            if reply is not None:
+                return reply
+            payload, diagnostics = _build_payload(
+                op, tier, sources, options, copts, cache, tracer, metrics)
+            if key is not None:
+                _store_reply(cache, key, payload, diagnostics)
+            return payload, diagnostics
+        finally:
+            if cache is not None:
+                cache.close()
     finally:
         if paused:
             gc.enable()
             gc.collect(0)
 
 
-def _build_payload(op: str, tier: str, sources: list[tuple[str, str]],
-                   options: CompileOptions, *, cache_dir: str | None,
-                   tracer: Tracer | None,
-                   metrics: MetricsRegistry | None) -> tuple[dict, list]:
-    if tier == "legality":
-        return _legality_payload(sources)
+def _reply_key(cache: SummaryCache | None, op: str, tier: str,
+               sources: list[tuple[str, str]], options: CompileOptions,
+               copts: CompilerOptions) -> str | None:
+    """The memo key of a deterministic request, or None.  A request
+    is not deterministic while a fault registry is armed (every drill
+    must reach the passes) or when its search has a wall-clock
+    budget."""
+    if cache is None or FAULTS or PROC_FAULTS or CACHE_FAULTS:
+        return None
+    search = options.search
+    if search is not None and search.budget_s > 0:
+        return None
+    return cache.key_for(REPLY_CATEGORY, op, tier, tuple(sources),
+                         copts.fingerprint(), options.verify,
+                         options.cycle_limit, search)
 
-    copts = options.compiler_options(tier, cache_dir)
-    result = Compiler(copts, tracer=tracer,
-                      metrics=metrics).compile_sources(sources)
+
+def _restore_reply(cache: SummaryCache, key: str, tracer: Tracer | None,
+                   metrics: MetricsRegistry | None
+                   ) -> tuple[dict, list] | None:
+    """The memoized reply under ``key``, or None (a miss, or an entry
+    of the wrong shape, which is quarantined)."""
+    t0 = time.perf_counter()
+    memo = cache.load(REPLY_CATEGORY, key)
+    if memo is None:
+        return None
+    if not (isinstance(memo, dict) and isinstance(memo.get("payload"), dict)
+            and isinstance(memo.get("notes"), list)):
+        cache.reject(REPLY_CATEGORY, key, "artifact has the wrong shape")
+        return None
+    t1 = time.perf_counter()
+    if tracer is not None:
+        tracer.add_finished("reply", t0, t1, category=CAT_COMPILE,
+                            attrs={"restored_from_cache": True})
+    count_cache_lookups(metrics, cache)
+    diags = DiagnosticEngine()
+    diags.note("reply", "reply restored from summary cache",
+               code=CODE_CACHE)
+    report_cache_events(cache, diags)
+    return ({**memo["payload"], "timings": {"reply": round(t1 - t0, 4)}},
+            [d.to_dict() for d in diags] + memo["notes"])
+
+
+def _store_reply(cache: SummaryCache, key: str, payload: dict,
+                 diagnostics: list[dict]) -> None:
+    """Memoize a reply no diagnostic warns about: its payload with the
+    wall-clock ``timings`` blanked, and its notes bar the cache's own,
+    which describe this request's lookups only."""
+    if any(d["severity"] != "note" for d in diagnostics):
+        return
+    cache.store(REPLY_CATEGORY, key, {
+        "payload": {**payload, "timings": None},
+        "notes": [d for d in diagnostics if d.get("code") != CODE_CACHE]})
+
+
+def _build_payload(op: str, tier: str, sources: list[tuple[str, str]],
+                   options: CompileOptions, copts: CompilerOptions,
+                   cache: SummaryCache | None, tracer: Tracer | None,
+                   metrics: MetricsRegistry | None) -> tuple[dict, list]:
+    result = Compiler(copts, tracer=tracer, metrics=metrics) \
+        .compile_sources(sources, cache=cache)
     timings = {k: round(v, 4) for k, v in result.timings.items()}
     payload: dict = {
         "table1": list(result.table1_row()),

@@ -287,6 +287,9 @@ class ProcessFaultRegistry:
         self._attempt: int = 1
         self.on_hang: Callable[[], None] | None = None
 
+    def __bool__(self) -> bool:
+        return bool(self._specs)
+
     def arm(self, specs: list[ProcessFaultSpec],
             attempt: int = 1) -> None:
         self._specs = list(specs)

@@ -139,6 +139,36 @@ def _unit_for(program: Program, name: str, occurrence: int):
     return _SKIP
 
 
+def report_cache_events(cache: SummaryCache,
+                        diags: DiagnosticEngine) -> None:
+    """Turn the cache handle's pending events into diagnostics: a
+    warning per corrupt entry, a note per I/O problem, and one note
+    counting the handle's hits and misses so far."""
+    for e in cache.drain_events():
+        if e.kind == "corrupt":
+            diags.warning(
+                "cache",
+                f"corrupt cache entry discarded and recomputed "
+                f"({e})", code=CODE_CACHE,
+                action="delete the cache directory if this "
+                       "persists")
+        elif e.kind == "io-error":
+            diags.note("cache", f"cache I/O problem ({e})",
+                       code=CODE_CACHE)
+    if cache.hits or cache.misses:
+        diags.note("cache",
+                   f"summary cache: {cache.hits} hit(s), "
+                   f"{cache.misses} miss(es)", code=CODE_CACHE)
+
+
+def count_cache_lookups(metrics: MetricsRegistry | None,
+                        cache: SummaryCache) -> None:
+    """Add the handle's hits and misses to the ``fe.cache.*`` series."""
+    if metrics is not None:
+        metrics.counter("fe.cache.hit").inc(cache.hits)
+        metrics.counter("fe.cache.miss").inc(cache.misses)
+
+
 @dataclass
 class CompilerOptions:
     """Knobs for one compilation."""
@@ -462,11 +492,13 @@ class Compiler:
     def compile(self, program: Program) -> CompilationResult:
         return self._entry(program=program)
 
-    def compile_sources(self, sources: list[tuple[str, str]]
+    def compile_sources(self, sources: list[tuple[str, str]], *,
+                        cache: SummaryCache | None = None
                         ) -> CompilationResult:
         """Compile ``[(unit_name, source_text), ...]`` through the front
         end and (when ``cache_dir`` is set) the content-addressed
-        summary cache.
+        summary cache; ``cache`` is a handle the caller already opened
+        on ``cache_dir``, used instead of opening another.
 
         Warm path: an unchanged ``(sources, options)`` pair restores
         the entire FE result — program, CFGs, loop nests, legality and
@@ -478,17 +510,17 @@ class Compiler:
         The cache is bypassed while fault injection is armed so
         injected faults always exercise the real passes.
         """
-        return self._entry(sources=sources)
+        return self._entry(sources=sources, cache=cache)
 
     def _entry(self, program: Program | None = None,
-               sources: list[tuple[str, str]] | None = None
-               ) -> CompilationResult:
+               sources: list[tuple[str, str]] | None = None,
+               cache: SummaryCache | None = None) -> CompilationResult:
         with self._observing() as profiler:
             with self.tracer.span("compile", category=CAT_COMPILE) as s:
                 s.set(scheme=self.options.scheme,
                       units=len(sources) if sources is not None
                       else len(program.units))
-                result = self._run(program, sources)
+                result = self._run(program, sources, cache)
             return self._finalize_obs(result, profiler)
 
     # -- the steps ---------------------------------------------------------
@@ -502,12 +534,14 @@ class Compiler:
             yield span
 
     def _run(self, program: Program | None,
-             sources: list[tuple[str, str]] | None) -> CompilationResult:
+             sources: list[tuple[str, str]] | None,
+             handle: SummaryCache | None) -> CompilationResult:
         opts = self.options
         cache: SummaryCache | None = None
         if sources is not None and opts.cache_dir is not None \
                 and not FAULTS:
-            cache = open_cache(opts.cache_dir)
+            cache = handle if handle is not None \
+                else open_cache(opts.cache_dir)
         run = _Run(opts, cache, sources)
         diags, guard = run.diags, run.guard
 
@@ -521,7 +555,7 @@ class Compiler:
             if fe is not None:
                 diags.note("fe", "front end restored from summary "
                            "cache", code=CODE_CACHE)
-                self._cache_diags(cache, diags)
+                report_cache_events(cache, diags)
                 self.tracer.add_finished(
                     "fe", t0, t0 + fe_probe, category=CAT_PHASE,
                     attrs={"restored_from_cache": True})
@@ -601,7 +635,7 @@ class Compiler:
         wall = time.perf_counter() - t_run
 
         if cache is not None:
-            self._cache_metrics(cache)
+            count_cache_lookups(self.metrics, cache)
         return CompilationResult(
             program=program, options=opts, cfgs=cfgs, nests=nests,
             callgraph=callgraph, legality=legality, escape=escape,
@@ -718,7 +752,7 @@ class Compiler:
         mutates the stored legality."""
         if not fe[0].frontend_errors and not run.diags.contained():
             run.cache.store("fe", fe_key, fe)
-        self._cache_diags(run.cache, run.diags)
+        report_cache_events(run.cache, run.diags)
 
     # -- BE steps ----------------------------------------------------------
 
@@ -786,13 +820,6 @@ class Compiler:
             d.action = "none"
             return base
 
-    # -- observability -----------------------------------------------------
-
-    def _cache_metrics(self, cache: SummaryCache) -> None:
-        if self.metrics is not None:
-            self.metrics.counter("fe.cache.hit").inc(cache.hits)
-            self.metrics.counter("fe.cache.miss").inc(cache.misses)
-
     # -- FE internals ------------------------------------------------------
 
     @staticmethod
@@ -818,25 +845,6 @@ class Compiler:
             cache.reject("fe", fe_key, "artifact has the wrong shape")
             return None
         return blob
-
-    @staticmethod
-    def _cache_diags(cache: SummaryCache,
-                     diags: DiagnosticEngine) -> None:
-        for e in cache.drain_events():
-            if e.kind == "corrupt":
-                diags.warning(
-                    "cache",
-                    f"corrupt cache entry discarded and recomputed "
-                    f"({e})", code=CODE_CACHE,
-                    action="delete the cache directory if this "
-                           "persists")
-            elif e.kind == "io-error":
-                diags.note("cache", f"cache I/O problem ({e})",
-                           code=CODE_CACHE)
-        if cache.hits or cache.misses:
-            diags.note("cache",
-                       f"summary cache: {cache.hits} hit(s), "
-                       f"{cache.misses} miss(es)", code=CODE_CACHE)
 
     @staticmethod
     def _interface_fingerprint(program: Program) -> str:

@@ -5,14 +5,14 @@ consumes; SYZYGY keeps them on disk so an unchanged translation unit is
 never re-analyzed.  This module is that mechanism for the reproduction:
 a small content-addressed store keyed by SHA-256 of *what produced the
 artifact* — the TU source text, a fingerprint of the compiler options,
-and the cache schema version — holding pickled artifacts (per-TU
-analysis summaries, whole-program FE results).
+and a digest of the compiler's own code — holding pickled artifacts
+(per-TU analysis summaries, whole-program FE results, whole replies).
 
 Design rules:
 
 - **Keys are content hashes.**  A changed source byte, option, or
-  schema version produces a different key; stale entries are simply
-  never addressed again (no invalidation protocol).
+  line of the compiler produces a different key; stale entries are
+  simply never addressed again (no invalidation protocol).
 - **Loads never raise.**  A missing, truncated, corrupt, or
   unpicklable entry is a *miss*: :meth:`SummaryCache.load` returns
   ``None`` and records an event the caller can surface through the
@@ -35,6 +35,7 @@ the local store or the remote client from the ``cache_dir`` spec
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
@@ -44,10 +45,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
-
-#: bump when the pickled artifact layout changes; old entries become
-#: unreachable (different keys) instead of unreadable
-SCHEMA_VERSION = 1
 
 #: framing tag for checksummed entries: MAGIC + sha256(payload) + payload
 ENTRY_MAGIC = b"RSC1"
@@ -89,13 +86,31 @@ class CacheEvent:
     """One observable cache interaction, for diagnostics and tests."""
 
     kind: str                 # hit | miss | corrupt | store | io-error
-    category: str             # summary | fe | search
+    category: str             # summary | fe | search | reply
     key: str
     detail: str = ""
 
     def __str__(self) -> str:
         note = f" ({self.detail})" if self.detail else ""
         return f"{self.category} {self.kind} {self.key[:12]}{note}"
+
+
+@functools.cache
+def code_digest() -> str:
+    """SHA-256 over the ``repro`` package's ``.py`` sources, part of
+    every cache key: an entry written by other code (an older
+    compiler sharing a persistent ``--cache-dir``) is never addressed
+    again, so no change to a pass, a heuristic or a report can be
+    hidden by a stale artifact.  Read once per process, on first use
+    rather than at import."""
+    root = Path(__file__).resolve().parent.parent
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        h.update(path.relative_to(root).as_posix().encode())
+        h.update(b"\x00")
+        h.update(path.read_bytes())
+        h.update(b"\x00")
+    return h.hexdigest()
 
 
 def fingerprint(*parts: object) -> str:
@@ -121,6 +136,10 @@ class SummaryCache:
     :class:`repro.transform.search.LayoutOracle`.  Scores go through
     the ordinary ``load``/``store`` API, so a farm's shared
     :class:`RemoteCache` serves them across shards unchanged.
+
+    :func:`repro.api.execute_tier` adds a ``reply`` category: one
+    finished reply (payload and notes) per deterministic request, so
+    an exact repeat is answered from one read.
     """
 
     root: Path
@@ -138,7 +157,7 @@ class SummaryCache:
 
     @staticmethod
     def key_for(category: str, *parts: object) -> str:
-        return fingerprint(SCHEMA_VERSION, category, *parts)
+        return fingerprint(code_digest(), category, *parts)
 
     def _path(self, category: str, key: str) -> Path:
         # two-level fanout keeps directories small on big projects
@@ -259,6 +278,10 @@ class SummaryCache:
             return blob
 
     # -- maintenance --------------------------------------------------------
+
+    def close(self) -> None:
+        """Release the handle's resources (nothing, for a local
+        directory)."""
 
     def _discard(self, category: str, key: str) -> None:
         """Quarantine a bad entry so it is recomputed cleanly next time

@@ -17,6 +17,8 @@ from repro.core import (
     CompilerOptions, FatalCompilerError, FAULTS, INJECTABLE_PASSES,
     FaultSpec, InjectedFault, inject_fault,
 )
+from repro.core.faults import CACHE_FAULTS, PROC_FAULTS, \
+    ProcessFaultSpec, inject_cache_fault
 from repro.frontend import Program
 from repro.runtime import run_program
 from repro.transform import HeuristicParams
@@ -67,6 +69,22 @@ class TestRegistry:
     def test_unknown_pass_rejected(self):
         with pytest.raises(ValueError):
             FaultSpec("frobnicate", "raise")
+
+    def test_every_registry_is_truthy_only_while_armed(self):
+        """The reply memo's bypass is one truthiness test over the
+        three registries."""
+        assert not FAULTS and not PROC_FAULTS and not CACHE_FAULTS
+        with inject_fault("legality", "raise"):
+            assert FAULTS
+        with inject_cache_fault("eio"):
+            assert CACHE_FAULTS
+        PROC_FAULTS.arm([ProcessFaultSpec("apply", "kill")], attempt=2)
+        try:
+            # armed even when this attempt is past the spec's ``times``
+            assert PROC_FAULTS
+        finally:
+            PROC_FAULTS.disarm()
+        assert not FAULTS and not PROC_FAULTS and not CACHE_FAULTS
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
