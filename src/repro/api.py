@@ -37,14 +37,19 @@ from .core.diagnostics import CODE_BUDGET, CODE_CACHE, CODE_CONTAINED, \
     CODE_MISMATCH, CODE_TRAP, DiagnosticEngine
 from .core.faults import CACHE_FAULTS, FAULTS, PROC_FAULTS, \
     ProcessFaultSpec
-from .core.pipeline import CompilationResult, Compiler, CompilerOptions, \
-    count_cache_lookups, report_cache_events
+from .core.pipeline import SCHEMES, CompilationResult, Compiler, \
+    CompilerOptions, count_cache_lookups, report_cache_events
 from .core.summarycache import SummaryCache, fingerprint, open_cache
 from .frontend.program import Program
 from .obs import CAT_COMPILE, MetricsRegistry, NULL_TRACER, Tracer
 from .runtime.run import RunOutcome, try_run_program
-from .transform.heuristics import HeuristicParams, PEEL_MODES
+from .transform.heuristics import HeuristicParams, PEEL_MODES, \
+    PROFILE_SCHEMES
 from .transform.search import ENGINES
+
+#: the weight schemes a request can run: the profile schemes need a
+#: feedback file, which no request carries
+REQUEST_SCHEMES = tuple(s for s in SCHEMES if s not in PROFILE_SCHEMES)
 
 #: compile operations, ladder-governed (the service adds control ops)
 COMPILE_OPS = ("analyze", "advise", "transform", "compare")
@@ -136,6 +141,20 @@ def _check_count(value, least: int | None, where: str) -> None:
                        f"{value!r}", detail={"where": where})
 
 
+def _check_number(value, where: str, *, positive: bool = False) -> None:
+    """A wire number is a finite int or float of at least 0, above 0
+    when ``positive``: a boolean, a string, NaN or an infinity is
+    refused, never coerced."""
+    # the chained comparison also refuses NaN, and ints too large for
+    # a float without converting them
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not 0 <= value <= sys.float_info.max \
+            or (positive and value == 0):
+        raise ApiError(f"'{where}' must be a finite number "
+                       f"{'> 0' if positive else '>= 0'}, got {value!r}",
+                       detail={"where": where})
+
+
 def _wire_count(value):
     """A wire count: integral floats (2e9) are counts; any other value
     is left for :func:`_check_count` to refuse, never truncated."""
@@ -197,15 +216,7 @@ class SearchOptions:
                 f"of {', '.join(ENGINES)}",
                 detail={"where": "search.engine",
                         "known_engines": list(ENGINES)})
-        budget = self.budget_s
-        # the chained comparison also refuses NaN, and ints too large
-        # for a float without converting them
-        if isinstance(budget, bool) \
-                or not isinstance(budget, (int, float)) \
-                or not 0 <= budget <= sys.float_info.max:
-            raise ApiError(
-                f"'search.budget_s' must be a finite number >= 0, got "
-                f"{budget!r}", detail={"where": "search.budget_s"})
+        _check_number(self.budget_s, "search.budget_s")
         for name, least in self._COUNTS:
             _check_count(getattr(self, name), least, f"search.{name}")
 
@@ -310,6 +321,14 @@ class CompileOptions:
     def __post_init__(self):
         for name, least in self._COUNTS:
             _check_count(getattr(self, name), least, f"options.{name}")
+        if self.scheme not in REQUEST_SCHEMES:
+            raise ApiError(
+                f"unknown scheme {self.scheme!r}; a request runs one "
+                f"of {', '.join(REQUEST_SCHEMES)}",
+                detail={"where": "options.scheme",
+                        "known_schemes": list(REQUEST_SCHEMES)})
+        if self.ts is not None:
+            _check_number(self.ts, "options.ts")
         if self.peel_mode is not None \
                 and self.peel_mode not in PEEL_MODES:
             raise ApiError(
@@ -329,19 +348,11 @@ class CompileOptions:
         kwargs: dict = {name: _flag(d, name, f"options.{name}")
                         for name in ("relax", "verify", "cache")
                         if name in d}
-        try:
-            if "scheme" in d:
-                kwargs["scheme"] = str(d["scheme"])
-            if d.get("ts") is not None:
-                kwargs["ts"] = float(d["ts"])
-            if d.get("peel_mode") is not None:
-                kwargs["peel_mode"] = str(d["peel_mode"])
-            for name, _ in cls._COUNTS:
-                if name in d:
-                    kwargs[name] = _wire_count(d[name])
-        except (TypeError, ValueError) as exc:
-            raise ApiError(f"bad options value: {exc}",
-                           detail={"where": "options"}) from exc
+        kwargs.update({name: d[name] for name in ("scheme", "ts",
+                                                  "peel_mode")
+                       if name in d})
+        kwargs.update({name: _wire_count(d[name])
+                       for name, _ in cls._COUNTS if name in d})
         if d.get("search") is not None:
             kwargs["search"] = SearchOptions.from_dict(d["search"])
         return cls(**kwargs)
@@ -421,6 +432,11 @@ class CompileRequest:
                 f"unknown op {self.op!r}; expected one of "
                 f"{', '.join(COMPILE_OPS)}",
                 detail={"op": self.op, "known_ops": list(COMPILE_OPS)})
+        for name in ("deadline", "deadline_ms"):
+            if getattr(self, name) is not None:
+                _check_number(getattr(self, name), name, positive=True)
+        if self.max_retries is not None:
+            _check_count(self.max_retries, 0, "max_retries")
 
     @classmethod
     def from_dict(cls, d: dict) -> "CompileRequest":
@@ -447,26 +463,6 @@ class CompileRequest:
                     "strings", detail={"where": "sources"})
             sources.append((entry[0], entry[1]))
         options = CompileOptions.from_dict(d.get("options"))
-        deadline = d.get("deadline")
-        if deadline is not None:
-            try:
-                deadline = float(deadline)
-            except (TypeError, ValueError) as exc:
-                raise ApiError("'deadline' must be a number",
-                               detail={"where": "deadline"}) from exc
-            if deadline <= 0:
-                raise ApiError("'deadline' must be positive",
-                               detail={"where": "deadline"})
-        max_retries = d.get("max_retries")
-        if max_retries is not None:
-            try:
-                max_retries = int(max_retries)
-            except (TypeError, ValueError) as exc:
-                raise ApiError("'max_retries' must be an integer",
-                               detail={"where": "max_retries"}) from exc
-            if max_retries < 0:
-                raise ApiError("'max_retries' must be >= 0",
-                               detail={"where": "max_retries"})
         try:
             faults = [ProcessFaultSpec.from_dict(f)
                       for f in (d.get("faults") or [])]
@@ -479,23 +475,14 @@ class CompileRequest:
                 raise ApiError("'tenant' must be a non-empty string",
                                detail={"where": "tenant"})
         priority = coerce_priority(d.get("priority", 1))
-        deadline_ms = d.get("deadline_ms")
-        if deadline_ms is not None:
-            try:
-                deadline_ms = float(deadline_ms)
-            except (TypeError, ValueError) as exc:
-                raise ApiError("'deadline_ms' must be a number",
-                               detail={"where": "deadline_ms"}) from exc
-            if deadline_ms <= 0:
-                raise ApiError("'deadline_ms' must be positive",
-                               detail={"where": "deadline_ms"})
         return cls(op=op, sources=sources, options=options,
-                   id=d.get("id"), deadline=deadline,
-                   max_retries=max_retries, faults=faults,
+                   id=d.get("id"), deadline=d.get("deadline"),
+                   max_retries=_wire_count(d.get("max_retries")),
+                   faults=faults,
                    trace=_flag(d, "trace", "trace") if "trace" in d
                    else False,
                    tenant=tenant, priority=priority,
-                   deadline_ms=deadline_ms)
+                   deadline_ms=d.get("deadline_ms"))
 
     def to_wire(self) -> dict:
         """The request as the wire dict ``from_dict`` round-trips."""

@@ -38,9 +38,9 @@ from .advisor import (
     AdvisorOptions, advisor_report, classify_report, program_vcg,
 )
 from .api import (
-    LADDER, PRIORITY_NAMES, ApiError, CompileOptions, CompileReply,
-    CompileRequest, SearchOptions, Session, compare_result, run_failure,
-    type_rows,
+    LADDER, PRIORITY_NAMES, REQUEST_SCHEMES, ApiError, CompileOptions,
+    CompileReply, CompileRequest, SearchOptions, Session, compare_result,
+    run_failure, type_rows,
 )
 from .core import CompilationResult, CompilerOptions, FatalCompilerError
 from .frontend import Program
@@ -510,12 +510,7 @@ def cmd_cache_fsck(args) -> int:
             if cat.oldest_s is not None:
                 age = (f"  age {cat.newest_s:,.0f}s–"
                        f"{cat.oldest_s:,.0f}s")
-            flags = []
-            if cat.corrupt:
-                flags.append(f"{cat.corrupt} corrupt")
-            if cat.legacy:
-                flags.append(f"{cat.legacy} legacy")
-            note = f"  ({', '.join(flags)})" if flags else ""
+            note = f"  ({cat.corrupt} corrupt)" if cat.corrupt else ""
             print(f"  {name:10s} {cat.entries:6d} entries "
                   f"{cat.bytes:12,d} bytes{age}{note}")
         for q in report.quarantined:
@@ -689,8 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="MiniC source files (one program)")
         if scheme:
             p.add_argument("--scheme", default="ISPBO",
-                           choices=["SPBO", "ISPBO", "ISPBO.NO",
-                                    "ISPBO.W"],
+                           choices=REQUEST_SCHEMES,
                            help="weight estimation scheme")
             p.add_argument("--profile", action="store_true",
                            help="collect a PBO profile first "
@@ -954,8 +948,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="K", help="retry budget override")
     p.add_argument("--timeout", type=float, default=300.0,
                    metavar="S", help="client-side socket timeout")
-    p.add_argument("--scheme", default=None,
-                   choices=["SPBO", "ISPBO", "ISPBO.NO", "ISPBO.W"])
+    p.add_argument("--scheme", default=None, choices=REQUEST_SCHEMES)
     p.add_argument("--relax", action="store_true")
     add_layout_flags(p)
     p.add_argument("--no-verify", action="store_true")

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import os
 import signal
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -244,7 +245,9 @@ class ProcessFaultSpec:
     matches ``legality``, ...) or one of the pseudo-stages ``start`` /
     ``request``.  ``times`` bounds the fault to the first N execution
     attempts of a request, so a retry after the injected crash can be
-    observed succeeding.
+    observed succeeding.  The values are checked as every wire field
+    is, never coerced: ``times`` an integer >= 0 (an integral float
+    counts), ``seconds`` a finite number >= 0, ``silent`` a boolean.
     """
 
     stage: str
@@ -258,6 +261,19 @@ class ProcessFaultSpec:
             raise ValueError(
                 f"unknown process fault mode {self.mode!r}; choose "
                 f"from {PROCESS_FAULT_MODES}")
+        if isinstance(self.times, bool) or not isinstance(self.times, int) \
+                or self.times < 0:
+            raise ValueError(f"'times' must be an integer >= 0, got "
+                             f"{self.times!r}")
+        # the chained comparison also refuses NaN
+        if isinstance(self.seconds, bool) \
+                or not isinstance(self.seconds, (int, float)) \
+                or not 0 <= self.seconds <= sys.float_info.max:
+            raise ValueError(f"'seconds' must be a finite number >= 0, "
+                             f"got {self.seconds!r}")
+        if not isinstance(self.silent, bool):
+            raise ValueError(f"'silent' must be true or false, got "
+                             f"{self.silent!r}")
 
     def to_dict(self) -> dict:
         return {"stage": self.stage, "mode": self.mode,
@@ -266,10 +282,12 @@ class ProcessFaultSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProcessFaultSpec":
+        times = d.get("times", 1)
+        if isinstance(times, float) and times.is_integer():
+            times = int(times)
         return cls(stage=str(d["stage"]), mode=str(d.get("mode", "kill")),
-                   seconds=float(d.get("seconds", 3600.0)),
-                   times=int(d.get("times", 1)),
-                   silent=bool(d.get("silent", True)))
+                   seconds=d.get("seconds", 3600.0), times=times,
+                   silent=d.get("silent", True))
 
 
 class ProcessFaultRegistry:
@@ -351,8 +369,8 @@ class CacheFaultSpec:
 
     ``op`` selects which cache operations fail (``store``, ``load``,
     or ``any``); ``category`` restricts the fault to one artifact
-    category (``parse`` / ``summary`` / ``fe``; empty = all); ``times``
-    bounds how many operations fail (<= 0 = unlimited)."""
+    category (``summary`` / ``search`` / ``reply``; empty = all);
+    ``times`` bounds how many operations fail (<= 0 = unlimited)."""
 
     mode: str = "enospc"
     op: str = "store"                 # store | load | any

@@ -12,8 +12,7 @@ order:
   mode) and reports its errors; ``lower`` and ``loops``; one
   summarize step per unit (``legality[a.c]``, ``deadfields[a.c]``),
   each probing its own summary-cache entry, followed by its merge
-  (``legality``, ``deadfields``); ``fe.finish`` stores a clean front
-  end in the cache;
+  (``legality``, ``deadfields``);
 - IPA: ``callgraph``, ``escape``, ``pointsto`` (relaxed legality
   only), ``weights``, ``profiles``, ``heuristics``;
 - BE: with a layout search, ``search.trace`` (one traced run of the
@@ -195,8 +194,8 @@ class CompilerOptions:
     pointsto_max_sweeps: int = 10_000
     #: content-addressed summary cache spec (None = off): a local
     #: directory, or ``unix:PATH`` naming a shared cache-service
-    #: socket; holds per-TU analysis summaries and whole-program FE
-    #: results keyed by source + options fingerprints
+    #: socket; holds per-TU analysis summaries keyed by source +
+    #: options fingerprints
     cache_dir: str | Path | None = None
     #: global layout-search options (None = greedy heuristics only;
     #: :class:`~repro.api.SearchOptions` validates them).  When set,
@@ -432,7 +431,7 @@ class _Run:
             return 0.0
         return max(e for _, e in spans) - min(s for s, _ in spans)
 
-    def scheduler(self, wall: float, restored: bool) -> dict:
+    def scheduler(self, wall: float) -> dict:
         """The ``scheduler`` block.  The steps form one chain, so the
         critical path is every step in run order and its length is
         their sum."""
@@ -440,8 +439,7 @@ class _Run:
                 "wall_ms": round(wall * 1e3, 3),
                 "critical_path_ms": round(
                     sum(e - s for _, _, s, e in self.log) * 1e3, 3),
-                "critical_path": [name for name, _, _, _ in self.log],
-                "restored_fe": restored}
+                "critical_path": [name for name, _, _, _ in self.log]}
 
 
 class Compiler:
@@ -500,12 +498,13 @@ class Compiler:
         summary cache; ``cache`` is a handle the caller already opened
         on ``cache_dir``, used instead of opening another.
 
-        Warm path: an unchanged ``(sources, options)`` pair restores
-        the entire FE result — program, CFGs, loop nests, legality and
-        usage summaries — from one cache entry (the paper's "IELF
-        files" kept between compiles) and runs only the IPA and BE
-        steps.  Cache problems of any kind degrade to recomputation
-        with a ``CODE_CACHE`` diagnostic; they never fail the compile.
+        Every compile parses, lowers and finds loops; each unit whose
+        source, program interface and options are unchanged then
+        reads its legality and deadfields summaries from the cache
+        (the paper's "IELF files" kept between compiles) instead of
+        re-summarizing.  Cache problems of any kind degrade to
+        recomputation with a ``CODE_CACHE`` diagnostic; they never
+        fail the compile.
 
         The cache is bypassed while fault injection is armed so
         injected faults always exercise the real passes.
@@ -545,37 +544,18 @@ class Compiler:
         run = _Run(opts, cache, sources)
         diags, guard = run.diags, run.guard
 
-        # ---- whole-FE cache probe: a hit skips the FE phase -----------
-        fe_probe, fe_key, fe = 0.0, "", None
-        if cache is not None:
-            t0 = time.perf_counter()
-            fe_key = cache.key_for("fe", run.opts_fp, tuple(sources))
-            fe = self._load_fe_artifacts(cache, fe_key)
-            fe_probe = time.perf_counter() - t0
-            if fe is not None:
-                diags.note("fe", "front end restored from summary "
-                           "cache", code=CODE_CACHE)
-                report_cache_events(cache, diags)
-                self.tracer.add_finished(
-                    "fe", t0, t0 + fe_probe, category=CAT_PHASE,
-                    attrs={"restored_from_cache": True})
-        restored = fe is not None
-
         t_run = time.perf_counter()
-        if not restored:
-            with self._phase(run, "fe"):
-                if sources is None:
-                    self._parse_diags(program, diags)
-                    unit_names = [u.name for u in program.units]
-                else:
-                    program = self._parse(run)
-                    unit_names = [name for name, _ in sources]
-                fe = (program,) + self._fe_analyses(run, program,
-                                                    unit_names)
-                if cache is not None:
-                    run.step("fe.finish", self._fe_finish, run, fe_key,
-                             fe)
-        program, cfgs, nests, legality, usage = fe
+        with self._phase(run, "fe"):
+            if sources is None:
+                self._parse_diags(program, diags)
+                unit_names = [u.name for u in program.units]
+            else:
+                program = self._parse(run)
+                unit_names = [name for name, _ in sources]
+            cfgs, nests, legality, usage = self._fe_analyses(
+                run, program, unit_names)
+            if cache is not None:
+                report_cache_events(cache, diags)
 
         with self._phase(run, "ipa") as span:
             callgraph = run.step(
@@ -641,11 +621,11 @@ class Compiler:
             callgraph=callgraph, legality=legality, escape=escape,
             usage=usage, weights=weights, profiles=profiles,
             decisions=decisions, transformed=transformed,
-            timings={"fe": fe_probe + run.window("fe"),
+            timings={"fe": run.window("fe"),
                      "ipa": run.window("ipa"), "be": run.window("be")},
             pass_timings=run.pass_timings, diagnostics=diags,
             rolled_back=rolled_back,
-            scheduler=run.scheduler(wall, restored),
+            scheduler=run.scheduler(wall),
             search=search_stats, runs=runs)
 
     # -- FE steps ----------------------------------------------------------
@@ -743,17 +723,6 @@ class Compiler:
                                    lambda: fallback(program)),
             run.diags))
 
-    def _fe_finish(self, run: _Run, fe_key: str, fe: tuple) -> None:
-        """Store the whole-FE artifact if the front end ran clean.
-
-        Only clean front ends are cached: a contained fault or a budget
-        overrun must be recomputed (and re-reported), not replayed
-        silently from disk.  The step runs before ``escape``, which
-        mutates the stored legality."""
-        if not fe[0].frontend_errors and not run.diags.contained():
-            run.cache.store("fe", fe_key, fe)
-        report_cache_events(run.cache, run.diags)
-
     # -- BE steps ----------------------------------------------------------
 
     def _search(self, run: _Run, program: Program,
@@ -829,22 +798,6 @@ class Compiler:
             diags.error("parse", fe_err.message, unit=fe_err.unit,
                         line=fe_err.line or None, code=CODE_PARSE,
                         action="fix the source and recompile")
-
-    @staticmethod
-    def _load_fe_artifacts(cache: SummaryCache, fe_key: str):
-        """The cached whole-FE artifact tuple, validated, or None."""
-        blob = cache.load("fe", fe_key)
-        if blob is None:
-            return None
-        if not (isinstance(blob, tuple) and len(blob) == 5
-                and isinstance(blob[0], Program)
-                and isinstance(blob[1], dict)
-                and isinstance(blob[2], dict)
-                and isinstance(blob[3], LegalityResult)
-                and isinstance(blob[4], UsageResult)):
-            cache.reject("fe", fe_key, "artifact has the wrong shape")
-            return None
-        return blob
 
     @staticmethod
     def _interface_fingerprint(program: Program) -> str:

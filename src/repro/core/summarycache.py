@@ -6,7 +6,7 @@ never re-analyzed.  This module is that mechanism for the reproduction:
 a small content-addressed store keyed by SHA-256 of *what produced the
 artifact* — the TU source text, a fingerprint of the compiler options,
 and a digest of the compiler's own code — holding pickled artifacts
-(per-TU analysis summaries, whole-program FE results, whole replies).
+(per-TU analysis summaries, layout-search scores, whole replies).
 
 Design rules:
 
@@ -24,8 +24,10 @@ Design rules:
   magic tag and a SHA-256 digest of its payload; a read whose digest
   does not match is *quarantined* (moved aside for post-mortem, up to
   a bounded count) and reported as corruption, never returned as data.
-  Unframed entries written by older versions still read as legacy
-  blobs.
+  An unframed entry is corrupt too: every key carries the code
+  digest, so no key this code computes addresses an entry written
+  before framing, and the only unframed files a load can meet are
+  damaged ones.
 
 The same directory format is served remotely by the shared cache
 service (:mod:`repro.service.cacheservice`); :func:`open_cache` picks
@@ -63,22 +65,16 @@ def frame_blob(blob: bytes) -> bytes:
     return ENTRY_MAGIC + hashlib.sha256(blob).digest() + blob
 
 
-def unframe_blob(raw: bytes) -> tuple[bytes | None, str]:
-    """Split a stored entry into its payload.
-
-    Returns ``(payload, kind)`` where ``kind`` is ``"ok"`` (verified
-    frame), ``"legacy"`` (pre-checksum entry, returned as-is), or
-    ``"corrupt"`` (framed but failing verification; payload is None).
-    """
-    if not raw.startswith(ENTRY_MAGIC):
-        return raw, "legacy"
-    if len(raw) < _HEADER_LEN:
-        return None, "corrupt"
+def unframe_blob(raw: bytes) -> bytes | None:
+    """The payload of a stored entry whose checksum frame verifies, or
+    None (no frame, a short header or a digest mismatch: corrupt)."""
+    if not raw.startswith(ENTRY_MAGIC) or len(raw) < _HEADER_LEN:
+        return None
     digest = raw[len(ENTRY_MAGIC):_HEADER_LEN]
     payload = raw[_HEADER_LEN:]
     if hashlib.sha256(payload).digest() != digest:
-        return None, "corrupt"
-    return payload, "ok"
+        return None
+    return payload
 
 
 @dataclass
@@ -86,7 +82,7 @@ class CacheEvent:
     """One observable cache interaction, for diagnostics and tests."""
 
     kind: str                 # hit | miss | corrupt | store | io-error
-    category: str             # summary | fe | search | reply
+    category: str             # summary | search | reply
     key: str
     detail: str = ""
 
@@ -126,9 +122,10 @@ def fingerprint(*parts: object) -> str:
 class SummaryCache:
     """Content-addressed pickle store under one directory.
 
-    ``category`` namespaces keys (analysis summaries vs whole-program
-    FE artifacts) so unrelated artifact kinds can never collide even
-    if their key material does.
+    ``category`` namespaces keys (``summary``: one per-unit analysis
+    summary, :class:`~repro.analysis.legality.UnitLegality` or
+    :class:`~repro.analysis.deadfields.UnitUsage`) so unrelated
+    artifact kinds can never collide even if their key material does.
 
     The layout-search engine adds a ``search`` category: one
     ``{"cycles": int}`` score memo per (trace fingerprint, layout
@@ -269,12 +266,11 @@ class SummaryCache:
                 self._event("corrupt", category, key, "empty file")
                 self._discard(category, key)
                 return None
-            blob, kind = unframe_blob(raw)
-            if kind == "corrupt":
+            blob = unframe_blob(raw)
+            if blob is None:
                 self._event("corrupt", category, key,
                             "checksum mismatch")
                 self._discard(category, key)
-                return None
             return blob
 
     # -- maintenance --------------------------------------------------------
@@ -344,13 +340,12 @@ class FsckCategory:
     entries: int = 0
     bytes: int = 0
     corrupt: int = 0
-    legacy: int = 0
     oldest_s: float | None = None     # age of the oldest entry, seconds
     newest_s: float | None = None
 
     def to_dict(self) -> dict:
         return {"entries": self.entries, "bytes": self.bytes,
-                "corrupt": self.corrupt, "legacy": self.legacy,
+                "corrupt": self.corrupt,
                 "oldest_s": round(self.oldest_s, 1)
                 if self.oldest_s is not None else None,
                 "newest_s": round(self.newest_s, 1)
@@ -387,21 +382,16 @@ class FsckReport:
                                in sorted(self.categories.items())}}
 
 
-def verify_entry(raw: bytes) -> tuple[bool, str]:
-    """Is one stored entry intact?  Returns ``(ok, kind)`` where kind
-    is ``ok`` / ``legacy`` / ``corrupt``."""
-    if not raw:
-        return False, "corrupt"
-    payload, kind = unframe_blob(raw)
-    if kind == "corrupt":
-        return False, "corrupt"
+def verify_entry(raw: bytes) -> bool:
+    """Is one stored entry intact: framed, checksummed, and a pickle
+    of something other than None?"""
+    payload = unframe_blob(raw)
+    if payload is None:
+        return False
     try:
-        value = pickle.loads(payload)
+        return pickle.loads(payload) is not None
     except Exception:
-        return False, "corrupt"
-    if value is None:
-        return False, "corrupt"
-    return True, kind
+        return False
 
 
 def fsck_cache(root: str | Path, *, quarantine: bool = True,
@@ -439,10 +429,7 @@ def fsck_cache(root: str | Path, *, quarantine: bool = True,
                 else max(cat.oldest_s, age)
             cat.newest_s = age if cat.newest_s is None \
                 else min(cat.newest_s, age)
-            ok, kind = verify_entry(raw)
-            if kind == "legacy" and ok:
-                cat.legacy += 1
-            if not ok:
+            if not verify_entry(raw):
                 cat.corrupt += 1
                 if quarantine:
                     key = path.stem

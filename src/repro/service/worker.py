@@ -23,8 +23,8 @@ supervisor sends over a pipe.  The worker
   healthy), or ``fatal`` (the worker is dying — simulated or real OOM —
   and exits right after sending).
 
-The worker holds no state a crash can lose: whole front ends and
-per-unit analysis summaries live in the on-disk content-addressed cache
+The worker holds no state a crash can lose: per-unit analysis
+summaries and whole replies live in the on-disk content-addressed cache
 shared by the whole pool, so a respawned worker is warm immediately.
 
 Payload building is delegated to :func:`repro.api.execute_tier` — the

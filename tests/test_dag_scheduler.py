@@ -3,17 +3,18 @@
 Contract under test (DESIGN.md, "Step order" and "Reporting"):
 
 - a compile runs one straight line of named steps: FE (``fe.parse``,
-  ``lower``, ``loops``, each unit family and its merge,
-  ``fe.finish``), then IPA, then BE (one ``apply[T]`` per transformed
-  decision, ``apply``, ``verify``);
-- a warm compile restored from the whole-FE cache entry runs only the
-  IPA and BE steps, and same-named units run as distinct steps;
+  ``lower``, ``loops``, each unit family and its merge), then IPA,
+  then BE (one ``apply[T]`` per transformed decision, ``apply``,
+  ``verify``);
+- a warm compile runs the cold compile's steps, its unit steps reading
+  every summary from the cache, and same-named units run as distinct
+  steps;
 - an uncontained failure (strict mode) aborts the compile at once,
   with no later step run and no span left open;
 - ``CompilationResult.scheduler`` reports the step log: one chain, so
   the critical path is every step and its length their sum;
 - on the 12 workloads an uncached compile, the cold compile that fills
-  the summary cache and the warm compile restored from it agree;
+  the summary cache and the warm compile that reads it agree;
 - PhaseGuard containment stays per step for any number of units: an
   injected pass fault demotes conservatively and the compile still
   finishes.
@@ -50,6 +51,13 @@ def steps(result) -> list[str]:
     return result.scheduler["critical_path"]
 
 
+def summarized(result) -> set[str]:
+    """The per-unit summarize passes that ran: a summary-cache hit
+    skips its pass."""
+    return {name for name in result.pass_timings
+            if name.startswith(("legality[", "deadfields["))}
+
+
 #: two structs with dead fields: the heuristics transform both
 TWO_TYPES = """
 struct hot { long a; long b; long c; long d; };
@@ -65,8 +73,7 @@ int main() {
 }
 """
 
-FE_STEPS = ("fe.parse", "fe.finish", "lower", "loops", "legality",
-            "deadfields")
+FE_STEPS = ("fe.parse", "lower", "loops", "legality", "deadfields")
 IPA_STEPS = ("callgraph", "escape", "pointsto", "weights", "profiles",
              "heuristics")
 
@@ -116,18 +123,15 @@ class TestTopology:
         assert set(res.usage.types) == {"pa", "pb"}
 
     def test_seeded_names_satisfy_dependencies(self, tmp_path):
-        """A warm compile restored from the whole-FE cache entry runs
-        only the IPA and BE steps, and matches the cold compile."""
+        """A cached warm compile runs the same steps as the cold one,
+        in the same order, and matches it: its unit steps read every
+        summary from the cache instead of summarizing."""
         opts = CompilerOptions(cache_dir=str(tmp_path))
         cold = Compiler(opts).compile_sources(transform_units())
         warm = Compiler(opts).compile_sources(transform_units())
-        assert cold.scheduler["restored_fe"] is False
-        assert warm.scheduler["restored_fe"] is True
-        cold_steps = steps(cold)
-        assert steps(warm) == \
-            cold_steps[cold_steps.index("fe.finish") + 1:]
-        assert steps(warm)[0] == "callgraph"
-        assert {phase_of(s) for s in steps(warm)} == {"ipa", "be"}
+        assert steps(warm) == steps(cold)
+        assert {phase_of(s) for s in steps(warm)} == {"fe", "ipa", "be"}
+        assert len(summarized(cold)) == 6 and not summarized(warm)
         assert result_fingerprint(warm) == result_fingerprint(cold)
 
     def test_topo_order_respects_deps_and_insertion(self):
@@ -271,11 +275,10 @@ class TestPipelineIntegration:
         res = Compiler(CompilerOptions()).compile_sources([("m.c", SRC)])
         sched = res.scheduler
         assert set(sched) == {"nodes", "wall_ms", "critical_path_ms",
-                              "critical_path", "restored_fe"}
+                              "critical_path"}
         assert sched["nodes"] >= 10
         assert sched["wall_ms"] > 0.0
         assert sched["critical_path_ms"] > 0.0
-        assert sched["restored_fe"] is False
         # the parse heads the critical path, the per-decision apply
         # chain feeds its tail
         assert sched["critical_path"][0] == "fe.parse"
@@ -286,15 +289,15 @@ class TestPipelineIntegration:
                                                   tmp_path):
         """The acceptance bar: the whole compile byte-identical between
         an uncached compile, the cold compile that fills the summary
-        cache and the warm compile restored from it, on all 12
-        workloads."""
+        cache and the warm compile that reads every unit summary back,
+        on all 12 workloads."""
         sources = workload.sources("train")
         want = result_fingerprint(
             Compiler(CompilerOptions()).compile_sources(sources))
         cached = CompilerOptions(cache_dir=str(tmp_path))
         cold = Compiler(cached).compile_sources(sources)
         warm = Compiler(cached).compile_sources(sources)
-        assert warm.scheduler["restored_fe"]
+        assert summarized(cold) and not summarized(warm)
         assert result_fingerprint(cold) == want
         assert result_fingerprint(warm) == want
 

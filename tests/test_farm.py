@@ -588,9 +588,10 @@ class TestRouterServer:
 
     def test_router_routes_on_the_validated_budget(self):
         """The router routes on the request its front door validated:
-        a budget the daemon's schema reads as a number ("500") is one
-        at the router too, so the shard gets it as a float less the
-        router's own time."""
+        an integer budget reaches the shard as a float less the
+        router's own time, and a budget the daemon's schema refuses
+        (the string "500") is refused at the router too, naming the
+        field, and never reaches a shard."""
         tmp = _tmpdir()
         cluster = make_cluster(tmp, 1)
         received = []
@@ -609,6 +610,11 @@ class TestRouterServer:
         try:
             resp = single_request(server.socket_path,
                                   {**REQ, "deadline_ms": "500"})
+            assert resp["status"] == "error"
+            assert resp["error"]["where"] == "deadline_ms"
+            assert not received
+            resp = single_request(server.socket_path,
+                                  {**REQ, "deadline_ms": 500})
             assert resp["status"] == "ok"
             budget = received[0]["deadline_ms"]
             assert isinstance(budget, float)

@@ -141,12 +141,13 @@ def test_key_covers_every_option_the_payload_depends_on(tmp_path):
                     CompileOptions(search=greedy)):
         assert not _restored(_execute(tmp_path, "compare", sources,
                                       options))
-    # another op on the same sources is a miss too, but its front end
-    # comes from the whole-FE entry
+    # another op on the same sources is a miss too, but both of its
+    # unit summaries hit: only the reply missed
     advise = _execute(tmp_path, "advise", sources)
     assert not _restored(advise)
-    assert any(d["phase"] == "fe" and "restored" in d["message"]
-               for d in advise.diagnostics)
+    assert [d["message"] for d in advise.diagnostics
+            if d.get("code") == CODE_CACHE] == \
+        ["summary cache: 2 hit(s), 1 miss(es)"]
 
 
 def test_no_cache_option_no_memo(tmp_path):
@@ -275,11 +276,11 @@ def test_bit_flipped_entry_is_quarantined_and_recomputed(tmp_path):
 
 class TestCodeDigest:
     def test_every_key_carries_the_code_digest(self, monkeypatch):
-        key = SummaryCache.key_for("fe", "material")
-        assert SummaryCache.key_for("fe", "material") == key
+        key = SummaryCache.key_for("summary", "material")
+        assert SummaryCache.key_for("summary", "material") == key
         monkeypatch.setattr(summarycache, "code_digest",
                             lambda: "another compiler")
-        assert SummaryCache.key_for("fe", "material") != key
+        assert SummaryCache.key_for("summary", "material") != key
 
     def test_changed_code_recomputes_a_warm_request(self, tmp_path,
                                                     monkeypatch):
@@ -291,9 +292,9 @@ class TestCodeDigest:
         other = _execute(tmp_path, "advise", sources)
         assert not _restored(other)
         # nothing an older compiler wrote is addressed: no reply, no
-        # front end, no unit summary
+        # unit summary
         assert [d["message"] for d in other.diagnostics] == \
-            ["summary cache: 0 hit(s), 4 miss(es)"]
+            ["summary cache: 0 hit(s), 3 miss(es)"]
         assert _payload(other) == _payload(cold)
 
     def test_digest_is_not_computed_at_import(self):

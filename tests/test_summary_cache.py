@@ -9,6 +9,7 @@ diagnostic and recomputed, never an exception, never wrong output.
 
 import pathlib
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -72,19 +73,51 @@ def summarized(result):
     return {name for name in result.pass_timings if "[" in name}
 
 
+def hit_notes(result):
+    return [d.message for d in cache_notes(result) if "hit(s)" in d.message]
+
+
+def assert_every_summary_hits(result):
+    """A warm compile: every unit's legality and deadfields summary
+    came from the cache, so no summarize pass ran."""
+    assert not summarized(result)
+    assert hit_notes(result) == \
+        [f"summary cache: {2 * len(SOURCES)} hit(s), 0 miss(es)"]
+
+
 # ---------------------------------------------------------------------------
 # hits and misses
 # ---------------------------------------------------------------------------
 
-def test_warm_recompile_hits_whole_fe(cache_dir):
+def test_warm_recompile_hits_every_unit_summary(cache_dir):
     cold = Compiler(opts(cache_dir)).compile_sources(SOURCES)
     warm = Compiler(opts(cache_dir)).compile_sources(SOURCES)
     assert fingerprint(warm) == fingerprint(cold)
-    assert any("restored from summary cache" in d.message
-               for d in cache_notes(warm))
-    # the warm path never ran the front end at all
-    assert warm.scheduler["restored_fe"]
-    assert not cold.scheduler["restored_fe"]
+    assert len(summarized(cold)) == 2 * len(SOURCES)
+    assert hit_notes(cold) == \
+        [f"summary cache: 0 hit(s), {2 * len(SOURCES)} miss(es)"]
+    # the warm compile parses again but summarizes no unit
+    assert_every_summary_hits(warm)
+
+
+def test_no_whole_program_entry_is_read_or_written(cache_dir,
+                                                    monkeypatch):
+    """The compile's only tier is the per-unit summary: a cached
+    compile and its repeat load and store ``summary`` entries and
+    nothing else."""
+    calls = Counter()
+    for name in ("load", "store"):
+        def spy(self, category, *rest, _real=getattr(SummaryCache, name),
+                _name=name):
+            calls[_name, category] += 1
+            return _real(self, category, *rest)
+        monkeypatch.setattr(SummaryCache, name, spy)
+    for _ in range(2):
+        Compiler(opts(cache_dir)).compile_sources(SOURCES)
+    n = 2 * len(SOURCES)
+    assert calls == {("load", "summary"): 2 * n, ("store", "summary"): n}
+    assert {p.name for p in pathlib.Path(cache_dir).iterdir()} == \
+        {"summary"}
 
 
 def test_edited_unit_misses_only_that_unit(cache_dir):
@@ -92,19 +125,15 @@ def test_edited_unit_misses_only_that_unit(cache_dir):
     edited = [(n, t.replace("s + p->key", "s + p->key + 0", 1)
                if n == "u2.c" else t) for n, t in SOURCES]
     result = Compiler(opts(cache_dir)).compile_sources(edited)
-    # the whole-FE entry missed, but u1.c's and u3.c's legality and
-    # deadfields summaries were reused: only u2.c was summarized
-    assert not result.scheduler["restored_fe"]
+    # u1.c's and u3.c's legality and deadfields summaries were
+    # reused: only u2.c was summarized
     assert summarized(result) == {"legality[u2.c]", "deadfields[u2.c]"}
-    assert [d.message for d in cache_notes(result)
-            if "hit(s)" in d.message] == \
-        ["summary cache: 4 hit(s), 3 miss(es)"]
+    assert hit_notes(result) == ["summary cache: 4 hit(s), 2 miss(es)"]
 
 
 def test_changed_options_miss_everything(cache_dir):
     Compiler(opts(cache_dir)).compile_sources(SOURCES)
     result = Compiler(opts(cache_dir, scheme="SPBO")).compile_sources(SOURCES)
-    assert not result.scheduler["restored_fe"]
     assert len(summarized(result)) == 2 * len(SOURCES)
     summary = [d for d in cache_notes(result)
                if "hit(s)" in d.message]
@@ -174,7 +203,7 @@ def _damage_entries(cache_dir, mutate):
     lambda p: p.write_bytes(p.read_bytes()[:5]),          # truncated
     lambda p: p.write_bytes(b"\x00garbage\xff" * 8),      # not a pickle
     lambda p: p.write_bytes(b""),                         # empty file
-    lambda p: p.write_bytes(pickle.dumps([1, 2, 3])),     # wrong type
+    lambda p: p.write_bytes(frame_blob(pickle.dumps([1, 2, 3]))),  # type
 ], ids=["truncated", "garbage", "empty", "wrong-type"])
 def test_corrupt_entries_recompute_with_diagnostic(cache_dir, mutate):
     cold = Compiler(opts(cache_dir)).compile_sources(SOURCES)
@@ -184,8 +213,7 @@ def test_corrupt_entries_recompute_with_diagnostic(cache_dir, mutate):
     assert not result.diagnostics.has_errors
     # recompute must also have repaired the cache: next compile is warm
     warm = Compiler(opts(cache_dir)).compile_sources(SOURCES)
-    assert any("restored from summary cache" in d.message
-               for d in cache_notes(warm))
+    assert_every_summary_hits(warm)
     assert fingerprint(warm) == fingerprint(cold)
 
 
@@ -248,8 +276,7 @@ def test_contained_compiles_are_not_cached(cache_dir):
     with inject_fault("legality[u1.c]"):
         Compiler(opts(cache_dir)).compile_sources(SOURCES)
     # fault armed -> cache bypassed entirely: nothing was written
-    assert not list(pathlib.Path(cache_dir).rglob("*.pkl")) \
-        or not (pathlib.Path(cache_dir) / "fe").exists()
+    assert not list(pathlib.Path(cache_dir).rglob("*.pkl"))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +296,7 @@ def test_enospc_on_store_compiles_uncached_with_note(cache_dir):
     assert io_notes
     # nothing landed on disk: the next compile is cold, not corrupt
     cold = Compiler(opts(cache_dir)).compile_sources(SOURCES)
-    assert not cold.scheduler["restored_fe"]
+    assert len(summarized(cold)) == 2 * len(SOURCES)
     assert fingerprint(cold) == fingerprint(baseline)
 
 
@@ -283,8 +310,7 @@ def test_eio_on_load_is_a_miss_not_a_crash(cache_dir):
                for d in cache_notes(result))
     # the fault was transient: entries are intact, next compile warm
     warm = Compiler(opts(cache_dir)).compile_sources(SOURCES)
-    assert any("restored from summary cache" in d.message
-               for d in cache_notes(warm))
+    assert_every_summary_hits(warm)
 
 
 def test_transient_enospc_disarms_after_n_fires(cache_dir):
@@ -307,8 +333,7 @@ def test_entries_on_disk_are_checksum_framed(cache_dir):
     for p in paths:
         raw = p.read_bytes()
         assert raw.startswith(ENTRY_MAGIC)
-        payload, kind = unframe_blob(raw)
-        assert kind == "ok" and payload
+        assert unframe_blob(raw)
 
 
 def test_bitflip_fails_checksum_and_quarantines(cache_dir):
@@ -332,13 +357,26 @@ def test_bitflip_fails_checksum_and_quarantines(cache_dir):
                                                 QUARANTINE_MAX)
 
 
-def test_legacy_unframed_entries_still_load(tmp_path):
-    cache = SummaryCache(tmp_path / "cache")
-    key = SummaryCache.key_for("parse", "legacy")
-    path = cache._path("parse", key)
+def test_unframed_entry_is_quarantined_as_corrupt(tmp_path):
+    """Every key carries the code digest, so no key addresses an entry
+    written before framing: an unframed file is a damaged one.  A load
+    quarantines it as corrupt instead of unpickling it, and so does
+    fsck."""
+    root = tmp_path / "cache"
+    cache = SummaryCache(root)
+    key = SummaryCache.key_for("summary", "unframed")
+    path = cache._path("summary", key)
     path.parent.mkdir(parents=True)
     path.write_bytes(pickle.dumps({"old": True}))   # no frame
-    assert cache.load("parse", key) == {"old": True}
+    assert cache.load("summary", key) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+    assert [e.kind for e in cache.drain_events()] == ["corrupt"]
+    assert not path.exists()
+    assert list((root / QUARANTINE_DIR).glob("summary-*.pkl"))
+    path.write_bytes(pickle.dumps({"old": True}))
+    report = fsck_cache(root)
+    assert report.corrupt == 1 and not path.exists()
+    assert "legacy" not in report.to_dict()["categories"]["summary"]
 
 
 def test_quarantine_is_bounded(tmp_path):

@@ -25,7 +25,10 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.api import ApiError
+from repro.api import ApiError, CompileOptions, CompileRequest, \
+    REQUEST_SCHEMES
+from repro.cli import main
+from repro.core.faults import ProcessFaultSpec
 from repro.service import (
     CONTROL_OPS, CacheServer, CacheStore, ClusterConfig, CompileServer,
     LineServer, ProtocolError, Router, RouterServer, ServiceClient,
@@ -249,6 +252,83 @@ class TestSearchOptionsOnTheWire:
         assert resp["status"] == "error"
         assert resp["id"] == 9
         assert resp["error"]["where"] == "search.budget_s"
+
+
+# ---------------------------------------------------------------------------
+# request fields: numbers, counts and flags are checked, never coerced
+# ---------------------------------------------------------------------------
+
+ANALYZE = {"op": "analyze",
+           "sources": [["a.c", "int main() { return 0; }"]]}
+
+#: (request fields, the ``detail.where`` that refuses them): a number
+#: is finite and never a boolean or a string, a count is an integer,
+#: a flag is a JSON boolean
+UNCOERCED = [
+    ({"options": {"ts": True}}, "options.ts"),
+    ({"options": {"ts": "nan"}}, "options.ts"),
+    ({"options": {"ts": float("inf")}}, "options.ts"),
+    ({"max_retries": True}, "max_retries"),
+    ({"max_retries": 2.7}, "max_retries"),
+    ({"max_retries": "3"}, "max_retries"),
+    ({"deadline": "nan"}, "deadline"),
+    ({"deadline": float("inf")}, "deadline"),
+    ({"deadline": True}, "deadline"),
+    ({"deadline": "5"}, "deadline"),
+    ({"deadline_ms": "500"}, "deadline_ms"),
+    ({"deadline_ms": float("nan")}, "deadline_ms"),
+    ({"faults": [{"stage": "apply", "silent": "false"}]}, "faults"),
+    ({"faults": [{"stage": "apply", "times": 1.9}]}, "faults"),
+    ({"faults": [{"stage": "apply", "seconds": float("inf")}]}, "faults"),
+]
+
+
+class TestRequestFieldsOnTheWire:
+    @pytest.mark.parametrize(
+        "fields,where", UNCOERCED,
+        ids=[f"{where}={json.dumps(fields)}" for fields, where in UNCOERCED])
+    def test_value_is_checked_not_coerced(self, fields, where):
+        with pytest.raises(ApiError) as ei:
+            CompileRequest.from_dict({**ANALYZE, **fields})
+        assert ei.value.detail["where"] == where
+
+    def test_in_process_and_cli_are_checked_alike(self, tmp_path,
+                                                  capsys):
+        """The checks live in the dataclasses, so a request built in
+        process is refused like a wire one, and integral floats stay
+        counts."""
+        with pytest.raises(ApiError):
+            CompileOptions(ts=float("nan"))
+        with pytest.raises(ApiError):
+            CompileRequest(op="analyze", deadline=float("inf"))
+        with pytest.raises(ValueError):
+            ProcessFaultSpec("apply", silent="false")
+        req = CompileRequest.from_dict({
+            **ANALYZE, "max_retries": 2.0, "deadline_ms": 500,
+            "options": {"ts": 0},
+            "faults": [{"stage": "apply", "times": 1.0}]})
+        assert (req.max_retries, req.faults[0].times) == (2, 1)
+        src = tmp_path / "a.c"
+        src.write_text("int main() { return 0; }\n")
+        assert main(["analyze", "--ts", "nan", str(src)]) == 2
+        assert capsys.readouterr().err.startswith("repro: error:")
+
+    def test_unknown_scheme_is_refused_before_a_worker_runs(self):
+        """A scheme no request can run is a schema error at the front
+        door: it never fails a worker attempt, so it cannot open the
+        program's circuit breaker for the next, valid request."""
+        sources = [["a.c", "struct p { long a; long b; };\n"
+                            "int main() { return 0; }\n"]]
+        with make_server("daemon") as (_, path):
+            bad = single_request(path, {
+                "op": "advise", "id": 1, "sources": sources,
+                "options": {"scheme": "FOO"}}, timeout=60)
+            good = single_request(path, {
+                "op": "advise", "id": 2, "sources": sources}, timeout=60)
+        assert bad["status"] == "error"
+        assert bad["error"]["where"] == "options.scheme"
+        assert bad["error"]["known_schemes"] == list(REQUEST_SCHEMES)
+        assert (good["status"], good["tier"]) == ("ok", "advisory")
 
 
 # ---------------------------------------------------------------------------
