@@ -672,8 +672,9 @@ def execute_tier(op: str, tier: str, sources: list[tuple[str, str]],
     cache's ``reply`` category, keyed by everything its payload
     depends on (:func:`_reply_key`).  A hit returns the stored payload
     — its ``timings`` time only the restore — with two fresh cache
-    notes.  A miss compiles on the same cache handle (one cache
-    service connection per request) and stores the payload without
+    notes.  A miss compiles on the same cache handle (in a farm
+    worker, every cache op rides the worker's one pooled
+    cache-service connection) and stores the payload without
     its ``timings``, plus its non-cache notes, unless a diagnostic is
     a warning or worse.  The ``legality`` tier, the ladder's cheap
     last resort, is not memoized.

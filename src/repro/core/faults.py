@@ -246,8 +246,9 @@ class ProcessFaultSpec:
     ``request``.  ``times`` bounds the fault to the first N execution
     attempts of a request, so a retry after the injected crash can be
     observed succeeding.  The values are checked as every wire field
-    is, never coerced: ``times`` an integer >= 0 (an integral float
-    counts), ``seconds`` a finite number >= 0, ``silent`` a boolean.
+    is, never coerced: ``stage`` a non-empty string, ``mode`` a
+    string, ``times`` an integer >= 0 (an integral float counts),
+    ``seconds`` a finite number >= 0, ``silent`` a boolean.
     """
 
     stage: str
@@ -257,7 +258,13 @@ class ProcessFaultSpec:
     silent: bool = True               # hang: also stop the heartbeat
 
     def __post_init__(self):
-        if self.mode not in PROCESS_FAULT_MODES:
+        # fire() matches stage names exactly: a stage that is not a
+        # string would arm a fault that never fires
+        if not isinstance(self.stage, str) or not self.stage:
+            raise ValueError(f"'stage' must be a non-empty string, got "
+                             f"{self.stage!r}")
+        if not isinstance(self.mode, str) \
+                or self.mode not in PROCESS_FAULT_MODES:
             raise ValueError(
                 f"unknown process fault mode {self.mode!r}; choose "
                 f"from {PROCESS_FAULT_MODES}")
@@ -285,7 +292,7 @@ class ProcessFaultSpec:
         times = d.get("times", 1)
         if isinstance(times, float) and times.is_integer():
             times = int(times)
-        return cls(stage=str(d["stage"]), mode=str(d.get("mode", "kill")),
+        return cls(stage=d["stage"], mode=d.get("mode", "kill"),
                    seconds=d.get("seconds", 3600.0), times=times,
                    silent=d.get("silent", True))
 

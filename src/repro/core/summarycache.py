@@ -118,6 +118,26 @@ def fingerprint(*parts: object) -> str:
     return h.hexdigest()
 
 
+def _feed_key(h, part: object) -> None:
+    """Hash one key part: a string as its length-prefixed UTF-8, a
+    tuple or list as its length and then each item, anything else as
+    its length-prefixed ``repr()``, each behind a kind tag, so no two
+    different part sequences feed the same bytes."""
+    if isinstance(part, str):
+        data = part.encode("utf-8", "surrogatepass")
+        h.update(b"s%d:" % len(data))
+        h.update(data)
+    elif isinstance(part, (tuple, list)):
+        h.update(b"%c%d:" % (b"t" if isinstance(part, tuple) else b"l",
+                             len(part)))
+        for item in part:
+            _feed_key(h, item)
+    else:
+        data = repr(part).encode("utf-8", "surrogatepass")
+        h.update(b"r%d:" % len(data))
+        h.update(data)
+
+
 @dataclass
 class SummaryCache:
     """Content-addressed pickle store under one directory.
@@ -154,7 +174,14 @@ class SummaryCache:
 
     @staticmethod
     def key_for(category: str, *parts: object) -> str:
-        return fingerprint(code_digest(), category, *parts)
+        """The cache key of ``parts`` in ``category``, under the code
+        digest.  Unlike :func:`fingerprint` it hashes a string's bytes,
+        not its ``repr()``: a reply or summary key covers whole source
+        texts, and escaping one costs several times its hash."""
+        h = hashlib.sha256()
+        for p in (code_digest(), category, *parts):
+            _feed_key(h, p)
+        return h.hexdigest()
 
     def _path(self, category: str, key: str) -> Path:
         # two-level fanout keeps directories small on big projects

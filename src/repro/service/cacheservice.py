@@ -26,7 +26,9 @@ the compile daemons:
   is a directory or a service.  Like the local store, the remote
   client **never raises**: an unreachable or mid-restart cache service
   degrades to misses (reported as ``io-error`` events), never to a
-  failed compile.
+  failed compile.  Its connections come from one process-wide
+  :class:`~repro.service.server.ClientPool`, so a worker keeps its
+  cache-service connection from one request to the next.
 
 Integrity is enforced where the disk is: the server's local store
 verifies each entry's checksum frame on read and quarantines
@@ -46,7 +48,7 @@ from pathlib import Path
 from ..core.summarycache import QUARANTINE_DIR, SummaryCache
 from ..obs import MetricsRegistry
 from .requests import ProtocolError
-from .server import LineServer, ServiceClient
+from .server import ClientPool, LineServer
 
 #: wire ops the cache service adds on top of the control ops
 CACHE_OPS = ("cache.get", "cache.put", "cache.drop")
@@ -288,6 +290,11 @@ class CacheServer(LineServer):
 # Client side: a SummaryCache whose disk is on the other end of a socket
 # ---------------------------------------------------------------------------
 
+#: this process's idle cache-service connections, shared by every
+#: :class:`RemoteCache` handle
+_POOL = ClientPool()
+
+
 class RemoteCache(SummaryCache):
     """Drop-in ``SummaryCache`` backed by a cache-service socket.
 
@@ -296,29 +303,40 @@ class RemoteCache(SummaryCache):
     event reporting all come from the base class, so a compile behaves identically against
     a local directory or the shared service.  Connection failures are
     *misses with an ``io-error`` event*, never exceptions: a cache
-    outage slows the farm down, it cannot break it."""
+    outage slows the farm down, it cannot break it.
+
+    Each call takes an idle connection from the process's pool and
+    gives it back after the reply, so a handle holds no connection
+    and :meth:`close` has nothing to release.  A handle whose call
+    found the service unreachable (its connects and resends spent)
+    answers every later call as unreachable at once: one request
+    pays the reconnect backoff once, not once per cache op."""
 
     def __init__(self, socket_path: str, timeout: float = 10.0,
                  reconnects: int = 2):
         super().__init__(root=Path(f"unix:{socket_path}"))
         self.socket_path = str(socket_path)
-        self._client = ServiceClient(self.socket_path, timeout=timeout,
-                                     reconnects=reconnects)
-        self._io_lock = threading.Lock()
+        self.timeout = timeout
+        self.reconnects = reconnects
+        self._unreachable = False
 
     # -- wire ---------------------------------------------------------------
 
     def _call(self, payload: dict) -> dict | None:
         """One request/response against the service; None on failure."""
-        with self._io_lock:
-            try:
-                return self._client.request(payload)
-            except (OSError, ConnectionError, ProtocolError):
-                self._client.close()
-                return None
-
-    def close(self) -> None:
-        self._client.close()
+        if self._unreachable:
+            return None
+        client = _POOL.take(self.socket_path, self.timeout,
+                            self.reconnects)
+        try:
+            resp = client.request(payload)
+        except (OSError, ConnectionError, ProtocolError) as exc:
+            client.close()
+            if not isinstance(exc, ProtocolError):
+                self._unreachable = True
+            return None
+        _POOL.give(client)
+        return resp
 
     # -- blob I/O over the socket -------------------------------------------
 

@@ -73,7 +73,8 @@ from .requests import (
     deadline_response, error_response, parse_compile,
 )
 from .server import (
-    LineServer, ServiceClient, ping, single_request, wait_ready,
+    ClientPool, LineServer, ReplyPending, ServiceClient, ping,
+    single_request, wait_ready,
 )
 
 #: dispatch outcomes that trigger failover to the next-ranked shard.
@@ -296,6 +297,12 @@ class Router:
         self._active_seq = 0
         self._stop = threading.Event()
         self._health_thread: threading.Thread | None = None
+        #: idle connections to each shard, kept across dispatches
+        self._pool = ClientPool()
+
+    def close(self) -> None:
+        """Close the idle shard connections the router keeps."""
+        self._pool.close()
 
     def _count(self, name: str, **labels: str) -> None:
         self.metrics.counter(name, **labels).inc()
@@ -443,13 +450,16 @@ class Router:
         pending = 0
         last_failure: dict | None = None
 
-        def fire(shard: ShardState) -> None:
+        def launch(shard: ShardState) -> None:
             nonlocal launched, pending
             tried.add(shard.name)
             with shard.lock:
                 shard.dispatched += 1
             launched += 1
             pending += 1
+
+        def fire(shard: ShardState) -> None:
+            launch(shard)
             threading.Thread(
                 target=self._attempt,
                 args=(shard, raw, results, arrival, deadline_ms),
@@ -470,9 +480,15 @@ class Router:
             return None
 
         primary = ranked[0]
-        fire(primary)
+        launch(primary)
         hedge_after = self.hedge_after()
         deadline = time.monotonic() + self.shard_timeout
+        # the primary runs on this thread until its reply or the hedge
+        # window; past the window a thread finishes it and the hedge
+        # decision comes at once
+        hedge_now = not self._attempt(
+            primary, raw, results, arrival, deadline_ms,
+            window=min(hedge_after, self.shard_timeout))
 
         while pending:
             budget = deadline - time.monotonic()
@@ -483,7 +499,8 @@ class Router:
             if hedge_wanted:
                 # keep waking at hedge cadence even when no target is
                 # available yet: a readmission can create one
-                wait = min(wait, hedge_after)
+                wait = 0.0 if hedge_now else min(wait, hedge_after)
+            hedge_now = False
             try:
                 shard, resp, elapsed = results.get(timeout=wait)
             except queue.Empty:
@@ -543,15 +560,22 @@ class Router:
 
     def _attempt(self, shard: ShardState, raw: dict,
                  results: queue.Queue, arrival: float | None = None,
-                 deadline_ms: float | None = None) -> None:
-        """One shard attempt; always reports back to the queue.
+                 deadline_ms: float | None = None,
+                 window: float | None = None) -> bool:
+        """One shard attempt on a pooled connection; always reports
+        back to the queue.
 
         Deadline propagation happens here, at actual dispatch time:
         the budget forwarded to the shard is the original
         ``deadline_ms`` minus everything the request has already spent
         inside the router (queueing for a failover slot, waiting out a
         hedge timer).  A budget that ran out before the wire send is
-        answered ``deadline_exceeded`` without touching the shard."""
+        answered ``deadline_exceeded`` without touching the shard.
+
+        With ``window``, a reply that has not arrived within it is
+        left in flight: a ``route-*`` thread reads it on the same
+        connection (no resend) and reports it, and this returns False.
+        Otherwise the attempt is reported before this returns True."""
         t0 = time.monotonic()
         fwd = raw
         if deadline_ms is not None and arrival is not None:
@@ -562,17 +586,38 @@ class Router:
                     message="deadline budget exhausted inside the "
                             "router before dispatch",
                     reason="expired_in_router"), 0.0))
-                return
+                return True
             fwd = dict(raw)
             fwd["deadline_ms"] = remaining
+        client = self._pool.take(shard.spec.socket, self.shard_timeout, 1)
         try:
-            with ServiceClient(shard.spec.socket,
-                               timeout=self.shard_timeout,
-                               reconnects=1) as client:
-                resp = client.request(fwd)
+            resp = client.request(fwd, window=window)
+        except ReplyPending:
+            threading.Thread(
+                target=self._finish,
+                args=(shard, client, fwd, results, t0), daemon=True,
+                name=f"route-{shard.name}").start()
+            return False
         except (OSError, ConnectionError, ProtocolError):
-            results.put((shard, None, time.monotonic() - t0))
-            return
+            client.close()
+            resp = None
+        else:
+            self._pool.give(client)
+        results.put((shard, resp, time.monotonic() - t0))
+        return True
+
+    def _finish(self, shard: ShardState, client: ServiceClient, fwd: dict,
+                results: queue.Queue, t0: float) -> None:
+        """Read the reply of an attempt that outlived its window,
+        within what is left of the shard timeout."""
+        left = max(self.shard_timeout - (time.monotonic() - t0), 1e-3)
+        try:
+            resp = client.resume(fwd, timeout=left)
+        except (OSError, ConnectionError, ProtocolError):
+            client.close()
+            resp = None
+        else:
+            self._pool.give(client)
         results.put((shard, resp, time.monotonic() - t0))
 
     # -- stats --------------------------------------------------------------
@@ -677,6 +722,7 @@ class RouterServer(LineServer):
     def _teardown(self) -> None:
         self._peer_stop.set()
         self.router.stop_health_loop()
+        self.router.close()
 
     # -- HA: peer probing and active selection ------------------------------
 

@@ -63,6 +63,7 @@ import random
 import socket
 import threading
 import time
+import weakref
 from pathlib import Path
 
 from ..api import CompileRequest
@@ -741,6 +742,13 @@ IDEMPOTENT_OPS = frozenset(COMPILE_OPS) | {
 }
 
 
+class ReplyPending(Exception):
+    """A windowed :meth:`ServiceClient.request` whose reply had not
+    arrived when its window closed.  The request is still in flight
+    on the client's connection; :meth:`ServiceClient.resume` finishes
+    it."""
+
+
 class ServiceClient:
     """Line-oriented client for one connection to a daemon.
 
@@ -749,6 +757,14 @@ class ServiceClient:
     dies mid-request) the client reconnects with jittered exponential
     backoff, up to ``reconnects`` times, and resends the request.
     Non-idempotent ops fail fast instead — a resend could act twice.
+
+    A connection that has already answered may have been closed by its
+    peer since: the server reaped it as idle, or drained and
+    restarted.  When such a *reused* connection fails before the
+    reply's first byte (and not by a timeout), the client connects
+    afresh and resends at once, without a backoff sleep and without
+    spending a reconnect.  This is what lets a :class:`ClientPool`
+    keep connections across requests at no visible cost.
 
     ``socket_path`` may be a **multi-endpoint list** —
     ``"unix:A,unix:B"`` (or a plain comma-separated pair of paths) —
@@ -770,6 +786,12 @@ class ServiceClient:
     a busy/rejected reply to an idempotent op is automatically resent
     after sleeping the hinted interval (capped by
     ``retry_after_cap``), up to ``retry_busy`` times.
+
+    A request may carry a ``window``: a reply that has not arrived
+    within it (while connecting, sending or reading) raises
+    :class:`ReplyPending` and leaves the request in flight, so another
+    thread can :meth:`resume` it on the same connection without a
+    resend.  The router reads a primary attempt this way.
     """
 
     def __init__(self, socket_path: str, timeout: float | None = None,
@@ -789,19 +811,33 @@ class ServiceClient:
         self.retry_busy = retry_busy
         self.retry_after_cap = retry_after_cap
         self.max_reply_bytes = int(max_reply_bytes)
-        self._rng = random.Random(jitter_seed)
+        # seeded on the first backoff: most clients never sleep one,
+        # and an unseeded Random reads os.urandom
+        self._jitter_seed = jitter_seed
+        self._rng: random.Random | None = None
         self._sock: socket.socket | None = None
         self._reader: BoundedLineReader | None = None
+        #: replies read on the current connection
+        self._answered = 0
+        #: the frame of the request in flight that is still unsent
+        #: (None: no request in flight)
+        self._unsent: memoryview | None = None
+        #: the request's retry state, kept across :meth:`resume`
+        self._attempt = 0
+        self._busy_used = 0
+        self._stale_resend = True
         #: the most recent server-provided retry_after hint, consumed
         #: by the next backoff instead of the jittered default
         self._retry_hint: float | None = None
 
-    def connect(self) -> "ServiceClient":
+    def connect(self, timeout: float | None = None) -> "ServiceClient":
+        """Open the connection; ``timeout`` bounds the connect (the
+        client's own timeout by default) and every later socket
+        operation runs under the client's timeout."""
         last_exc: OSError | None = None
         for endpoint in self.endpoints:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            if self.timeout is not None:
-                sock.settimeout(self.timeout)
+            sock.settimeout(self.timeout if timeout is None else timeout)
             try:
                 sock.connect(endpoint)
             except OSError as exc:
@@ -811,16 +847,25 @@ class ServiceClient:
                 except OSError:
                     pass
                 continue
+            sock.settimeout(self.timeout)
             self._sock = sock
             self._reader = BoundedLineReader(sock,
                                              self.max_reply_bytes)
+            self._answered = 0
             self.endpoint = endpoint
             return self
         raise last_exc if last_exc is not None else ConnectionError(
             f"no reachable endpoint in {self.socket_path!r}")
 
+    @property
+    def idle(self) -> bool:
+        """An open connection that owes no reply: reusable."""
+        return self._sock is not None and self._unsent is None
+
     def close(self) -> None:
         self._reader = None
+        self._unsent = None
+        self._answered = 0
         if self._sock is not None:
             try:
                 self._sock.close()
@@ -840,50 +885,100 @@ class ServiceClient:
             # a server told us when to come back — believe it
             self._retry_hint = None
             return min(max(hint, 0.0), self.retry_after_cap)
+        if self._rng is None:
+            self._rng = random.Random(self._jitter_seed)
         raw = min(self.backoff_cap,
                   self.backoff_base * (2 ** attempt))
         return raw * (0.5 + self._rng.random() * 0.5)
 
-    def request(self, payload: dict) -> dict:
+    def request(self, payload: dict,
+                window: float | None = None) -> dict:
         """Send one request object; block for its response.
 
         Reconnects and resends (bounded, jittered backoff) when the
         connection dies under an idempotent op; with ``retry_busy``
         set, also resends after a busy/rejected reply, sleeping the
-        server's ``retry_after`` hint."""
-        retries = self.reconnects \
-            if payload.get("op") in IDEMPOTENT_OPS else 0
-        busy_retries = self.retry_busy \
-            if payload.get("op") in IDEMPOTENT_OPS else 0
-        busy_used = 0
-        attempt = 0
+        server's ``retry_after`` hint.  With ``window`` (seconds), a
+        reply not read within it raises :class:`ReplyPending`."""
+        if self._unsent is not None:
+            self.close()              # an abandoned request's reply
+        self._attempt = self._busy_used = 0
+        self._stale_resend = True
+        until = None if window is None else time.monotonic() + window
+        return self._exchange(payload, until)
+
+    def resume(self, payload: dict, timeout: float | None = None) -> dict:
+        """Finish the request a windowed :meth:`request` left in
+        flight: send what is left of it, then read its reply, the
+        first read waiting at most ``timeout`` seconds (the client's
+        own timeout by default).  A failure from here on is handled
+        as :meth:`request` handles it, on the same retry budget."""
+        return self._exchange(payload, None, timeout)
+
+    def _exchange(self, payload: dict, until: float | None,
+                  first_timeout: float | None = None) -> dict:
+        idempotent = payload.get("op") in IDEMPOTENT_OPS
+        retries = self.reconnects if idempotent else 0
+        busy_retries = self.retry_busy if idempotent else 0
         while True:
+            reused = self._answered > 0
+            windowed = False
             try:
-                resp = self._request_once(payload)
-            except (OSError, ConnectionError):
-                self.close()          # stale socket: force a reconnect
-                if attempt >= retries:
+                if self._unsent is None:
+                    frame = payload if "v" in payload \
+                        else {**payload, "v": PROTOCOL_VERSION}
+                    self._unsent = memoryview(encode(frame))
+                timeout = self.timeout if first_timeout is None \
+                    else first_timeout
+                if until is not None:
+                    # a zero timeout would make the socket non-blocking
+                    left = max(until - time.monotonic(), 1e-3)
+                    windowed = timeout is None or left < timeout
+                    if windowed:
+                        timeout = left
+                resp = self._request_once(timeout)
+            except (OSError, ConnectionError) as exc:
+                timed_out = isinstance(exc, TimeoutError)
+                if timed_out and windowed:
+                    raise ReplyPending() from None
+                # a reused connection that fails before the reply's
+                # first byte was closed by its peer while idle
+                stale = reused and not timed_out and self._stale_resend \
+                    and idempotent and self._reader is not None \
+                    and not self._reader.buffered
+                self.close()          # force a reconnect
+                if stale:
+                    self._stale_resend = False
+                    continue
+                if self._attempt >= retries:
                     raise
-                time.sleep(self._backoff(attempt))
-                attempt += 1
+                time.sleep(self._backoff(self._attempt))
+                self._attempt += 1
+                first_timeout = None
                 continue
+            first_timeout = None
             hint = resp.get("retry_after")
             if hint is not None:
                 self._retry_hint = float(hint)
             if resp.get("status") in ("busy", "rejected") \
-                    and hint is not None and busy_used < busy_retries:
-                busy_used += 1
-                time.sleep(self._backoff(attempt))
+                    and hint is not None \
+                    and self._busy_used < busy_retries:
+                self._busy_used += 1
+                time.sleep(self._backoff(self._attempt))
                 continue
             return resp
 
-    def _request_once(self, payload: dict) -> dict:
+    def _request_once(self, timeout: float | None) -> dict:
+        """Push the rest of the request frame and read its reply, each
+        socket wait bounded by ``timeout``."""
         if self._sock is None:
-            self.connect()
-        if "v" not in payload:
-            payload = {**payload, "v": PROTOCOL_VERSION}
-        self._sock.sendall(encode(payload))
+            self.connect(timeout)
+        self._sock.settimeout(timeout)
+        while self._unsent:
+            sent = self._sock.send(self._unsent)
+            self._unsent = self._unsent[sent:]
         line, oversized = self._reader.readline()
+        self._unsent = None
         if oversized:
             # the stream can no longer be trusted to frame correctly
             # from our side mid-line, so drop the connection — but
@@ -898,7 +993,91 @@ class ServiceClient:
         if not line:
             raise ConnectionError(
                 "connection closed before a response arrived")
+        self._answered += 1
         return decode(line)
+
+
+#: idle connections a :class:`ClientPool` keeps per socket; one given
+#: back past this is closed
+POOL_MAX_IDLE = 4
+
+
+class ClientPool:
+    """Idle :class:`ServiceClient` connections, per socket, kept
+    across requests by one process.
+
+    :meth:`take` hands out an idle connection to a socket, or a new
+    unconnected client; :meth:`give` takes it back after a complete
+    reply.  A connection that failed, timed out or is owed a reply is
+    closed, never pooled, and so is one past :data:`POOL_MAX_IDLE`.
+    The idle lists belong to the process that filled them: a forked
+    child closes the connections it inherited (close, never shutdown,
+    so the parent's stay open) and starts empty, so two processes
+    never share a socket."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._pid = os.getpid()
+        self._closed = False
+        #: (socket, timeout, reconnects) -> idle clients, newest last
+        self._idle: dict[tuple, list[ServiceClient]] = {}
+        _POOLS.add(self)
+
+    def take(self, socket_path: str, timeout: float | None,
+             reconnects: int) -> ServiceClient:
+        key = (str(socket_path), timeout, reconnects)
+        with self._lock:
+            self._own()
+            idle = self._idle.get(key)
+            if idle:
+                return idle.pop()
+        return ServiceClient(socket_path, timeout=timeout,
+                             reconnects=reconnects)
+
+    def give(self, client: ServiceClient) -> None:
+        if client.idle:
+            key = (client.socket_path, client.timeout, client.reconnects)
+            with self._lock:
+                self._own()
+                idle = self._idle.setdefault(key, [])
+                if not self._closed and len(idle) < POOL_MAX_IDLE:
+                    idle.append(client)
+                    return
+        client.close()
+
+    def close(self) -> None:
+        """Close every idle connection; later gives close theirs."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, {}
+        for clients in idle.values():
+            for client in clients:
+                client.close()
+
+    def _own(self) -> None:
+        if self._pid != os.getpid():
+            self._after_fork()
+
+    def _after_fork(self) -> None:
+        # runs in a fresh child: the parent's lock may have been held
+        # at the fork, so it is replaced, not taken
+        self._lock = threading.Lock()
+        for clients in self._idle.values():
+            for client in clients:
+                client.close()
+        self._idle = {}
+        self._pid = os.getpid()
+
+
+_POOLS: "weakref.WeakSet[ClientPool]" = weakref.WeakSet()
+
+
+def _pools_after_fork() -> None:
+    for pool in list(_POOLS):
+        pool._after_fork()
+
+
+os.register_at_fork(after_in_child=_pools_after_fork)
 
 
 def single_request(socket_path: str, payload: dict,

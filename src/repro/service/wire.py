@@ -144,6 +144,12 @@ class BoundedLineReader:
         self._buf = bytearray()
         self._eof = False
 
+    @property
+    def buffered(self) -> int:
+        """Bytes read past the last line returned: a reply that has
+        begun arriving."""
+        return len(self._buf)
+
     def readline(self) -> tuple[bytes | None, bool]:
         while True:
             nl = self._buf.find(b"\n")

@@ -21,10 +21,15 @@ Contracts under test:
   eviction under a byte budget, corruption quarantined server-side
   and surfaced as a miss, and an unreachable service degrading to
   misses — never exceptions.
+- **Connection reuse**: router → shard and worker → cache-service
+  connections are pooled per process, a reply inside the hedge window
+  is read on the router's connection thread, and a warm hit through
+  the farm opens no connection and starts no thread.
 """
 
 import os
 import pickle
+import random
 import socket
 import subprocess
 import sys
@@ -35,12 +40,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import CompileRequest, Session
 from repro.cli import main
 from repro.core import inject_cache_fault
-from repro.core.summarycache import SummaryCache
+from repro.core.summarycache import SummaryCache, open_cache
 from repro.service import (
-    COMPILE_OPS, CacheServer, CacheStore, ClusterConfig, Farm,
-    LineServer, ProtocolError, RemoteCache, Router, RouterPeer,
+    COMPILE_OPS, CacheServer, CacheStore, ClusterConfig, CompileServer,
+    Farm, LineServer, ProtocolError, RemoteCache, Router, RouterPeer,
     RouterServer, ServiceClient, ShardSpec, Supervisor,
     SupervisorConfig, busy_response, deadline_response, error_response,
     parse_budget, parse_compile, rejected_response, response,
@@ -717,6 +723,238 @@ class TestClientReconnect:
             client.request({"op": "ping"})
         assert time.monotonic() - t0 < 2.0    # bounded, not forever
 
+    def test_jitter_rng_is_made_on_the_first_backoff(self, monkeypatch):
+        """A client that never backs off seeds no RNG (an unseeded one
+        reads ``os.urandom``); a seed still fixes the jitter."""
+        seeds = []
+        real = random.Random
+
+        def counting(seed=None):
+            seeds.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(random, "Random", counting)
+        ServiceClient("/tmp/repro-no-such.sock")
+        assert seeds == []
+        a, b = (ServiceClient("/tmp/repro-no-such.sock", jitter_seed=7)
+                for _ in range(2))
+        assert [a._backoff(i) for i in range(4)] \
+            == [b._backoff(i) for i in range(4)]
+        assert seeds == [7, 7]
+
+
+# ---------------------------------------------------------------------------
+# connection reuse: pooled shard connections and the inline primary
+# ---------------------------------------------------------------------------
+
+def _wait_for(predicate, timeout: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.02)
+    return False
+
+
+def _route_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate()
+            if t.name.startswith("route-") and t.is_alive()]
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The names of the threads started in this process from now on."""
+    names: list[str] = []
+    real = threading.Thread.start
+
+    def start(self):
+        names.append(self.name)
+        return real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return names
+
+
+@pytest.fixture
+def backoffs(monkeypatch):
+    """Every reconnect backoff a ServiceClient sleeps from now on."""
+    slept: list[float] = []
+    real = ServiceClient._backoff
+
+    def backoff(self, attempt):
+        slept.append(real(self, attempt))
+        return slept[-1]
+
+    monkeypatch.setattr(ServiceClient, "_backoff", backoff)
+    return slept
+
+
+class TestConnectionReuse:
+    def test_dispatches_reuse_one_connection_per_shard(self):
+        tmp = _tmpdir()
+        cluster = make_cluster(tmp, 2)
+        shards = start_shards(cluster)
+        router = Router(cluster)
+        try:
+            for i in range(6):
+                resp = router.dispatch({**REQ, "id": i})
+                assert resp["status"] == "ok"
+            winner = next(s for s in shards
+                          if s.name == resp["route"]["shard"])
+            assert winner.served == 6
+            assert winner.connection_stats()["accepted"] == 1
+        finally:
+            router.close()
+            for s in shards:
+                s.shutdown()
+
+    def test_answer_inside_the_hedge_window_starts_no_thread(
+            self, thread_starts):
+        tmp = _tmpdir()
+        cluster = make_cluster(tmp, 2)
+        shards = start_shards(cluster)
+        router = Router(cluster)
+        try:
+            router.dispatch(dict(REQ))     # opens the pooled connection
+            thread_starts.clear()
+            accepted = sum(s.connection_stats()["accepted"]
+                           for s in shards)
+            for i in range(4):
+                resp = router.dispatch({**REQ, "id": i})
+                assert resp["route"] == {
+                    "shard": resp["route"]["shard"], "attempts": 1,
+                    "failovers": 0, "hedged": False}
+            assert thread_starts == []
+            assert sum(s.connection_stats()["accepted"]
+                       for s in shards) == accepted
+        finally:
+            router.close()
+            for s in shards:
+                s.shutdown()
+
+    def test_restarted_shard_is_reached_again_at_once(self, backoffs):
+        """A pooled connection to a shard that restarted on the same
+        socket fails before its reply's first byte: the router
+        connects afresh and resends at once, so the request stays on
+        its shard, in one attempt, with no backoff sleep."""
+        tmp = _tmpdir()
+        cluster = make_cluster(tmp, 2)
+        shards = {s.name: s for s in start_shards(cluster)}
+        router = Router(cluster)
+        try:
+            first = router.dispatch(dict(REQ))
+            name = first["route"]["shard"]
+            shards[name].shutdown()
+            shards[name] = FakeShard(shards[name].socket_path, name)
+            shards[name].start()
+            resp = router.dispatch(dict(REQ))
+            assert resp["status"] == "ok"
+            assert resp["route"] == {"shard": name, "attempts": 1,
+                                     "failovers": 0, "hedged": False}
+            assert backoffs == []
+            assert router.stats()["router"]["failovers"] == 0
+        finally:
+            router.close()
+            for s in shards.values():
+                s.shutdown()
+
+    def test_slow_primary_reply_is_read_without_a_resend(self):
+        """Past the hedge window a thread takes over the primary's
+        in-flight read: the slow shard gets the request once, and its
+        connection goes back to the pool when the reply lands."""
+        tmp = _tmpdir()
+        cluster = make_cluster(tmp, 2)
+        router = Router(cluster, hedge_floor=0.15, shard_timeout=30.0)
+        slow_name = router.rank(Router.workload_fingerprint(REQ))[0].name
+        shards = {spec.name: FakeShard(
+            spec.socket, spec.name,
+            delay=0.6 if spec.name == slow_name else 0.0)
+            for spec in cluster.shards}
+        for shard in shards.values():
+            shard.start()
+        slow = shards[slow_name]
+        try:
+            resp = router.dispatch(dict(REQ))
+            assert resp["route"]["hedged"] is True
+            assert resp["route"]["shard"] != slow_name
+            assert _wait_for(lambda: not _route_threads())
+            assert (slow.received, slow.served) == (1, 1)
+            slow.delay = 0.0
+            again = router.dispatch(dict(REQ))
+            assert again["route"]["shard"] == slow_name
+            assert slow.connection_stats()["accepted"] == 1
+        finally:
+            router.close()
+            for s in shards.values():
+                s.shutdown()
+
+    def test_router_teardown_closes_its_pooled_connections(self):
+        tmp = _tmpdir()
+        cluster = make_cluster(tmp, 1)
+        shards = start_shards(cluster)
+        front = RouterServer(os.path.join(tmp, "r.sock"), Router(cluster))
+        front.start()
+        try:
+            resp = single_request(front.socket_path, dict(REQ),
+                                  timeout=30)
+            assert resp["status"] == "ok"
+            assert shards[0].connection_stats()["open"] >= 1
+            front.shutdown()
+            assert _wait_for(
+                lambda: shards[0].connection_stats()["open"] == 0)
+        finally:
+            front.shutdown()
+            for s in shards:
+                s.shutdown()
+
+
+class TestFarmRequestPath:
+    def test_hit_opens_no_connection_and_starts_no_thread(
+            self, monkeypatch, thread_starts):
+        """After warm-up, a reply-memo hit through router -> shard ->
+        worker -> cache service rides connections and threads that
+        already exist: no server in the farm accepts a connection and
+        this process (router, shard daemon, cache service) starts no
+        thread.  The worker is a forked process; its pooled
+        cache-service connection shows in the cache service's
+        ``accepted`` count."""
+        # the probe loop pings on fresh connections of its own
+        monkeypatch.setattr(Router, "start_health_loop",
+                            lambda self: None)
+        tmp = _tmpdir()
+        cache = CacheServer(os.path.join(tmp, "c.sock"),
+                            CacheStore(os.path.join(tmp, "cache")))
+        cache.start()
+        shard = CompileServer(
+            os.path.join(tmp, "s0.sock"), Supervisor(SupervisorConfig(
+                pool_size=1, cache_dir=f"unix:{cache.socket_path}")))
+        shard.start()
+        front = RouterServer(os.path.join(tmp, "r.sock"), Router(
+            ClusterConfig(shards=[ShardSpec("s0", shard.socket_path)],
+                          cache_socket=cache.socket_path)))
+        front.start()
+        servers = (front, shard, cache)
+        client = ServiceClient(front.socket_path, timeout=120,
+                               reconnects=0)
+        try:
+            for _ in range(2):            # cold compile, first hit
+                assert client.request(dict(REQ))["status"] == "ok"
+            accepted = [s.connection_stats()["accepted"]
+                        for s in servers]
+            thread_starts.clear()
+            for i in range(3):
+                resp = client.request({**REQ, "id": i})
+                assert resp["status"] == "ok"
+                assert resp["diagnostics"][0]["message"] \
+                    == "reply restored from summary cache"
+            assert thread_starts == []
+            assert [s.connection_stats()["accepted"]
+                    for s in servers] == accepted == [1, 1, 1]
+        finally:
+            client.close()
+            for server in servers:
+                server.shutdown()
+
 
 # ---------------------------------------------------------------------------
 # cache service
@@ -864,6 +1102,85 @@ class TestCacheService:
         reopened = CacheStore(root)
         assert reopened.stats()["entries"] == 1
         assert reopened.stats()["bytes"] > 0
+
+
+class TestRemoteCacheConnections:
+    def test_handles_share_one_pooled_connection(self, cache_service):
+        """Every handle a process opens rides one pooled connection; a
+        forked child opens its own instead of writing on the one it
+        inherited."""
+        server, _ = cache_service
+        spec = f"unix:{server.socket_path}"
+        key = SummaryCache.key_for("summary", "pooled")
+        for _ in range(5):
+            handle = open_cache(spec)
+            assert handle.load("summary", key) is None
+            handle.close()
+        assert server.connection_stats()["accepted"] == 1
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                handle = open_cache(spec)
+                handle.load("summary", key)
+                code = 0 if [e.kind for e in handle.events] == ["miss"] \
+                    else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert server.connection_stats()["accepted"] == 2
+        handle = open_cache(spec)
+        assert handle.load("summary", key) is None
+        assert [e.kind for e in handle.events] == ["miss"]
+        assert server.connection_stats()["accepted"] == 2
+
+    def test_restarted_service_is_reached_again_at_once(self, backoffs):
+        tmp = _tmpdir()
+        root = os.path.join(tmp, "cache")
+        path = os.path.join(tmp, "c.sock")
+        server = CacheServer(path, CacheStore(root))
+        server.start()
+        key = SummaryCache.key_for("summary", "restart")
+        try:
+            assert RemoteCache(path).store("summary", key, {"x": 1})
+            server.shutdown()
+            server = CacheServer(path, CacheStore(root))
+            server.start()
+            handle = RemoteCache(path)
+            assert handle.load("summary", key) == {"x": 1}
+            assert backoffs == []
+            assert server.connection_stats()["accepted"] == 1
+        finally:
+            server.shutdown()
+
+    def test_unreachable_service_is_tried_once_per_request(
+            self, monkeypatch):
+        """A compile against a cache service that is not there spends
+        one round of connects, on its first cache op; every later op
+        is an ``io-error`` miss at once, and the payload is the
+        uncached one."""
+        sources = [("a.c", "struct pt { long x; long y; long z; };\n"
+                           "struct pt g[64];\n"
+                           "int main() { long s = 0; int i;\n"
+                           "  for (i = 0; i < 64; i++) s = s + g[i].x;\n"
+                           "  printf(\"%ld\\n\", s); return 0; }\n"),
+                   ("b.c", "struct pt;\nint helper() { return 1; }\n")]
+        req = CompileRequest(op="advise", sources=sources)
+        plain = Session().execute(req)
+        connects: list[str] = []
+        real = ServiceClient.connect
+
+        def connect(self, *args, **kwargs):
+            connects.append(self.socket_path)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(ServiceClient, "connect", connect)
+        missing = os.path.join(_tmpdir(), "gone.sock")
+        cached = Session(cache_dir=f"unix:{missing}").execute(req)
+        assert 1 <= len(connects) <= RemoteCache(missing).reconnects + 1
+        strip = lambda p: {k: v for k, v in p.items() if k != "timings"}
+        assert strip(cached.payload) == strip(plain.payload)
 
 
 class TestParseBudget:

@@ -178,6 +178,31 @@ def test_same_named_units_keep_their_own_summaries(cache_dir):
     assert legality(warm) == want
 
 
+class _ReprOfX:
+    def __repr__(self):
+        return repr("x")
+
+
+@pytest.mark.parametrize("a,b", [
+    (("ab", "c"), ("a", "bc")),
+    (("ab", ("c",)), ("a", ("bc",))),
+    (("x",), (_ReprOfX(),)),
+    (("x",), (repr("x"),)),
+    ((("x",),), (["x"],)),
+    (("1",), (1,)),
+    (((),), ("",)),
+], ids=["boundary", "nested-boundary", "repr-of-string",
+        "string-vs-its-repr", "tuple-vs-list", "str-vs-int", "empty"])
+def test_keys_stay_distinct_when_strings_hash_as_bytes(a, b):
+    """``key_for`` hashes a string's bytes, not its ``repr()``: the
+    parts stay separated, and a string never keys like a non-string
+    whose ``repr()`` reads the same."""
+    assert SummaryCache.key_for("summary", *a) \
+        != SummaryCache.key_for("summary", *b)
+    assert SummaryCache.key_for("summary", *a) \
+        == SummaryCache.key_for("summary", *a)
+
+
 def test_options_fingerprint_ignores_strategy_knobs():
     a = CompilerOptions(cache_dir=None).fingerprint()
     b = CompilerOptions(cache_dir="/tmp/x", verify_transforms=True,

@@ -263,7 +263,7 @@ ANALYZE = {"op": "analyze",
 
 #: (request fields, the ``detail.where`` that refuses them): a number
 #: is finite and never a boolean or a string, a count is an integer,
-#: a flag is a JSON boolean
+#: a flag is a JSON boolean, a fault's stage a non-empty string
 UNCOERCED = [
     ({"options": {"ts": True}}, "options.ts"),
     ({"options": {"ts": "nan"}}, "options.ts"),
@@ -280,6 +280,11 @@ UNCOERCED = [
     ({"faults": [{"stage": "apply", "silent": "false"}]}, "faults"),
     ({"faults": [{"stage": "apply", "times": 1.9}]}, "faults"),
     ({"faults": [{"stage": "apply", "seconds": float("inf")}]}, "faults"),
+    ({"faults": [{"stage": 5}]}, "faults"),
+    ({"faults": [{"stage": ["legality"]}]}, "faults"),
+    ({"faults": [{"stage": ""}]}, "faults"),
+    ({"faults": [{"stage": None, "mode": "kill"}]}, "faults"),
+    ({"faults": [{"stage": "apply", "mode": ["kill"]}]}, "faults"),
 ]
 
 
